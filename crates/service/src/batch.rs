@@ -9,7 +9,7 @@
 //! columnar batch is bit-identical to folding its source responses one
 //! at a time (see `ShardAccumulator::fold_columns`).
 
-use crate::session::SessionId;
+use crate::machine::SessionId;
 use crate::wal::WalSync;
 use ldp_fo::{FoKind, OracleHandle, Report, ReportColumns};
 use ldp_ids::protocol::UserResponse;
@@ -43,7 +43,7 @@ impl ColumnarBatch {
     /// Responses echoing a different round id are counted as stale here
     /// (the session manager validates ids before dispatch, so nonzero
     /// stale means a late message slipped validation) — exactly the
-    /// accounting the per-response fold performs.
+    /// accounting the sequential server's per-response fold performs.
     pub fn encode(
         kind: FoKind,
         domain_size: usize,

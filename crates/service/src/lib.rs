@@ -9,18 +9,23 @@
 //!
 //! * [`shard`] — per-shard support-count accumulators; each worker folds
 //!   its partition of the response stream through the round oracle's
-//!   `accumulate`, and shard tallies merge by commutative `u64` addition
-//!   on round close — which is why the parallel estimate is bit-identical
-//!   to the sequential one, independent of how responses were partitioned
-//!   or interleaved;
+//!   column kernels, and shard tallies merge by commutative `u64`
+//!   addition on round close — which is why the parallel estimate is
+//!   bit-identical to the sequential one, independent of how responses
+//!   were partitioned or interleaved;
 //! * [`batch`] — response batching (configurable size) so per-message
 //!   channel overhead amortizes across many reports;
 //! * [`pool`] — an `std::thread` worker pool fed by bounded channels:
 //!   dispatch blocks when every worker queue is full, giving natural
 //!   backpressure against unbounded arrival;
-//! * [`session`] — the [`IngestService`]: a multi-round session manager
-//!   owning round lifecycle (open → ingest → close) for any number of
-//!   concurrent independent streams/queries over one shared pool;
+//! * `machine` (crate-private) — the session lifecycle as one lock-free,
+//!   I/O-free state machine: every rule about what a session may do
+//!   (open → ingest → close, sequence numbers, idempotent retries) and
+//!   every counter lives there, and both drivers below call it;
+//! * [`session`] — the [`IngestService`]: the *live* driver of that
+//!   machine (lock → check → WAL append → apply → batches to the pool)
+//!   for any number of concurrent independent streams/queries over one
+//!   shared pool;
 //! * [`parallel`] — [`ParallelCollector`], a
 //!   [`RoundCollector`](ldp_ids::RoundCollector) implementation that
 //!   runs every existing mechanism (LBD/LBA/LPD/LPA/…) over the sharded
@@ -37,10 +42,13 @@
 //!   write-ahead log of session lifecycle events and report deltas,
 //!   with leader/follower *group commit* coalescing concurrent
 //!   sessions' fsyncs under [`WalSync::Always`];
-//! * [`recovery`] — periodic atomic snapshots plus WAL replay: a service
-//!   reopened after a crash reconstructs sessions, open-round tallies,
-//!   refusal counters, and budget positions, and re-closed rounds
-//!   estimate **bit-identically** to an uninterrupted run;
+//! * [`recovery`] — periodic atomic snapshots plus the *replay* driver
+//!   of the same machine: a service reopened after a crash takes the
+//!   snapshotted session table through the logged transitions, folding
+//!   report deltas through the same batch encode and kernels, so
+//!   sessions, open-round tallies, refusal counters, and budget
+//!   positions come back as they were and re-closed rounds estimate
+//!   **bit-identically** to an uninterrupted run;
 //! * [`faults`] — the fail-point registry the crash tests use to kill
 //!   the service at chosen points (compiled only under the `faults`
 //!   feature; a no-op in production builds).
@@ -74,6 +82,7 @@
 pub mod batch;
 pub mod codec;
 pub mod faults;
+pub(crate) mod machine;
 pub mod obs;
 pub mod parallel;
 pub mod pool;

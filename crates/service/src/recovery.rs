@@ -14,33 +14,46 @@
 //! `wal-<g+1>.log` and deletes the old generation. A crash at any point
 //! leaves either generation `g` fully intact or generation `g+1`
 //! already valid — recovery picks the highest-generation readable
-//! snapshot and replays its WAL on top:
+//! snapshot and replays its WAL on top.
 //!
-//! * records already covered by the snapshot are skipped via the
-//!   session's write-ahead sequence numbers;
-//! * replayed report deltas re-fold through the round oracle
-//!   (reconstructed deterministically from the logged
-//!   [`ReportRequest`]), so recovered support counts are bit-identical
+//! ## Replay is live ingest
+//!
+//! The logical state is one `SessionTable` — the same state machine
+//! (`machine.rs`) the live service mutates — plus the shards' tally of
+//! each open round. A snapshot is that pair written out; recovery
+//! decodes it and then does to it what the live service did when it
+//! wrote each WAL record: the same transition, with the report deltas
+//! encoded by the same [`Batch::encode`] and folded by the same
+//! [`ShardArena::ingest`] kernels the workers run. Nothing here decides
+//! what a session may do; a record the transitions refuse means the log
+//! contradicts itself and is a [`CoreError::RecoveryMismatch`].
+//! What replay adds is *verification* of what the log claims:
+//!
+//! * deltas already covered by the snapshot are skipped by the
+//!   session's write-ahead sequence numbers (the machine's own
+//!   duplicate rule);
+//! * the round oracle is rebuilt deterministically from the logged
+//!   [`ReportRequest`], so recovered support counts are bit-identical
 //!   to an uninterrupted run;
-//! * every replayed round close is *verified*: the estimate recomputed
-//!   from the replayed tally must equal the logged estimate bit for
-//!   bit, else [`CoreError::RecoveryMismatch`] is returned.
+//! * every replayed round close must reproduce the logged estimate bit
+//!   for bit from the replayed tally.
 //!
 //! A torn or corrupt WAL tail truncates replay at the last complete
 //! record and is surfaced as a typed error in the [`RecoveryReport`] —
 //! recovery itself still succeeds.
 
-use crate::batch::RoundKey;
+use crate::batch::{Batch, RoundKey};
 use crate::codec::{
     crc32, put_estimate, put_f64, put_request, put_response, put_u32, put_u64, take_estimate,
     take_request, take_response, Cursor,
 };
-use crate::session::SessionId;
-use crate::shard::{ShardAccumulator, ShardTally};
-use crate::wal::{self, WalRecord};
-use ldp_fo::{build_oracle, OracleHandle};
-use ldp_ids::collector::RoundEstimate;
-use ldp_ids::protocol::{ReportRequest, UserResponse};
+use crate::machine::{
+    Closing, OpenRound, Opening, Session, SessionId, SessionStatus, SessionTable,
+};
+use crate::shard::{ShardArena, ShardTally};
+use crate::wal::{self, wal_err, WalRecord};
+use ldp_fo::OracleHandle;
+use ldp_ids::protocol::ReportRequest;
 use ldp_ids::CoreError;
 use std::collections::HashMap;
 use std::io::Write;
@@ -78,182 +91,152 @@ pub struct RecoveryReport {
     pub corrupt_tail: Option<CoreError>,
 }
 
-/// One session's fully reconstructed state.
-#[derive(Debug)]
-pub(crate) struct RecoveredSession {
-    pub id: u64,
-    pub next_round: u64,
-    pub next_seq: u64,
-    pub refusals: u64,
-    pub epsilon_spent: f64,
-    pub last_closed: Option<(u64, RoundEstimate)>,
-    pub open: Option<RecoveredOpen>,
-}
+/// The shards' merged tally of every open round.
+pub(crate) type Tallies = HashMap<RoundKey, ShardTally>;
 
-/// A round that was open at the crash, rebuilt to its pre-crash tally.
-#[derive(Debug)]
-pub(crate) struct RecoveredOpen {
-    pub request: ReportRequest,
-    pub oracle: OracleHandle,
-    pub tally: ShardTally,
-}
-
-/// Everything [`recover`] hands back to the service constructor.
-#[derive(Debug)]
+/// Everything [`recover`] hands back to the service constructor: the
+/// session table as it stood at the last logged record, and the tallies
+/// to seed the worker pool with.
 pub(crate) struct Recovered {
     pub generation: u64,
-    pub next_session: u64,
-    pub sessions: Vec<RecoveredSession>,
+    pub table: SessionTable,
+    pub tallies: Tallies,
     pub report: RecoveryReport,
 }
 
+/// Every open round of `table`, in session order.
+pub(crate) fn open_rounds(table: &SessionTable) -> Vec<&OpenRound> {
+    let sessions = table.sessions().into_iter();
+    sessions.filter_map(|(_, s)| s.open()).collect()
+}
+
+/// Hand each open round's tally to `seed` (an arena's or a pool's) with
+/// the round's key and oracle.
+pub(crate) fn seed_each(
+    table: &SessionTable,
+    mut tallies: Tallies,
+    mut seed: impl FnMut(RoundKey, OracleHandle, ShardTally),
+) {
+    for open in open_rounds(table) {
+        let tally = tallies
+            .remove(&open.key)
+            .expect("every open round has a tally");
+        seed(open.key, open.oracle.clone(), tally);
+    }
+}
+
 // ---------------------------------------------------------------------
-// Snapshot state: the serializable image of the service's logical state.
+// The snapshot payload: the session table and its open-round tallies.
 
-/// The serializable image of one session inside a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SessionSnapshot {
-    pub id: u64,
-    pub next_round: u64,
-    pub next_seq: u64,
-    pub refusals: u64,
-    pub epsilon_spent: f64,
-    pub last_closed: Option<(u64, RoundEstimate)>,
-    pub open: Option<OpenSnapshot>,
-}
-
-/// The serializable image of an open round: its request, the tally the
-/// shards had folded by the snapshot cut, and the session-layer pending
-/// buffer that had not been dispatched yet.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct OpenSnapshot {
-    pub request: ReportRequest,
-    pub tally: ShardTally,
-    pub pending: Vec<UserResponse>,
-}
-
-/// The full serializable service state.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct SnapshotState {
-    pub next_session: u64,
-    pub sessions: Vec<SessionSnapshot>,
-}
-
-impl SnapshotState {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        put_u64(&mut out, self.next_session);
-        put_u32(&mut out, self.sessions.len() as u32);
-        for s in &self.sessions {
-            put_u64(&mut out, s.id);
-            put_u64(&mut out, s.next_round);
-            put_u64(&mut out, s.next_seq);
-            put_u64(&mut out, s.refusals);
-            put_f64(&mut out, s.epsilon_spent);
-            let flags = u8::from(s.last_closed.is_some()) | (u8::from(s.open.is_some()) << 1);
-            out.push(flags);
-            if let Some((round, estimate)) = &s.last_closed {
-                put_u64(&mut out, *round);
-                put_estimate(&mut out, estimate);
+fn encode_state(table: &SessionTable, tallies: &Tallies) -> Vec<u8> {
+    let sessions = table.sessions();
+    let mut out = Vec::with_capacity(256);
+    put_u64(&mut out, table.next_id().raw());
+    put_u32(&mut out, sessions.len() as u32);
+    for (id, s) in sessions {
+        let status = s.status();
+        put_u64(&mut out, id.raw());
+        put_u64(&mut out, status.next_round);
+        put_u64(&mut out, status.next_seq);
+        put_u64(&mut out, status.refusals);
+        put_f64(&mut out, status.epsilon_spent);
+        let flags = u8::from(s.last_closed().is_some()) | (u8::from(s.open().is_some()) << 1);
+        out.push(flags);
+        if let Some((round, estimate)) = s.last_closed() {
+            put_u64(&mut out, *round);
+            put_estimate(&mut out, estimate);
+        }
+        if let Some(open) = s.open() {
+            let tally = tallies
+                .get(&open.key)
+                .expect("every open round has a tally");
+            put_request(&mut out, &open.request);
+            put_u32(&mut out, tally.support.len() as u32);
+            for &c in &tally.support {
+                put_u64(&mut out, c);
             }
-            if let Some(open) = &s.open {
-                put_request(&mut out, &open.request);
-                put_u32(&mut out, open.tally.support.len() as u32);
-                for &c in &open.tally.support {
-                    put_u64(&mut out, c);
-                }
-                put_u64(&mut out, open.tally.reporters);
-                put_u64(&mut out, open.tally.refusals);
-                put_u64(&mut out, open.tally.stale);
-                put_u32(&mut out, open.pending.len() as u32);
-                for response in &open.pending {
-                    put_response(&mut out, response);
-                }
+            put_u64(&mut out, tally.reporters);
+            put_u64(&mut out, tally.refusals);
+            put_u64(&mut out, tally.stale);
+            put_u32(&mut out, open.pending.len() as u32);
+            for response in &open.pending {
+                put_response(&mut out, response);
             }
         }
-        out
     }
-
-    fn decode(payload: &[u8]) -> Result<SnapshotState, String> {
-        let mut cur = Cursor::new(payload);
-        let next_session = cur.u64()?;
-        let n = cur.u32()? as usize;
-        if n > payload.len() {
-            return Err(format!("session count {n} exceeds payload"));
-        }
-        let mut sessions = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = cur.u64()?;
-            let next_round = cur.u64()?;
-            let next_seq = cur.u64()?;
-            let refusals = cur.u64()?;
-            let epsilon_spent = cur.f64()?;
-            let flags = cur.u8()?;
-            let last_closed = if flags & 1 != 0 {
-                Some((cur.u64()?, take_estimate(&mut cur)?))
-            } else {
-                None
-            };
-            let open = if flags & 2 != 0 {
-                let request = take_request(&mut cur)?;
-                let d = cur.u32()? as usize;
-                if d > payload.len() {
-                    return Err(format!("domain {d} exceeds payload"));
-                }
-                let mut support = Vec::with_capacity(d);
-                for _ in 0..d {
-                    support.push(cur.u64()?);
-                }
-                let tally = ShardTally {
-                    support,
-                    reporters: cur.u64()?,
-                    refusals: cur.u64()?,
-                    stale: cur.u64()?,
-                };
-                let pending_n = cur.u32()? as usize;
-                if pending_n > payload.len() {
-                    return Err(format!("pending count {pending_n} exceeds payload"));
-                }
-                let mut pending = Vec::with_capacity(pending_n);
-                for _ in 0..pending_n {
-                    pending.push(take_response(&mut cur)?);
-                }
-                Some(OpenSnapshot {
-                    request,
-                    tally,
-                    pending,
-                })
-            } else {
-                None
-            };
-            sessions.push(SessionSnapshot {
-                id,
-                next_round,
-                next_seq,
-                refusals,
-                epsilon_spent,
-                last_closed,
-                open,
-            });
-        }
-        cur.finish()?;
-        Ok(SnapshotState {
-            next_session,
-            sessions,
-        })
-    }
+    out
 }
 
-fn snap_err(op: &str, path: &Path, e: &std::io::Error) -> CoreError {
-    CoreError::Wal {
-        detail: format!("{op} {}: {e}", path.display()),
+fn decode_state(payload: &[u8]) -> Result<(SessionTable, Tallies), String> {
+    let mut cur = Cursor::new(payload);
+    let next_session = cur.u64()?;
+    let n = cur.u32()? as usize;
+    if n > payload.len() {
+        return Err(format!("session count {n} exceeds payload"));
     }
+    let mut sessions = HashMap::with_capacity(n);
+    let mut tallies = Tallies::new();
+    for _ in 0..n {
+        let id = SessionId::from_raw(cur.u64()?);
+        let status = SessionStatus {
+            next_round: cur.u64()?,
+            next_seq: cur.u64()?,
+            refusals: cur.u64()?,
+            epsilon_spent: cur.f64()?,
+            open_round: None,
+        };
+        let flags = cur.u8()?;
+        let last_closed = if flags & 1 != 0 {
+            Some((cur.u64()?, take_estimate(&mut cur)?))
+        } else {
+            None
+        };
+        let open = if flags & 2 != 0 {
+            let request = take_request(&mut cur)?;
+            let d = cur.u32()? as usize;
+            if d != request.domain_size || d > payload.len() {
+                return Err(format!("tally of {d} cells for {request:?}"));
+            }
+            let mut support = Vec::with_capacity(d);
+            for _ in 0..d {
+                support.push(cur.u64()?);
+            }
+            let tally = ShardTally {
+                support,
+                reporters: cur.u64()?,
+                refusals: cur.u64()?,
+                stale: cur.u64()?,
+            };
+            let pending_n = cur.u32()? as usize;
+            if pending_n > payload.len() {
+                return Err(format!("pending count {pending_n} exceeds payload"));
+            }
+            let mut pending = Vec::with_capacity(pending_n);
+            for _ in 0..pending_n {
+                pending.push(take_response(&mut cur)?);
+            }
+            let open = OpenRound::new(id, request, pending)
+                .map_err(|e| format!("round parameters no longer build an oracle: {e}"))?;
+            tallies.insert(open.key, tally);
+            Some(open)
+        } else {
+            None
+        };
+        sessions.insert(id, Session::restore(status, last_closed, open));
+    }
+    cur.finish()?;
+    Ok((SessionTable::restore(next_session, sessions), tallies))
 }
 
-/// Write `state` as generation `gen`'s snapshot, atomically: tmp file,
+/// Write the state as generation `gen`'s snapshot, atomically: tmp file,
 /// fsync, rename into place, directory fsync.
-pub(crate) fn write_snapshot(dir: &Path, gen: u64, state: &SnapshotState) -> Result<(), CoreError> {
-    let payload = state.encode();
+pub(crate) fn write_snapshot(
+    dir: &Path,
+    gen: u64,
+    table: &SessionTable,
+    tallies: &Tallies,
+) -> Result<(), CoreError> {
+    let payload = encode_state(table, tallies);
     let mut bytes = Vec::with_capacity(24 + payload.len());
     bytes.extend_from_slice(SNAP_MAGIC);
     put_u64(&mut bytes, gen);
@@ -265,15 +248,15 @@ pub(crate) fn write_snapshot(dir: &Path, gen: u64, state: &SnapshotState) -> Res
     let tmp_path = final_path.with_extension("bin.tmp");
     {
         let mut tmp = std::fs::File::create(&tmp_path)
-            .map_err(|e| snap_err("create snapshot tmp", &tmp_path, &e))?;
+            .map_err(|e| wal_err("create snapshot tmp", &tmp_path, &e))?;
         tmp.write_all(&bytes)
-            .map_err(|e| snap_err("write snapshot", &tmp_path, &e))?;
+            .map_err(|e| wal_err("write snapshot", &tmp_path, &e))?;
         tmp.sync_data()
-            .map_err(|e| snap_err("sync snapshot", &tmp_path, &e))?;
+            .map_err(|e| wal_err("sync snapshot", &tmp_path, &e))?;
     }
     crate::faults::hit("snapshot.before_rename");
     std::fs::rename(&tmp_path, &final_path)
-        .map_err(|e| snap_err("rename snapshot", &final_path, &e))?;
+        .map_err(|e| wal_err("rename snapshot", &final_path, &e))?;
     sync_dir(dir);
     crate::faults::hit("snapshot.after_rename");
     Ok(())
@@ -290,8 +273,8 @@ fn sync_dir(dir: &Path) {
     let _ = dir;
 }
 
-fn read_snapshot(path: &Path) -> Result<SnapshotState, CoreError> {
-    let bytes = std::fs::read(path).map_err(|e| snap_err("read snapshot", path, &e))?;
+fn read_snapshot(path: &Path) -> Result<(SessionTable, Tallies), CoreError> {
+    let bytes = std::fs::read(path).map_err(|e| wal_err("read snapshot", path, &e))?;
     let file = path.display().to_string();
     let corrupt = |offset: u64, detail: String| CoreError::Corrupt {
         file: file.clone(),
@@ -321,7 +304,7 @@ fn read_snapshot(path: &Path) -> Result<SnapshotState, CoreError> {
     if crc32(payload) != crc {
         return Err(corrupt(24, "snapshot checksum mismatch".into()));
     }
-    SnapshotState::decode(payload).map_err(|detail| corrupt(24, detail))
+    decode_state(payload).map_err(|detail| corrupt(24, detail))
 }
 
 /// Parse a generation number out of `snap-<hex>.bin` / `wal-<hex>.log`.
@@ -332,10 +315,10 @@ fn parse_gen(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
 
 /// Highest snapshot generation present in `dir` (by filename).
 fn latest_snapshot_gen(dir: &Path) -> Result<Option<u64>, CoreError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| snap_err("list", dir, &e))?;
+    let entries = std::fs::read_dir(dir).map_err(|e| wal_err("list", dir, &e))?;
     let mut latest = None;
     for entry in entries {
-        let entry = entry.map_err(|e| snap_err("list", dir, &e))?;
+        let entry = entry.map_err(|e| wal_err("list", dir, &e))?;
         if let Some(name) = entry.file_name().to_str() {
             if let Some(gen) = parse_gen(name, "snap-", ".bin") {
                 latest = latest.max(Some(gen));
@@ -366,101 +349,45 @@ pub(crate) fn remove_stale(dir: &Path, keep: u64) {
 // ---------------------------------------------------------------------
 // Replay.
 
-struct WorkingOpen {
-    request: ReportRequest,
-    acc: ShardAccumulator,
-}
-
-struct WorkingSession {
-    next_round: u64,
-    next_seq: u64,
-    refusals: u64,
-    epsilon_spent: f64,
-    last_closed: Option<(u64, RoundEstimate)>,
-    open: Option<WorkingOpen>,
-}
-
 fn mismatch(detail: String) -> CoreError {
     CoreError::RecoveryMismatch { detail }
 }
 
-fn rebuild_oracle(request: &ReportRequest) -> Result<OracleHandle, CoreError> {
-    build_oracle(request.fo, request.epsilon, request.domain_size).map_err(|e| {
-        mismatch(format!(
-            "logged round parameters no longer build an oracle: {e}"
-        ))
-    })
-}
-
-fn open_from_snapshot(id: u64, open: &OpenSnapshot) -> Result<WorkingOpen, CoreError> {
-    let oracle = rebuild_oracle(&open.request)?;
-    let key = RoundKey {
-        session: SessionId::from_raw(id),
-        round: open.request.round,
-    };
-    let mut acc = ShardAccumulator::with_tally(key, oracle, open.tally.clone());
-    // The pending buffer was logged before the snapshot cut but never
-    // dispatched; fold it now so the recovered tally is complete.
-    for response in &open.pending {
-        acc.fold(response);
-    }
-    Ok(WorkingOpen {
-        request: open.request.clone(),
-        acc,
-    })
-}
-
-fn apply_record(
-    sessions: &mut HashMap<u64, WorkingSession>,
-    next_session: &mut u64,
+/// Take `table` through the transition `record` logged, and `arena`
+/// through its effects — what the live service did when it wrote the
+/// record, with the log checked where the live service appended to it.
+fn replay(
+    table: &mut SessionTable,
+    arena: &mut ShardArena,
     record: WalRecord,
 ) -> Result<(), CoreError> {
     match record {
         WalRecord::CreateSession { session } => {
-            if sessions
-                .insert(
-                    session,
-                    WorkingSession {
-                        next_round: 0,
-                        next_seq: 0,
-                        refusals: 0,
-                        epsilon_spent: 0.0,
-                        last_closed: None,
-                        open: None,
-                    },
-                )
-                .is_some()
-            {
-                return Err(mismatch(format!("session {session} created twice")));
+            let id = table.create();
+            if id.raw() != session {
+                return Err(mismatch(format!(
+                    "log creates session {session} where the table assigns {}",
+                    id.raw()
+                )));
             }
-            *next_session = (*next_session).max(session + 1);
         }
         WalRecord::OpenRound { session, request } => {
-            let s = sessions
-                .get_mut(&session)
-                .ok_or_else(|| mismatch(format!("open round on unknown session {session}")))?;
-            if let Some(open) = &s.open {
-                return Err(mismatch(format!(
-                    "session {session} opens round {} with round {} still open",
-                    request.round, open.request.round
-                )));
-            }
-            if request.round != s.next_round {
-                return Err(mismatch(format!(
-                    "session {session} opens round {}; expected {}",
-                    request.round, s.next_round
-                )));
-            }
-            let oracle = rebuild_oracle(&request)?;
-            let key = RoundKey {
-                session: SessionId::from_raw(session),
-                round: request.round,
+            let ReportRequest {
+                round,
+                t,
+                fo,
+                epsilon,
+                domain_size,
+            } = request;
+            let id = SessionId::from_raw(session);
+            match table.open_round(id, Some(round), t, fo, epsilon, domain_size)? {
+                Opening::Fresh(step) => step.apply(),
+                Opening::Replayed(_) => {
+                    return Err(mismatch(format!(
+                        "session {session} opens round {round} twice"
+                    )))
+                }
             };
-            s.open = Some(WorkingOpen {
-                acc: ShardAccumulator::new(key, oracle),
-                request,
-            });
-            s.next_round += 1;
         }
         WalRecord::Reports {
             session,
@@ -468,32 +395,18 @@ fn apply_record(
             seq,
             responses,
         } => {
-            let s = sessions
-                .get_mut(&session)
-                .ok_or_else(|| mismatch(format!("reports for unknown session {session}")))?;
-            if seq < s.next_seq {
-                // Already folded into the snapshot this WAL follows.
-                return Ok(());
+            let id = SessionId::from_raw(session);
+            // `None`: already folded into the snapshot this WAL follows.
+            if let Some(step) = table.accept(id, Some(seq), &responses)? {
+                if step.round() != round {
+                    return Err(mismatch(format!(
+                        "session {session} logs reports for round {round}; round {} is open",
+                        step.round()
+                    )));
+                }
+                let open = step.apply();
+                arena.ingest(Batch::encode(open.key, &open.oracle, responses));
             }
-            if seq > s.next_seq {
-                return Err(mismatch(format!(
-                    "session {session} logs delta seq {seq}; expected {}",
-                    s.next_seq
-                )));
-            }
-            let open = s.open.as_mut().ok_or_else(|| {
-                mismatch(format!("reports for session {session} with no open round"))
-            })?;
-            if round != open.request.round {
-                return Err(mismatch(format!(
-                    "session {session} logs reports for round {round}; round {} is open",
-                    open.request.round
-                )));
-            }
-            for response in &responses {
-                open.acc.fold(response);
-            }
-            s.next_seq += 1;
         }
         WalRecord::CloseRound {
             session,
@@ -501,28 +414,19 @@ fn apply_record(
             refusals,
             estimate,
         } => {
-            let s = sessions
-                .get_mut(&session)
-                .ok_or_else(|| mismatch(format!("close for unknown session {session}")))?;
-            let open = match s.open.take() {
-                Some(open) if open.request.round == round => open,
-                Some(open) => {
-                    return Err(mismatch(format!(
-                        "session {session} closes round {round}; round {} is open",
-                        open.request.round
-                    )))
-                }
-                None => {
-                    return Err(mismatch(format!(
-                        "session {session} closes round {round} with no round open"
-                    )))
-                }
+            let id = SessionId::from_raw(session);
+            let closing = table.begin_close(id, Some(round))?;
+            let Closing::Begun(mut open) = closing else {
+                return Err(mismatch(format!(
+                    "session {session} closes round {round} twice"
+                )));
             };
+            let tail = std::mem::take(&mut open.pending);
+            arena.ingest(Batch::encode(open.key, &open.oracle, tail));
+            let tally = arena.close(open.key, open.request.domain_size);
             // End-to-end integrity check: the estimate recomputed from
             // the fully replayed tally must be bit-identical to the one
             // that was logged (and possibly already acknowledged).
-            let oracle = &open.acc;
-            let tally = oracle.tally();
             if tally.refusals != refusals || tally.reporters != estimate.reporters {
                 return Err(mismatch(format!(
                     "session {session} round {round}: replayed tally ({} reports, {} refusals) \
@@ -530,8 +434,7 @@ fn apply_record(
                     tally.reporters, tally.refusals, estimate.reporters, refusals
                 )));
             }
-            let oracle = rebuild_oracle(&open.request)?;
-            let replayed = oracle.estimate(&tally.support, tally.reporters);
+            let replayed = open.estimate(&tally.support, tally.reporters).frequencies;
             let logged_bits: Vec<u64> = estimate.frequencies.iter().map(|f| f.to_bits()).collect();
             let replayed_bits: Vec<u64> = replayed.iter().map(|f| f.to_bits()).collect();
             if logged_bits != replayed_bits {
@@ -539,21 +442,9 @@ fn apply_record(
                     "session {session} round {round}: replayed estimate differs from the logged one"
                 )));
             }
-            s.refusals += refusals;
-            s.epsilon_spent += estimate.epsilon;
-            s.last_closed = Some((round, estimate));
+            table.finish_close(id, round, refusals, estimate);
         }
-        WalRecord::EndSession { session } => {
-            match sessions.remove(&session) {
-                None => return Err(mismatch(format!("end of unknown session {session}"))),
-                Some(s) if s.open.is_some() => {
-                    return Err(mismatch(format!(
-                        "session {session} ended with a round open"
-                    )))
-                }
-                Some(_) => {}
-            };
-        }
+        WalRecord::EndSession { session } => table.end(SessionId::from_raw(session))?.apply(),
     }
     Ok(())
 }
@@ -562,70 +453,44 @@ fn apply_record(
 /// snapshot plus its WAL tail.
 pub(crate) fn recover(dir: &Path) -> Result<Recovered, CoreError> {
     let snapshot_gen = latest_snapshot_gen(dir)?;
-    let (generation, base) = match snapshot_gen {
+    let (generation, (mut table, tallies)) = match snapshot_gen {
         Some(gen) => (gen, read_snapshot(&snap_path(dir, gen))?),
-        None => (0, SnapshotState::default()),
+        None => (0, Default::default()),
     };
-
-    let mut next_session = base.next_session;
-    let mut sessions: HashMap<u64, WorkingSession> = HashMap::new();
-    for s in &base.sessions {
-        let open = s
-            .open
-            .as_ref()
-            .map(|o| open_from_snapshot(s.id, o))
-            .transpose()?;
-        sessions.insert(
-            s.id,
-            WorkingSession {
-                next_round: s.next_round,
-                next_seq: s.next_seq,
-                refusals: s.refusals,
-                epsilon_spent: s.epsilon_spent,
-                last_closed: s.last_closed.clone(),
-                open,
-            },
-        );
-    }
+    // Tallies live where the live service keeps them: in a shard arena.
+    // Responses a snapshot caught pending stay pending in the table, as
+    // they were; the close that follows flushes them, replayed or live.
+    let mut arena = ShardArena::new();
+    seed_each(&table, tallies, |key, oracle, tally| {
+        arena.seed(key, oracle, tally)
+    });
 
     let scan = wal::scan(&wal_path(dir, generation))?;
     let wal_records_replayed = scan.records.len() as u64;
-    for record in scan.records {
-        apply_record(&mut sessions, &mut next_session, record)?;
+    for (i, record) in scan.records.into_iter().enumerate() {
+        // A record the transitions refuse means the log contradicts the
+        // state it is replayed onto.
+        replay(&mut table, &mut arena, record).map_err(|e| match e {
+            CoreError::RecoveryMismatch { .. } => e,
+            rule => mismatch(format!("WAL record {i} breaks the lifecycle: {rule}")),
+        })?;
     }
 
-    let mut recovered: Vec<RecoveredSession> = sessions
-        .into_iter()
-        .map(|(id, s)| RecoveredSession {
-            id,
-            next_round: s.next_round,
-            next_seq: s.next_seq,
-            refusals: s.refusals,
-            epsilon_spent: s.epsilon_spent,
-            last_closed: s.last_closed,
-            open: s.open.map(|o| {
-                let oracle = o.acc.oracle().clone();
-                RecoveredOpen {
-                    request: o.request,
-                    oracle,
-                    tally: o.acc.into_tally(),
-                }
-            }),
-        })
+    let still_open = open_rounds(&table).into_iter();
+    let tallies: Tallies = still_open
+        .map(|open| (open.key, arena.close(open.key, open.request.domain_size)))
         .collect();
-    recovered.sort_by_key(|s| s.id);
-
     let report = RecoveryReport {
         snapshot_generation: snapshot_gen,
         wal_records_replayed,
-        sessions: recovered.len(),
-        open_rounds: recovered.iter().filter(|s| s.open.is_some()).count(),
+        sessions: table.sessions().len(),
+        open_rounds: tallies.len(),
         corrupt_tail: scan.corrupt_tail,
     };
     Ok(Recovered {
         generation,
-        next_session,
-        sessions: recovered,
+        table,
+        tallies,
         report,
     })
 }
@@ -633,7 +498,9 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_fo::FoKind;
+    use ldp_fo::{build_oracle, FoKind};
+    use ldp_ids::collector::RoundEstimate;
+    use ldp_ids::protocol::UserResponse;
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -643,78 +510,117 @@ mod tests {
         dir
     }
 
-    fn sample_state() -> SnapshotState {
-        SnapshotState {
-            next_session: 3,
-            sessions: vec![
-                SessionSnapshot {
-                    id: 0,
-                    next_round: 2,
-                    next_seq: 9,
-                    refusals: 4,
-                    epsilon_spent: 1.5,
-                    last_closed: Some((
-                        1,
-                        RoundEstimate {
-                            frequencies: vec![0.25, 0.75],
-                            reporters: 100,
-                            epsilon: 0.75,
-                        },
-                    )),
-                    open: None,
+    fn sample_state() -> (SessionTable, Tallies) {
+        let closed = Session::restore(
+            SessionStatus {
+                next_round: 2,
+                next_seq: 9,
+                refusals: 4,
+                epsilon_spent: 1.5,
+                open_round: None,
+            },
+            Some((
+                1,
+                RoundEstimate {
+                    frequencies: vec![0.25, 0.75],
+                    reporters: 100,
+                    epsilon: 0.75,
                 },
-                SessionSnapshot {
-                    id: 2,
-                    next_round: 1,
-                    next_seq: 3,
-                    refusals: 0,
-                    epsilon_spent: 0.0,
-                    last_closed: None,
-                    open: Some(OpenSnapshot {
-                        request: ReportRequest {
-                            round: 0,
-                            t: 5,
-                            fo: FoKind::Grr,
-                            epsilon: 2.0,
-                            domain_size: 3,
-                        },
-                        tally: ShardTally {
-                            support: vec![5, 6, 7],
-                            reporters: 18,
-                            refusals: 0,
-                            stale: 0,
-                        },
-                        pending: vec![UserResponse::Report {
-                            round: 0,
-                            report: ldp_fo::Report::Grr(1),
-                        }],
-                    }),
-                },
-            ],
-        }
+            )),
+            None,
+        );
+        let request = ReportRequest {
+            round: 0,
+            t: 5,
+            fo: FoKind::Grr,
+            epsilon: 2.0,
+            domain_size: 3,
+        };
+        let pending = vec![UserResponse::Report {
+            round: 0,
+            report: ldp_fo::Report::Grr(1),
+        }];
+        let open = Session::restore(
+            SessionStatus {
+                next_round: 1,
+                next_seq: 3,
+                ..SessionStatus::default()
+            },
+            None,
+            Some(OpenRound::new(SessionId::from_raw(2), request, pending).unwrap()),
+        );
+        let tally = ShardTally {
+            support: vec![5, 6, 7],
+            reporters: 18,
+            refusals: 0,
+            stale: 0,
+        };
+        let sessions = HashMap::from([
+            (SessionId::from_raw(0), closed),
+            (SessionId::from_raw(2), open),
+        ]);
+        let key = RoundKey {
+            session: SessionId::from_raw(2),
+            round: 0,
+        };
+        let tallies = Tallies::from([(key, tally)]);
+        (SessionTable::restore(3, sessions), tallies)
+    }
+
+    /// The payload of `sample_state()`, captured from the commit before
+    /// this pin existed (PR 11, where it was `SnapshotState::encode`):
+    /// the `LDPSNP01` payload layout is pinned, not assumed.
+    const SAMPLE_STATE_HEX: &str = "\
+        0300000000000000020000000000000000000000020000000000000009000000\
+        000000000400000000000000000000000000f83f010100000000000000640000\
+        0000000000000000000000e83f02000000000000000000d03f000000000000e8\
+        3f02000000000000000100000000000000030000000000000000000000000000\
+        0000000000000000000200000000000000000500000000000000000000000000\
+        0000400300000003000000050000000000000006000000000000000700000000\
+        0000001200000000000000000000000000000000000000000000000100000000\
+        00000000000000000001000000";
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn snapshot_encoding_is_byte_stable() {
+        let (table, tallies) = sample_state();
+        assert_eq!(hex(&encode_state(&table, &tallies)), SAMPLE_STATE_HEX);
     }
 
     #[test]
     fn snapshot_state_roundtrips() {
-        let state = sample_state();
-        let decoded = SnapshotState::decode(&state.encode()).unwrap();
-        assert_eq!(decoded, state);
+        let (table, tallies) = sample_state();
+        let bytes = encode_state(&table, &tallies);
+        let (decoded, decoded_tallies) = decode_state(&bytes).unwrap();
+        assert_eq!(decoded_tallies, tallies);
+        assert_eq!(decoded.next_id(), SessionId::from_raw(3));
+        let open = decoded.get(SessionId::from_raw(2)).unwrap();
+        assert_eq!(open.status().open_round, Some(0));
+        assert_eq!(open.open().unwrap().pending.len(), 1);
+        assert_eq!(encode_state(&decoded, &decoded_tallies), bytes);
     }
 
     #[test]
     fn snapshot_file_roundtrips() {
         let dir = tmp_dir("file_roundtrip");
-        let state = sample_state();
-        write_snapshot(&dir, 7, &state).unwrap();
-        let read = read_snapshot(&snap_path(&dir, 7)).unwrap();
-        assert_eq!(read, state);
+        let (table, tallies) = sample_state();
+        write_snapshot(&dir, 7, &table, &tallies).unwrap();
+        let (read, read_tallies) = read_snapshot(&snap_path(&dir, 7)).unwrap();
+        assert_eq!(
+            encode_state(&read, &read_tallies),
+            encode_state(&table, &tallies)
+        );
         assert_eq!(latest_snapshot_gen(&dir).unwrap(), Some(7));
     }
 
     #[test]
     fn corrupt_snapshot_is_typed_not_a_panic() {
         let dir = tmp_dir("corrupt_snap");
-        write_snapshot(&dir, 1, &sample_state()).unwrap();
+        let (table, tallies) = sample_state();
+        write_snapshot(&dir, 1, &table, &tallies).unwrap();
         let path = snap_path(&dir, 1);
         let mut bytes = std::fs::read(&path).unwrap();
         let n = bytes.len();
@@ -727,9 +633,10 @@ mod tests {
     }
 
     #[test]
-    fn recover_from_snapshot_folds_pending_and_replays_tail() {
+    fn recover_from_snapshot_keeps_pending_and_replays_tail() {
         let dir = tmp_dir("snap_plus_tail");
-        write_snapshot(&dir, 4, &sample_state()).unwrap();
+        let (table, tallies) = sample_state();
+        write_snapshot(&dir, 4, &table, &tallies).unwrap();
         let mut wal = wal::Wal::create(&wal_path(&dir, 4), crate::wal::WalSync::None).unwrap();
         // A duplicate of an already-snapshotted delta (seq 1 < the
         // snapshot's next_seq 3: skipped on replay) followed by a
@@ -762,25 +669,26 @@ mod tests {
 
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.generation, 4);
-        assert_eq!(rec.next_session, 3);
+        assert_eq!(rec.table.next_id(), SessionId::from_raw(3));
         assert_eq!(rec.report.snapshot_generation, Some(4));
         assert_eq!(rec.report.wal_records_replayed, 2);
         assert_eq!(rec.report.open_rounds, 1);
         assert!(rec.report.corrupt_tail.is_none());
 
-        let s2 = rec.sessions.iter().find(|s| s.id == 2).unwrap();
-        assert_eq!(s2.next_seq, 4);
-        let open = s2.open.as_ref().unwrap();
-        // Snapshot tally [5,6,7]/18 reporters, plus the snapshotted
-        // pending Grr(1), plus the new Grr(0) delta. The duplicate Grr(2)
-        // must not be folded twice.
-        assert_eq!(open.tally.support, vec![6, 7, 7]);
-        assert_eq!(open.tally.reporters, 20);
+        let s2 = rec.table.get(SessionId::from_raw(2)).unwrap();
+        assert_eq!(s2.status().next_seq, 4);
+        // Snapshot tally [5,6,7]/18 reporters plus the new Grr(0) delta;
+        // the duplicate Grr(2) must not be folded twice, and the
+        // snapshotted pending Grr(1) is still pending, as it was.
+        let tally = rec.tallies.values().next().unwrap();
+        assert_eq!(tally.support, vec![6, 6, 7]);
+        assert_eq!(tally.reporters, 19);
+        assert_eq!(s2.open().unwrap().pending.len(), 1);
 
-        let s0 = rec.sessions.iter().find(|s| s.id == 0).unwrap();
-        assert!(s0.open.is_none());
-        assert_eq!(s0.next_round, 2);
-        assert_eq!(s0.refusals, 4);
+        let s0 = rec.table.get(SessionId::from_raw(0)).unwrap();
+        assert!(s0.open().is_none());
+        assert_eq!(s0.status().next_round, 2);
+        assert_eq!(s0.status().refusals, 4);
     }
 
     /// Build the WAL prefix create→open→reports shared by the close
@@ -861,11 +769,11 @@ mod tests {
         drop(wal);
 
         let rec = recover(&dir).unwrap();
-        let s = rec.sessions.iter().find(|s| s.id == 0).unwrap();
-        assert!(s.open.is_none());
-        assert_eq!(s.refusals, 1);
-        assert_eq!(s.epsilon_spent, 2.0);
-        assert_eq!(s.last_closed, Some((0, estimate)));
+        let s = rec.table.get(SessionId::from_raw(0)).unwrap();
+        assert!(s.open().is_none());
+        assert_eq!(s.status().refusals, 1);
+        assert_eq!(s.status().epsilon_spent, 2.0);
+        assert_eq!(s.last_closed(), Some(&(0, estimate)));
     }
 
     #[test]
@@ -900,8 +808,9 @@ mod tests {
     #[test]
     fn remove_stale_keeps_only_current_generation() {
         let dir = tmp_dir("remove_stale");
-        write_snapshot(&dir, 1, &sample_state()).unwrap();
-        write_snapshot(&dir, 2, &sample_state()).unwrap();
+        let (table, tallies) = sample_state();
+        write_snapshot(&dir, 1, &table, &tallies).unwrap();
+        write_snapshot(&dir, 2, &table, &tallies).unwrap();
         std::fs::write(wal_path(&dir, 1), b"x").unwrap();
         std::fs::write(wal_path(&dir, 2), b"x").unwrap();
         std::fs::write(dir.join("snap-junk.bin.tmp"), b"x").unwrap();
@@ -920,8 +829,8 @@ mod tests {
         let dir = tmp_dir("empty");
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.generation, 0);
-        assert_eq!(rec.next_session, 0);
-        assert!(rec.sessions.is_empty());
+        assert_eq!(rec.table.next_id(), SessionId::from_raw(0));
+        assert!(rec.table.sessions().is_empty());
         assert_eq!(rec.report.snapshot_generation, None);
         assert!(rec.report.corrupt_tail.is_none());
     }

@@ -1,28 +1,43 @@
-//! The [`IngestService`]: multi-round, multi-session lifecycle over one
-//! shared worker pool.
+//! The [`IngestService`]: the live driver of the session state machine,
+//! over one shared worker pool.
 //!
 //! A *session* is one logical stream/query: a strictly sequential
 //! sequence of collection rounds, mirroring
 //! [`AggregationServer`](ldp_ids::protocol::AggregationServer)'s
 //! contract. Any number of sessions may have rounds open concurrently —
 //! their accumulators live side by side in the workers, keyed by
-//! [`RoundKey`] — so independent mechanisms/queries ingest in parallel
+//! [`RoundKey`](crate::RoundKey) — so independent mechanisms/queries ingest in parallel
 //! over the same threads.
 //!
-//! Round-id validation happens here, synchronously on the submitting
-//! thread, exactly as the sequential server does it; workers only ever
-//! see pre-validated traffic (their own stale counting is defensive).
+//! What a session may do is decided in one place, the state machine in
+//! `machine.rs`: this module owns no lifecycle rule. It
+//! is the glue around the machine's transitions — the lock, the
+//! write-ahead log, the worker pool and the metrics — and every call has
+//! the same shape:
+//!
+//! ```text
+//! lock → check (machine) → append to the WAL → apply (machine)
+//!      → effects to the pool → unlock → wait for the commit
+//! ```
+//!
+//! The check happens synchronously on the submitting thread, exactly as
+//! the sequential server does it; workers only ever see pre-validated
+//! traffic (their own stale counting is defensive). An in-memory service
+//! ([`IngestService::new`]) runs the same sequence with the WAL step
+//! empty.
 //!
 //! ## Durability
 //!
-//! [`IngestService::open`] runs the same service *crash-safe*: every
-//! lifecycle event and report delta is appended to a checksummed
-//! write-ahead log (see [`wal`](crate::wal)) **before** the call
-//! returns, and periodic snapshots (see [`recovery`](crate::recovery))
-//! bound replay cost. After a crash, `open` on the same directory
-//! rebuilds sessions, open-round tallies, refusal counters, and budget
-//! positions, and re-closing a recovered round yields estimates
-//! **bit-identical** to an uninterrupted run.
+//! [`IngestService::open`] runs the service *crash-safe*: every
+//! transition is appended to a checksummed write-ahead log (see
+//! [`wal`](crate::wal)) **before** it is applied and acknowledged, and
+//! periodic snapshots (see [`recovery`](crate::recovery)) bound replay
+//! cost. After a crash, `open` on the same directory drives the same
+//! machine through the logged transitions — replay *is* live ingest,
+//! minus the lock and the log — so sessions, open-round tallies, refusal
+//! counters and budget positions come back as they were, and re-closing
+//! a recovered round yields estimates **bit-identical** to an
+//! uninterrupted run.
 //!
 //! Two rules make that work:
 //!
@@ -51,79 +66,23 @@
 //! returns the original estimate bit for bit), and skipping a step is a
 //! typed [`CoreError::SequenceGap`].
 
-use crate::batch::{Batch, RoundKey, ServiceConfig};
+use crate::batch::{Batch, ServiceConfig};
 use crate::faults;
+use crate::machine::{AcceptStep, Closing, OpenRound, Opening, SessionTable};
 use crate::obs::ServiceMetrics;
 use crate::pool::WorkerPool;
-use crate::recovery::{self, OpenSnapshot, RecoveryReport, SessionSnapshot, SnapshotState};
-use crate::wal::{Commit, Wal, WalRecord, WalStats};
-use ldp_fo::{build_oracle, FoKind, OracleHandle};
+use crate::recovery::{self, RecoveryReport, Tallies};
+use crate::wal::{wal_err, Commit, Wal, WalRecord, WalStats};
+use ldp_fo::FoKind;
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{ReportRequest, UserResponse};
 use ldp_ids::CoreError;
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Identifies one ingest session (one logical stream/query).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionId(u64);
-
-impl SessionId {
-    /// Construct from a raw id (test/interop helper; ids handed out by
-    /// [`IngestService::create_session`] are the normal path).
-    pub fn from_raw(raw: u64) -> Self {
-        SessionId(raw)
-    }
-
-    /// The raw id.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
-/// A point-in-time view of one session's sequencing state — everything a
-/// reconnecting client needs to resume the idempotent `*_at` call
-/// sequence exactly where the service left off.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SessionStatus {
-    /// The round id the next [`IngestService::open_round_at`] must name.
-    pub next_round: u64,
-    /// The sequence number the next
-    /// [`IngestService::submit_batch_at`] must carry.
-    pub next_seq: u64,
-    /// The currently open round, if any.
-    pub open_round: Option<u64>,
-    /// Privacy budget consumed by closed rounds (Σ round ε).
-    pub epsilon_spent: f64,
-    /// Refusals observed across closed rounds.
-    pub refusals: u64,
-}
-
-#[derive(Debug)]
-struct OpenRound {
-    request: ReportRequest,
-    oracle: OracleHandle,
-    pending: Vec<UserResponse>,
-}
-
-#[derive(Debug, Default)]
-struct SessionState {
-    next_round: u64,
-    /// Write-ahead sequence number of the next report delta. Every
-    /// logged `Reports` record carries one; recovery and retries use it
-    /// to apply each delta exactly once.
-    next_seq: u64,
-    refusals: u64,
-    /// Privacy budget consumed by closed rounds (Σ round ε).
-    epsilon_spent: f64,
-    /// The most recently closed round and its estimate — kept so a
-    /// client retrying a close whose ack was lost in a crash gets the
-    /// original estimate back bit for bit.
-    last_closed: Option<(u64, RoundEstimate)>,
-    open: Option<OpenRound>,
-}
+pub use crate::machine::{SessionId, SessionStatus};
 
 /// WAL + snapshot bookkeeping of a durable service.
 #[derive(Debug)]
@@ -136,10 +95,12 @@ struct DurableState {
 
 #[derive(Debug)]
 struct ServiceState {
-    sessions: HashMap<SessionId, SessionState>,
-    next_session: u64,
+    table: SessionTable,
     durable: Option<DurableState>,
 }
+
+/// The state, locked.
+type Locked<'a> = MutexGuard<'a, ServiceState>;
 
 /// The sharded, parallel report-ingestion service.
 ///
@@ -154,16 +115,20 @@ pub struct IngestService {
     metrics: ServiceMetrics,
 }
 
-fn unknown(session: SessionId) -> CoreError {
-    CoreError::UnknownSession {
-        session: session.raw(),
-    }
-}
-
-fn io_err(op: &str, path: &Path, e: &std::io::Error) -> CoreError {
-    CoreError::Wal {
-        detail: format!("{op} {}: {e}", path.display()),
-    }
+/// The WAL step: append the record of a checked transition, before the
+/// transition is applied. On an in-memory service there is no log, the
+/// record is never built, and the commit is already as durable as it
+/// gets.
+fn log<R: Borrow<WalRecord>>(
+    durable: &mut Option<DurableState>,
+    record: impl FnOnce() -> R,
+) -> Result<Commit, CoreError> {
+    let Some(d) = durable else {
+        return Ok(Commit::Durable);
+    };
+    let commit = d.wal.append(record().borrow())?;
+    d.records_since_snapshot += 1;
+    Ok(commit)
 }
 
 impl IngestService {
@@ -185,8 +150,7 @@ impl IngestService {
             ),
             config,
             state: Mutex::new(ServiceState {
-                sessions: HashMap::new(),
-                next_session: 0,
+                table: SessionTable::default(),
                 durable: None,
             }),
             recovery: None,
@@ -216,98 +180,55 @@ impl IngestService {
     ) -> Result<Self, CoreError> {
         let replay_start = Instant::now();
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir).map_err(|e| io_err("create", &dir, &e))?;
+        std::fs::create_dir_all(&dir).map_err(|e| wal_err("create", &dir, &e))?;
         let recovered = recovery::recover(&dir)?;
         metrics.replay_ns.record_duration(replay_start.elapsed());
         ldp_obs::trace::event("service.replay", || {
-            format!(
-                "dir={} sessions={} records={}",
-                dir.display(),
-                recovered.sessions.len(),
-                recovered.report.wal_records_replayed
-            )
+            format!("dir={} found={:?}", dir.display(), recovered.report)
         });
 
+        // An in-memory service that adopts what recovery hands back.
+        let mut svc = IngestService::new_observed(config, metrics);
         // Rotate immediately: write the recovered state as generation
         // g+1 and start its empty WAL, so the old generation (and any
         // corrupt tail) is retired before new traffic lands.
-        let next_gen = recovered.generation + 1;
-        let snapshot = SnapshotState {
-            next_session: recovered.next_session,
-            sessions: recovered
-                .sessions
-                .iter()
-                .map(|rs| SessionSnapshot {
-                    id: rs.id,
-                    next_round: rs.next_round,
-                    next_seq: rs.next_seq,
-                    refusals: rs.refusals,
-                    epsilon_spent: rs.epsilon_spent,
-                    last_closed: rs.last_closed.clone(),
-                    open: rs.open.as_ref().map(|o| OpenSnapshot {
-                        request: o.request.clone(),
-                        tally: o.tally.clone(),
-                        pending: Vec::new(),
-                    }),
-                })
-                .collect(),
-        };
-        recovery::write_snapshot(&dir, next_gen, &snapshot)?;
+        let (table, tallies) = (recovered.table, recovered.tallies);
+        let durable = svc.start_generation(dir, recovered.generation + 1, &table, &tallies)?;
+
+        // Each open round's tally is re-injected whole on one worker;
+        // commutative merging makes the eventual close exact.
+        recovery::seed_each(&table, tallies, |key, oracle, tally| {
+            svc.pool.seed(key, oracle, tally)
+        });
+        svc.state = Mutex::new(ServiceState {
+            table,
+            durable: Some(durable),
+        });
+        svc.recovery = Some(recovered.report);
+        Ok(svc)
+    }
+
+    /// Persist `table` and `tallies` as generation `generation` and
+    /// start its empty WAL, retiring every other generation in `dir`.
+    fn start_generation(
+        &self,
+        dir: PathBuf,
+        generation: u64,
+        table: &SessionTable,
+        tallies: &Tallies,
+    ) -> Result<DurableState, CoreError> {
+        recovery::write_snapshot(&dir, generation, table, tallies)?;
         let wal = Wal::create_observed(
-            &recovery::wal_path(&dir, next_gen),
-            config.sync,
-            metrics.wal.clone(),
+            &recovery::wal_path(&dir, generation),
+            self.config.sync,
+            self.metrics.wal.clone(),
         )?;
-        recovery::remove_stale(&dir, next_gen);
-
-        let pool = WorkerPool::new_observed(
-            config.threads,
-            config.queue_depth,
-            metrics.shard_depth_gauges(config.threads.max(1)),
-        );
-        let mut sessions = HashMap::new();
-        for rs in recovered.sessions {
-            let id = SessionId(rs.id);
-            let mut state = SessionState {
-                next_round: rs.next_round,
-                next_seq: rs.next_seq,
-                refusals: rs.refusals,
-                epsilon_spent: rs.epsilon_spent,
-                last_closed: rs.last_closed,
-                open: None,
-            };
-            if let Some(open) = rs.open {
-                // Re-inject the replayed tally: one worker carries it,
-                // and commutative merging makes the eventual close exact.
-                let key = RoundKey {
-                    session: id,
-                    round: open.request.round,
-                };
-                pool.seed(key, open.oracle.clone(), open.tally);
-                state.open = Some(OpenRound {
-                    request: open.request,
-                    oracle: open.oracle,
-                    pending: Vec::with_capacity(config.batch_size),
-                });
-            }
-            sessions.insert(id, state);
-        }
-
-        Ok(IngestService {
-            pool,
-            config,
-            state: Mutex::new(ServiceState {
-                sessions,
-                next_session: recovered.next_session,
-                durable: Some(DurableState {
-                    dir,
-                    wal,
-                    generation: next_gen,
-                    records_since_snapshot: 0,
-                }),
-            }),
-            recovery: Some(recovered.report),
-            metrics,
+        recovery::remove_stale(&dir, generation);
+        Ok(DurableState {
+            dir,
+            wal,
+            generation,
+            records_since_snapshot: 0,
         })
     }
 
@@ -327,21 +248,29 @@ impl IngestService {
         self.recovery.as_ref()
     }
 
+    fn lock(&self) -> Locked<'_> {
+        self.state.lock().expect("state lock poisoned by a panic")
+    }
+
+    /// The tail of every logged call: snapshot if one is due, release
+    /// the state lock, and only then wait for the record's commit — so
+    /// concurrent sessions share one fsync.
+    fn ack(&self, mut guard: Locked<'_>, commit: Commit) -> Result<(), CoreError> {
+        self.maybe_snapshot(&mut guard)?;
+        drop(guard);
+        commit.wait()
+    }
+
     /// Open a new session (an independent stream/query).
     pub fn create_session(&self) -> Result<SessionId, CoreError> {
-        let mut guard = self.state.lock().unwrap();
+        let mut guard = self.lock();
         let st = &mut *guard;
-        let id = SessionId(st.next_session);
-        let mut commit = Commit::Durable;
-        if let Some(d) = st.durable.as_mut() {
-            commit = d.wal.append(&WalRecord::CreateSession { session: id.0 })?;
-            d.records_since_snapshot += 1;
-        }
-        st.next_session += 1;
-        st.sessions.insert(id, SessionState::default());
-        self.maybe_snapshot(st)?;
-        drop(guard);
-        commit.wait()?;
+        let id = st.table.next_id();
+        let commit = log(&mut st.durable, || WalRecord::CreateSession {
+            session: id.raw(),
+        })?;
+        st.table.create();
+        self.ack(guard, commit)?;
         Ok(id)
     }
 
@@ -386,62 +315,59 @@ impl IngestService {
         epsilon: f64,
         domain_size: usize,
     ) -> Result<ReportRequest, CoreError> {
-        let mut guard = self.state.lock().unwrap();
+        let mut guard = self.lock();
         let st = &mut *guard;
-        let s = st
-            .sessions
-            .get_mut(&session)
-            .ok_or_else(|| unknown(session))?;
-        if let Some(open) = &s.open {
-            // Idempotent retry: re-opening the open round hands back the
-            // stored request. Anything else while a round is open is the
-            // caller breaking the sequential-session contract.
-            if expect == Some(open.request.round) {
-                return Ok(open.request.clone());
-            }
-            return Err(CoreError::SessionBusy {
-                session: session.raw(),
-                round: open.request.round,
-            });
-        }
-        if let Some(round) = expect {
-            if round != s.next_round {
-                return Err(CoreError::StaleRound {
-                    expected: s.next_round,
-                    got: round,
-                });
-            }
-        }
-        let oracle = build_oracle(fo, epsilon, domain_size)?;
-        let request = ReportRequest {
-            round: s.next_round,
-            t,
-            fo,
-            epsilon,
-            domain_size,
+        let step = match st
+            .table
+            .open_round(session, expect, t, fo, epsilon, domain_size)?
+        {
+            Opening::Replayed(request) => return Ok(request.clone()),
+            Opening::Fresh(step) => step,
         };
-        let mut commit = Commit::Durable;
-        if let Some(d) = st.durable.as_mut() {
-            commit = d.wal.append(&WalRecord::OpenRound {
-                session: session.raw(),
-                request: request.clone(),
-            })?;
-            d.records_since_snapshot += 1;
-        }
-        s.next_round += 1;
-        s.open = Some(OpenRound {
-            request: request.clone(),
-            oracle,
-            pending: Vec::with_capacity(self.config.batch_size),
-        });
+        let commit = log(&mut st.durable, || WalRecord::OpenRound {
+            session: session.raw(),
+            request: step.request().clone(),
+        })?;
+        let open = step.apply();
+        open.pending.reserve(self.config.batch_size);
+        let request = open.request.clone();
         self.metrics.rounds_opened.inc();
         ldp_obs::trace::event("service.round_open", || {
             format!("session={} round={}", session.raw(), request.round)
         });
-        self.maybe_snapshot(st)?;
-        drop(guard);
-        commit.wait()?;
+        self.ack(guard, commit)?;
         Ok(request)
+    }
+
+    /// The accept step [`submit`](Self::submit) and
+    /// [`submit_batch`](Self::submit_batch) share, once the delta is on
+    /// the WAL: bump the sequence and count the responses — only now, so
+    /// a delta whose append failed is never counted.
+    fn accepted<'a>(&self, step: AcceptStep<'a>, responses: usize) -> &'a mut OpenRound {
+        self.metrics.reports.add(responses as u64);
+        step.apply()
+    }
+
+    /// Hand an accepted delta's full batches to the pool and acknowledge
+    /// it. Durable: dispatch under the state lock, so a snapshot's
+    /// checkpoint barrier sees every batch that made it to the WAL.
+    /// In-memory: outside it, so the columnar encode (the one copy pass
+    /// per batch) and a saturated pool hold up only this submitter, not
+    /// every session.
+    fn dispatch(
+        &self,
+        guard: Locked<'_>,
+        commit: Commit,
+        batches: impl Iterator<Item = Batch>,
+    ) -> Result<(), CoreError> {
+        if guard.durable.is_some() {
+            faults::hit("service.mid_batch");
+            batches.for_each(|batch| self.pool.dispatch(batch));
+            return self.ack(guard, commit);
+        }
+        drop(guard);
+        batches.for_each(|batch| self.pool.dispatch(batch));
+        Ok(())
     }
 
     /// Submit one response to `session`'s open round.
@@ -451,68 +377,29 @@ impl IngestService {
     /// saturated — backpressure). On a durable service the response is
     /// on the WAL before this returns.
     pub fn submit(&self, session: SessionId, response: UserResponse) -> Result<(), CoreError> {
-        let mut guard = self.state.lock().unwrap();
+        let mut guard = self.lock();
         let st = &mut *guard;
-        let s = st
-            .sessions
-            .get_mut(&session)
-            .ok_or_else(|| unknown(session))?;
-        let open = s.open.as_mut().ok_or(CoreError::NoOpenRound)?;
-        let (UserResponse::Report { round, .. } | UserResponse::Refused { round, .. }) = &response;
-        if *round != open.request.round {
-            return Err(CoreError::StaleRound {
-                expected: open.request.round,
-                got: *round,
-            });
-        }
-        let commit = if let Some(d) = st.durable.as_mut() {
-            let commit = d.wal.append(&WalRecord::Reports {
-                session: session.raw(),
-                round: open.request.round,
-                seq: s.next_seq,
-                responses: vec![response.clone()],
-            })?;
-            d.records_since_snapshot += 1;
-            Some(commit)
-        } else {
-            None
-        };
-        s.next_seq += 1;
-        self.metrics.reports.inc();
-        open.pending.push(response);
-        if open.pending.len() >= self.config.batch_size {
-            let batch = Batch::encode(
-                RoundKey {
-                    session,
-                    round: open.request.round,
-                },
-                &open.oracle,
-                std::mem::replace(
-                    &mut open.pending,
-                    Vec::with_capacity(self.config.batch_size),
-                ),
-            );
-            if let Some(commit) = commit {
-                // Under the lock: the snapshot checkpoint barrier must
-                // see every batch that made it to the WAL.
-                faults::hit("service.mid_batch");
-                self.pool.dispatch(batch);
-                self.maybe_snapshot(st)?;
-                drop(guard);
-                return commit.wait();
-            }
-            // Outside the lock: a saturated pool back-pressures only
-            // this submitter, not every session.
-            drop(guard);
-            self.pool.dispatch(batch);
+        let delta = std::slice::from_ref(&response);
+        let Some(step) = st.table.accept(session, None, delta)? else {
             return Ok(());
+        };
+        let commit = log(&mut st.durable, || WalRecord::Reports {
+            session: session.raw(),
+            round: step.round(),
+            seq: step.seq(),
+            responses: delta.to_vec(),
+        })?;
+        let open = self.accepted(step, 1);
+        open.pending.push(response);
+        if open.pending.len() < self.config.batch_size {
+            return self.ack(guard, commit);
         }
-        if let Some(commit) = commit {
-            self.maybe_snapshot(st)?;
-            drop(guard);
-            commit.wait()?;
-        }
-        Ok(())
+        let full = std::mem::replace(
+            &mut open.pending,
+            Vec::with_capacity(self.config.batch_size),
+        );
+        let batch = Batch::encode(open.key, &open.oracle, full);
+        self.dispatch(guard, commit, std::iter::once(batch))
     }
 
     /// Submit many responses at once (amortizes session locking and —
@@ -544,64 +431,28 @@ impl IngestService {
         &self,
         session: SessionId,
         expect: Option<u64>,
-        mut responses: Vec<UserResponse>,
+        responses: Vec<UserResponse>,
     ) -> Result<(), CoreError> {
-        let mut guard = self.state.lock().unwrap();
+        let mut guard = self.lock();
         let st = &mut *guard;
-        let s = st
-            .sessions
-            .get_mut(&session)
-            .ok_or_else(|| unknown(session))?;
-        if let Some(seq) = expect {
-            if seq < s.next_seq {
-                // Already logged and applied; the ack was lost. Idempotent.
-                return Ok(());
-            }
-            if seq > s.next_seq {
-                return Err(CoreError::SequenceGap {
-                    expected: s.next_seq,
-                    got: seq,
-                });
-            }
-        }
-        let open = s.open.as_mut().ok_or(CoreError::NoOpenRound)?;
-        for response in &responses {
-            let (UserResponse::Report { round, .. } | UserResponse::Refused { round, .. }) =
-                response;
-            if *round != open.request.round {
-                return Err(CoreError::StaleRound {
-                    expected: open.request.round,
-                    got: *round,
-                });
-            }
-        }
-        self.metrics.reports.add(responses.len() as u64);
-        let commit = if let Some(d) = st.durable.as_mut() {
-            // Move the responses through the record and back: one WAL
-            // frame for the whole delta, no clone of the payload.
-            let record = WalRecord::Reports {
-                session: session.raw(),
-                round: open.request.round,
-                seq: s.next_seq,
-                responses,
-            };
-            let commit = d.wal.append(&record)?;
-            d.records_since_snapshot += 1;
-            let WalRecord::Reports { responses: r, .. } = record else {
-                unreachable!()
-            };
-            responses = r;
-            faults::hit("service.mid_batch");
-            Some(commit)
-        } else {
-            None
+        let Some(step) = st.table.accept(session, expect, &responses)? else {
+            // Already logged and applied; the ack was lost. Idempotent.
+            return Ok(());
         };
-        s.next_seq += 1;
-        let key = RoundKey {
-            session,
-            round: open.request.round,
+        // Move the responses through the record and back: one WAL frame
+        // for the whole delta, no clone of the payload.
+        let record = WalRecord::Reports {
+            session: session.raw(),
+            round: step.round(),
+            seq: step.seq(),
+            responses,
         };
-        let oracle = open.oracle.clone();
+        let commit = log(&mut st.durable, || &record)?;
+        let WalRecord::Reports { mut responses, .. } = record else {
+            unreachable!()
+        };
+        let open = self.accepted(step, responses.len());
+        let (key, oracle) = (open.key, open.oracle.clone());
         if !open.pending.is_empty() {
             open.pending.append(&mut responses);
             responses = std::mem::take(&mut open.pending);
@@ -619,33 +470,14 @@ impl IngestService {
             }
             batches.push(chunk);
         }
-        if let Some(commit) = commit {
-            for responses in batches {
-                self.pool.dispatch(Batch::encode(key, &oracle, responses));
-            }
-            self.maybe_snapshot(st)?;
-            drop(guard);
-            commit.wait()?;
-        } else {
-            drop(guard);
-            // Outside the lock: the columnar encode (the one copy pass
-            // per batch) runs without serializing other sessions.
-            for responses in batches {
-                self.pool.dispatch(Batch::encode(key, &oracle, responses));
-            }
-        }
-        Ok(())
+        let encode = |chunk| Batch::encode(key, &oracle, chunk);
+        self.dispatch(guard, commit, batches.into_iter().map(encode))
     }
 
     /// The sequence number the session expects from its next
     /// [`submit_batch_at`](Self::submit_batch_at).
     pub fn next_seq(&self, session: SessionId) -> Result<u64, CoreError> {
-        let guard = self.state.lock().unwrap();
-        let s = guard
-            .sessions
-            .get(&session)
-            .ok_or_else(|| unknown(session))?;
-        Ok(s.next_seq)
+        Ok(self.status(session)?.next_seq)
     }
 
     /// Close `session`'s open round: flush the tail batch, gather every
@@ -673,107 +505,41 @@ impl IngestService {
         session: SessionId,
         expect: Option<u64>,
     ) -> Result<RoundEstimate, CoreError> {
-        let mut guard = self.state.lock().unwrap();
-        let st = &mut *guard;
-        let s = st
-            .sessions
-            .get_mut(&session)
-            .ok_or_else(|| unknown(session))?;
-        if let Some(round) = expect {
-            let open_round = s.open.as_ref().map(|o| o.request.round);
-            if open_round != Some(round) {
-                if let Some((closed, estimate)) = &s.last_closed {
-                    if *closed == round {
-                        // Retry of an acknowledged (or logged-then-lost)
-                        // close: hand the recorded estimate back.
-                        return Ok(estimate.clone());
-                    }
-                }
-                return Err(match open_round {
-                    Some(expected) => CoreError::StaleRound {
-                        expected,
-                        got: round,
-                    },
-                    None => CoreError::NoOpenRound,
-                });
-            }
+        let mut guard = self.lock();
+        let mut open = match guard.table.begin_close(session, expect)? {
+            // Retry of an acknowledged (or logged-then-lost) close.
+            Closing::Replayed(estimate) => return Ok(estimate),
+            Closing::Begun(open) => open,
+        };
+        let key = open.key;
+        // Durable: the whole close happens under the state lock — flush,
+        // gather (workers never take this lock, so no deadlock), log the
+        // outcome, book it — and a crash anywhere in between replays to
+        // the same estimate from the WAL. In-memory: flush and gather
+        // with the lock released.
+        let durable = guard.durable.is_some();
+        let held = durable.then_some(guard);
+        if !open.pending.is_empty() {
+            let tail = std::mem::take(&mut open.pending);
+            self.pool.dispatch(Batch::encode(key, &open.oracle, tail));
         }
-        if st.durable.is_some() {
-            // The whole close happens under the state lock: flush, then
-            // gather (workers never take this lock, so no deadlock), then
-            // log the outcome, then mutate. A crash anywhere in between
-            // replays to the same estimate from the WAL.
-            let open = s.open.take().ok_or(CoreError::NoOpenRound)?;
-            let key = RoundKey {
-                session,
-                round: open.request.round,
-            };
-            if !open.pending.is_empty() {
-                self.pool
-                    .dispatch(Batch::encode(key, &open.oracle, open.pending));
-            }
+        if durable {
             faults::hit("service.before_close");
-            let tally = self.pool.close_round(key, open.oracle.domain_size());
-            debug_assert_eq!(tally.stale, 0, "stale traffic past session validation");
-            let estimate = RoundEstimate {
-                frequencies: open.oracle.estimate(&tally.support, tally.reporters),
-                reporters: tally.reporters,
-                epsilon: open.request.epsilon,
-            };
-            let d = st.durable.as_mut().expect("durable state checked above");
-            let commit = d.wal.append(&WalRecord::CloseRound {
-                session: session.raw(),
-                round: key.round,
-                refusals: tally.refusals,
-                estimate: estimate.clone(),
-            })?;
-            d.records_since_snapshot += 1;
-            let s = st
-                .sessions
-                .get_mut(&session)
-                .expect("session present above");
-            s.refusals += tally.refusals;
-            s.epsilon_spent += open.request.epsilon;
-            s.last_closed = Some((key.round, estimate.clone()));
-            self.metrics.rounds_closed.inc();
-            ldp_obs::trace::event("service.round_close", || {
-                format!(
-                    "session={} round={} reporters={}",
-                    session.raw(),
-                    key.round,
-                    estimate.reporters
-                )
-            });
-            faults::hit("service.after_close");
-            self.maybe_snapshot(st)?;
-            drop(guard);
-            commit.wait()?;
-            return Ok(estimate);
         }
-        // In-memory service: dispatch and gather outside the lock.
-        let open = s.open.take().ok_or(CoreError::NoOpenRound)?;
-        let key = RoundKey {
-            session,
-            round: open.request.round,
-        };
-        let (oracle, epsilon, tail) = (open.oracle, open.request.epsilon, open.pending);
-        drop(guard);
-        if !tail.is_empty() {
-            self.pool.dispatch(Batch::encode(key, &oracle, tail));
-        }
-        let tally = self.pool.close_round(key, oracle.domain_size());
+        let tally = self.pool.close_round(key, open.oracle.domain_size());
         debug_assert_eq!(tally.stale, 0, "stale traffic past session validation");
-        let estimate = RoundEstimate {
-            frequencies: oracle.estimate(&tally.support, tally.reporters),
-            reporters: tally.reporters,
-            epsilon,
-        };
-        let mut guard = self.state.lock().unwrap();
-        if let Some(s) = guard.sessions.get_mut(&session) {
-            s.refusals += tally.refusals;
-            s.epsilon_spent += epsilon;
-            s.last_closed = Some((key.round, estimate.clone()));
-        }
+        let estimate = open.estimate(&tally.support, tally.reporters);
+
+        let mut guard = held.unwrap_or_else(|| self.lock());
+        let st = &mut *guard;
+        let commit = log(&mut st.durable, || WalRecord::CloseRound {
+            session: session.raw(),
+            round: key.round,
+            refusals: tally.refusals,
+            estimate: estimate.clone(),
+        })?;
+        st.table
+            .finish_close(session, key.round, tally.refusals, estimate.clone());
         self.metrics.rounds_closed.inc();
         ldp_obs::trace::event("service.round_close", || {
             format!(
@@ -783,81 +549,47 @@ impl IngestService {
                 estimate.reporters
             )
         });
+        if durable {
+            faults::hit("service.after_close");
+        }
+        self.ack(guard, commit)?;
         Ok(estimate)
     }
 
     /// The session's sequencing state, for clients resuming after a
     /// disconnect (see [`SessionStatus`]).
     pub fn status(&self, session: SessionId) -> Result<SessionStatus, CoreError> {
-        let guard = self.state.lock().unwrap();
-        let s = guard
-            .sessions
-            .get(&session)
-            .ok_or_else(|| unknown(session))?;
-        Ok(SessionStatus {
-            next_round: s.next_round,
-            next_seq: s.next_seq,
-            open_round: s.open.as_ref().map(|o| o.request.round),
-            epsilon_spent: s.epsilon_spent,
-            refusals: s.refusals,
-        })
+        Ok(self.lock().table.get(session)?.status())
     }
 
     /// Append/fsync counters of the current WAL generation (`None` for
     /// an in-memory service). Drives the group-commit rows of
     /// `BENCH_recovery.json`.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        let guard = self.state.lock().unwrap();
-        guard.durable.as_ref().map(|d| d.wal.stats())
+        self.lock().durable.as_ref().map(|d| d.wal.stats())
     }
 
     /// Refusals observed on `session` across closed rounds.
     pub fn refusals(&self, session: SessionId) -> Result<u64, CoreError> {
-        let guard = self.state.lock().unwrap();
-        let s = guard
-            .sessions
-            .get(&session)
-            .ok_or_else(|| unknown(session))?;
-        Ok(s.refusals)
+        Ok(self.status(session)?.refusals)
     }
 
     /// Privacy budget consumed by `session`'s closed rounds (Σ round ε).
     pub fn epsilon_spent(&self, session: SessionId) -> Result<f64, CoreError> {
-        let guard = self.state.lock().unwrap();
-        let s = guard
-            .sessions
-            .get(&session)
-            .ok_or_else(|| unknown(session))?;
-        Ok(s.epsilon_spent)
+        Ok(self.status(session)?.epsilon_spent)
     }
 
     /// Drop a finished session's bookkeeping. Ending a session whose
     /// round is still open is a typed [`CoreError::SessionBusy`].
     pub fn end_session(&self, session: SessionId) -> Result<(), CoreError> {
-        let mut guard = self.state.lock().unwrap();
+        let mut guard = self.lock();
         let st = &mut *guard;
-        match st.sessions.get(&session) {
-            None => return Err(unknown(session)),
-            Some(s) => {
-                if let Some(open) = &s.open {
-                    return Err(CoreError::SessionBusy {
-                        session: session.raw(),
-                        round: open.request.round,
-                    });
-                }
-            }
-        }
-        let mut commit = Commit::Durable;
-        if let Some(d) = st.durable.as_mut() {
-            commit = d.wal.append(&WalRecord::EndSession {
-                session: session.raw(),
-            })?;
-            d.records_since_snapshot += 1;
-        }
-        st.sessions.remove(&session);
-        self.maybe_snapshot(st)?;
-        drop(guard);
-        commit.wait()
+        let step = st.table.end(session)?;
+        let commit = log(&mut st.durable, || WalRecord::EndSession {
+            session: session.raw(),
+        })?;
+        step.apply();
+        self.ack(guard, commit)
     }
 
     /// Snapshot the full service state now and rotate the WAL (no-op on
@@ -865,24 +597,13 @@ impl IngestService {
     /// automatically every
     /// [`snapshot_every`](crate::ServiceConfig::snapshot_every) records.
     pub fn checkpoint(&self) -> Result<(), CoreError> {
-        let mut guard = self.state.lock().unwrap();
-        let st = &mut *guard;
-        if st.durable.is_none() {
-            return Ok(());
-        }
-        self.snapshot_locked(st)
+        self.snapshot_locked(&mut self.lock())
     }
 
     fn maybe_snapshot(&self, st: &mut ServiceState) -> Result<(), CoreError> {
         let every = self.config.snapshot_every;
-        if every == 0 {
-            return Ok(());
-        }
-        if st
-            .durable
-            .as_ref()
-            .is_some_and(|d| d.records_since_snapshot >= every)
-        {
+        let due = |d: &DurableState| every != 0 && d.records_since_snapshot >= every;
+        if st.durable.as_ref().is_some_and(due) {
             self.snapshot_locked(st)?;
         }
         Ok(())
@@ -893,58 +614,16 @@ impl IngestService {
     /// exactly the WAL-covered batches), persist the snapshot atomically,
     /// start its empty WAL, and delete the old generation.
     fn snapshot_locked(&self, st: &mut ServiceState) -> Result<(), CoreError> {
-        let snapshot_start = Instant::now();
-        let mut ids: Vec<SessionId> = st.sessions.keys().copied().collect();
-        ids.sort_by_key(|s| s.raw());
-        let mut keys = Vec::new();
-        let mut with_open = Vec::new();
-        for id in &ids {
-            if let Some(open) = &st.sessions[id].open {
-                keys.push((
-                    RoundKey {
-                        session: *id,
-                        round: open.request.round,
-                    },
-                    open.request.domain_size,
-                ));
-                with_open.push(*id);
-            }
-        }
-        let tallies = self.pool.checkpoint(&keys);
-        let mut tally_of: HashMap<SessionId, _> = with_open.into_iter().zip(tallies).collect();
-        let snapshot = SnapshotState {
-            next_session: st.next_session,
-            sessions: ids
-                .iter()
-                .map(|id| {
-                    let s = &st.sessions[id];
-                    SessionSnapshot {
-                        id: id.raw(),
-                        next_round: s.next_round,
-                        next_seq: s.next_seq,
-                        refusals: s.refusals,
-                        epsilon_spent: s.epsilon_spent,
-                        last_closed: s.last_closed.clone(),
-                        open: s.open.as_ref().map(|o| OpenSnapshot {
-                            request: o.request.clone(),
-                            tally: tally_of.remove(id).expect("checkpointed above"),
-                            pending: o.pending.clone(),
-                        }),
-                    }
-                })
-                .collect(),
+        let Some(d) = st.durable.as_ref() else {
+            return Ok(());
         };
-        let d = st.durable.as_mut().expect("snapshot on a durable service");
-        let next_gen = d.generation + 1;
-        recovery::write_snapshot(&d.dir, next_gen, &snapshot)?;
-        d.wal = Wal::create_observed(
-            &recovery::wal_path(&d.dir, next_gen),
-            self.config.sync,
-            self.metrics.wal.clone(),
-        )?;
-        d.generation = next_gen;
-        d.records_since_snapshot = 0;
-        recovery::remove_stale(&d.dir, next_gen);
+        let (dir, next_gen) = (d.dir.clone(), d.generation + 1);
+        let snapshot_start = Instant::now();
+        let open = recovery::open_rounds(&st.table).into_iter();
+        let keys: Vec<_> = open.map(|o| (o.key, o.request.domain_size)).collect();
+        let checkpoint = self.pool.checkpoint(&keys);
+        let tallies: Tallies = keys.iter().map(|(key, _)| *key).zip(checkpoint).collect();
+        st.durable = Some(self.start_generation(dir, next_gen, &st.table, &tallies)?);
         self.metrics
             .snapshot_ns
             .record_duration(snapshot_start.elapsed());

@@ -1,21 +1,21 @@
 //! Per-shard support-count accumulation.
 //!
-//! Each pool worker owns a [`ShardArena`]: one [`ShardAccumulator`] per
-//! open round it has seen traffic for, its support buffer reused across
-//! every batch of that round. Folding a batch runs the round oracle's
-//! columnar kernels ([`fold_columns`]) — integer increments of per-cell
-//! support counts — so the merged tally over any partition of the
-//! response stream equals the sequential tally exactly (u64 addition is
-//! commutative and associative), which is what makes the parallel
-//! service's estimates bit-identical to `AggregationServer`'s. The
-//! per-response [`fold`] path survives for WAL replay during recovery.
+//! Every tally in the service — a pool worker's partition of a live
+//! round, and recovery's replay of a logged one — lives in a
+//! [`ShardArena`]: one [`ShardAccumulator`] per open round it has seen
+//! traffic for, its support buffer reused across every batch of that
+//! round. There is one fold path: [`ShardArena::ingest`] runs a
+//! columnar [`Batch`] through the round oracle's kernels
+//! ([`fold_columns`]) — integer increments of per-cell support counts —
+//! so the merged tally over any partition of the response stream equals
+//! the sequential tally exactly (u64 addition is commutative and
+//! associative), which is what makes the parallel service's estimates,
+//! and a recovered round's, bit-identical to `AggregationServer`'s.
 //!
-//! [`fold`]: ShardAccumulator::fold
 //! [`fold_columns`]: ShardAccumulator::fold_columns
 
 use crate::batch::{Batch, ColumnarBatch, RoundKey};
 use ldp_fo::OracleHandle;
-use ldp_ids::protocol::UserResponse;
 use std::collections::HashMap;
 
 /// One worker's view of one round: a partition of the support counts.
@@ -94,47 +94,16 @@ impl ShardAccumulator {
         &self.tally
     }
 
-    /// The round oracle this shard folds through.
-    pub fn oracle(&self) -> &OracleHandle {
-        &self.oracle
-    }
-
-    /// The round this shard belongs to.
-    pub fn key(&self) -> RoundKey {
-        self.key
-    }
-
-    /// Fold one response into the shard.
-    pub fn fold(&mut self, response: &UserResponse) {
-        match response {
-            UserResponse::Report { round, report } => {
-                if *round != self.key.round {
-                    self.tally.stale += 1;
-                    return;
-                }
-                self.oracle.accumulate(report, &mut self.tally.support);
-                self.tally.reporters += 1;
-            }
-            UserResponse::Refused { round, .. } => {
-                if *round != self.key.round {
-                    self.tally.stale += 1;
-                    return;
-                }
-                self.tally.refusals += 1;
-            }
-        }
-    }
-
     /// Fold one columnar batch into the shard through the round
     /// oracle's batched kernels.
     ///
-    /// Bit-identical to folding the batch's source responses through
-    /// [`fold`](Self::fold) one at a time: the kernels reorder only u64
-    /// additions, leftovers take the oracle's lenient scalar path (the
-    /// release-mode semantics of `accumulate`), and the counter
-    /// bookkeeping matches the per-response accounting exactly — a
-    /// whole batch validated against a different round id counts every
-    /// carried response as stale, tallying nothing.
+    /// Bit-identical to submitting the batch's source responses to the
+    /// sequential `AggregationServer` one at a time: the kernels reorder
+    /// only u64 additions, leftovers take the oracle's lenient scalar
+    /// path (the release-mode semantics of `accumulate`), and the
+    /// counter bookkeeping matches the per-response accounting exactly
+    /// — a whole batch validated against a different round id counts
+    /// every carried response as stale, tallying nothing.
     pub fn fold_columns(&mut self, batch: &ColumnarBatch) {
         if batch.round() != self.key.round {
             self.tally.stale += batch.responses();
@@ -219,8 +188,10 @@ impl ShardArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::SessionId;
+    use crate::machine::SessionId;
     use ldp_fo::{build_oracle, FoKind, Report};
+    use ldp_ids::protocol::{AggregationServer, UserResponse};
+    use ldp_ids::CoreError;
 
     fn key() -> RoundKey {
         RoundKey {
@@ -229,37 +200,84 @@ mod tests {
         }
     }
 
+    /// Fold `responses` into a fresh shard of round 3 as one batch.
+    fn folded(oracle: &OracleHandle, responses: &[UserResponse]) -> ShardTally {
+        let mut shard = ShardAccumulator::new(key(), oracle.clone());
+        shard.fold_columns(&ColumnarBatch::encode(
+            oracle.kind(),
+            oracle.domain_size(),
+            3,
+            responses.to_vec(),
+        ));
+        shard.into_tally()
+    }
+
+    /// The reference: the sequential server, advanced to round 3 and
+    /// fed one response at a time. Its `StaleRound` errors are the
+    /// stale count; anything else must be accepted.
+    fn assert_matches_sequential(
+        tally: &ShardTally,
+        oracle: &OracleHandle,
+        responses: &[UserResponse],
+    ) {
+        let mut server = AggregationServer::new();
+        for _ in 0..3 {
+            server.open_round(0, oracle.kind(), 1.0, oracle.clone());
+            server.close_round().unwrap();
+        }
+        server.open_round(0, oracle.kind(), 1.0, oracle.clone());
+        let mut stale = 0;
+        for response in responses {
+            match server.submit(response) {
+                Ok(()) => {}
+                Err(CoreError::StaleRound { .. }) => stale += 1,
+                Err(e) => panic!("sequential server rejected {response:?}: {e}"),
+            }
+        }
+        let reference = server.close_round().unwrap();
+        let bits = |f: &[f64]| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&oracle.estimate(&tally.support, tally.reporters)),
+            bits(&reference.frequencies)
+        );
+        assert_eq!(tally.reporters, reference.reporters);
+        assert_eq!(tally.refusals, server.refusals());
+        assert_eq!(tally.stale, stale);
+    }
+
     #[test]
     fn folds_reports_and_refusals() {
         let oracle = build_oracle(FoKind::Grr, 8.0, 3).unwrap();
-        let mut shard = ShardAccumulator::new(key(), oracle);
-        shard.fold(&UserResponse::Report {
-            round: 3,
-            report: Report::Grr(1),
-        });
-        shard.fold(&UserResponse::Refused {
-            round: 3,
-            requested: 1.0,
-            available: 0.0,
-        });
-        let tally = shard.into_tally();
+        let responses = [
+            UserResponse::Report {
+                round: 3,
+                report: Report::Grr(1),
+            },
+            UserResponse::Refused {
+                round: 3,
+                requested: 1.0,
+                available: 0.0,
+            },
+        ];
+        let tally = folded(&oracle, &responses);
         assert_eq!(tally.reporters, 1);
         assert_eq!(tally.refusals, 1);
         assert_eq!(tally.support, vec![0, 1, 0]);
+        assert_matches_sequential(&tally, &oracle, &responses);
     }
 
     #[test]
     fn stale_responses_counted_not_tallied() {
         let oracle = build_oracle(FoKind::Grr, 8.0, 3).unwrap();
-        let mut shard = ShardAccumulator::new(key(), oracle);
-        shard.fold(&UserResponse::Report {
+        let responses = [UserResponse::Report {
             round: 99,
             report: Report::Grr(1),
-        });
-        let tally = shard.into_tally();
+        }];
+        let tally = folded(&oracle, &responses);
         assert_eq!(tally.stale, 1);
         assert_eq!(tally.reporters, 0);
         assert_eq!(tally.support, vec![0, 0, 0]);
+        assert_matches_sequential(&tally, &oracle, &responses);
     }
 
     #[test]
@@ -309,14 +327,9 @@ mod tests {
                 }
             })
             .collect();
-        let mut scalar = ShardAccumulator::new(key(), oracle.clone());
-        for r in &responses {
-            scalar.fold(r);
-        }
-        let batch = ColumnarBatch::encode(FoKind::Grr, 5, 3, responses);
-        let mut columnar = ShardAccumulator::new(key(), oracle);
-        columnar.fold_columns(&batch);
-        assert_eq!(scalar.into_tally(), columnar.into_tally());
+        let tally = folded(&oracle, &responses);
+        assert_eq!(tally.reporters + tally.refusals, 20);
+        assert_matches_sequential(&tally, &oracle, &responses);
     }
 
     #[test]

@@ -544,7 +544,7 @@ impl Drop for Wal {
     }
 }
 
-fn wal_err(op: &str, path: &Path, e: &std::io::Error) -> CoreError {
+pub(crate) fn wal_err(op: &str, path: &Path, e: &std::io::Error) -> CoreError {
     CoreError::Wal {
         detail: format!("{op} {}: {e}", path.display()),
     }
@@ -704,6 +704,28 @@ mod tests {
             },
             WalRecord::EndSession { session: 0 },
         ]
+    }
+
+    /// `WalRecord::encode` of each of `sample_records()`, captured from
+    /// the commit before this pin existed (PR 11): the `LDPWAL01`
+    /// payload layout is pinned, not assumed.
+    const SAMPLE_RECORDS_HEX: [&str; 5] = [
+        "010000000000000000",
+        "0200000000000000000000000000000000070000000000000001000000000000f43f46000000",
+        "03000000000000000000000000000000000000000000000000030000000000000000000000000146000000\
+         02000000efbeadde00000000341200000000000000000000000000000002630000000000000003000000\
+         010000000000000000000000000000e03f000000000000d03f",
+        "040000000000000000000000000000000001000000000000000200000000000000000000000000f43f03\
+         0000009a9999999999b93f8dedb5a0f7c6b0becdccccccccccec3f",
+        "050000000000000000",
+    ];
+
+    #[test]
+    fn record_encoding_is_byte_stable() {
+        for (record, want) in sample_records().iter().zip(SAMPLE_RECORDS_HEX) {
+            let got: String = record.encode().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want, "{record:?}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use ldp_fo::{FoKind, Report};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::UserResponse;
 use ldp_service::faults::{self, FaultCrash};
-use ldp_service::{IngestService, ServiceConfig, SessionId, WalSync};
+use ldp_service::{IngestService, ServiceConfig, ServiceMetrics, SessionId, WalSync};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -140,7 +140,11 @@ fn run_script(
     arm: Option<(&'static str, u64)>,
 ) -> (Vec<RoundEstimate>, bool) {
     faults::reset();
-    let mut svc = IngestService::open(config, dir).expect("open durable service");
+    // One set of metric handles held across every restart, as a tenant's
+    // registry scope is.
+    let metrics = ServiceMetrics::standalone();
+    let mut svc =
+        IngestService::open_observed(config, dir, metrics.clone()).expect("open durable service");
     if let Some((point, nth)) = arm {
         faults::arm(point, nth);
     }
@@ -149,6 +153,7 @@ fn run_script(
     let mut crashed = false;
     let mut i = 0;
     while i < steps.len() {
+        let counted = metrics.reports.get();
         match catch_unwind(AssertUnwindSafe(|| apply_step(&svc, &steps[i]))) {
             Ok(done) => {
                 estimates.extend(done);
@@ -160,11 +165,21 @@ fn run_script(
                     .unwrap_or_else(|| panic!("non-fault panic at step {i}: {:?}", steps[i]));
                 assert!(!crashed, "one crash per run: second at {}", crash.point);
                 crashed = true;
+                if crash.point == "wal.before_append" {
+                    // Never logged means never accepted: the retry below
+                    // is what counts the delta, once.
+                    assert_eq!(
+                        metrics.reports.get(),
+                        counted,
+                        "step {i} was counted without reaching the WAL"
+                    );
+                }
                 // The "restart": disarm, drop the dead service, reopen
                 // the directory, and retry the very step that failed.
                 faults::reset();
                 drop(svc);
-                svc = IngestService::open(config, dir).expect("reopen after crash");
+                svc = IngestService::open_observed(config, dir, metrics.clone())
+                    .expect("reopen after crash");
             }
         }
     }

@@ -1,16 +1,19 @@
-//! Property tests pinning the columnar fold path to the per-response
-//! scalar fold, through `ShardAccumulator` and the whole service.
+//! Property tests pinning the columnar fold path — the service's only
+//! one — to the sequential `AggregationServer`'s per-response fold,
+//! through `ShardAccumulator`, `ShardArena` and the whole service.
 //!
 //! Stale and refused responses interleave arbitrarily with reports
 //! here: the columnar encode counts them at batch build time, and the
-//! resulting tallies — support counts, reporters, refusals, stale —
-//! must equal the per-response fold field for field.
+//! resulting tallies — estimate bits, reporters, refusals, stale — must
+//! equal what the sequential server makes of the same stream one
+//! response at a time (its `StaleRound` errors are the stale count).
 
-use ldp_fo::{build_oracle, FoKind, Report};
+use ldp_fo::{build_oracle, FoKind, OracleHandle, Report};
 use ldp_ids::protocol::{AggregationServer, UserResponse};
+use ldp_ids::CoreError;
 use ldp_service::{
     Batch, ColumnarBatch, IngestService, RoundKey, ServiceConfig, SessionId, ShardAccumulator,
-    ShardArena,
+    ShardArena, ShardTally,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -54,9 +57,39 @@ fn key() -> RoundKey {
     }
 }
 
+/// The reference: the sequential server, advanced to round `ROUND` and
+/// fed `responses` one at a time. Returns its view of the round in the
+/// shape of a shard's — (estimate bits, reporters, refusals, stale).
+fn sequential(oracle: &OracleHandle, responses: &[UserResponse]) -> (Vec<u64>, u64, u64, u64) {
+    let mut server = AggregationServer::new();
+    for _ in 0..ROUND {
+        server.open_round(0, oracle.kind(), 1.0, oracle.clone());
+        server.close_round().unwrap();
+    }
+    server.open_round(0, oracle.kind(), 1.0, oracle.clone());
+    let mut stale = 0;
+    for response in responses {
+        match server.submit(response) {
+            Ok(()) => {}
+            Err(CoreError::StaleRound { .. }) => stale += 1,
+            Err(e) => panic!("sequential server rejected {response:?}: {e}"),
+        }
+    }
+    let estimate = server.close_round().unwrap();
+    let bits = estimate.frequencies.iter().map(|f| f.to_bits()).collect();
+    (bits, estimate.reporters, server.refusals(), stale)
+}
+
+/// A shard tally in the same shape.
+fn columnar(oracle: &OracleHandle, tally: &ShardTally) -> (Vec<u64>, u64, u64, u64) {
+    let estimate = oracle.estimate(&tally.support, tally.reporters);
+    let bits = estimate.iter().map(|f| f.to_bits()).collect();
+    (bits, tally.reporters, tally.refusals, tally.stale)
+}
+
 proptest! {
     /// `fold_columns` over arbitrary batch boundaries equals the
-    /// per-response `fold`, tally field for tally field, with stale and
+    /// sequential per-response fold, field for field, with stale and
     /// refused responses interleaved.
     #[test]
     fn fold_columns_matches_fold_through_interleavings(
@@ -71,22 +104,17 @@ proptest! {
         let oracle = build_oracle(kind, eps, d).unwrap();
         let responses = response_stream(kind, eps, d, n, seed);
 
-        let mut scalar = ShardAccumulator::new(key(), oracle.clone());
-        for response in &responses {
-            scalar.fold(response);
-        }
-
-        let mut columnar = ShardAccumulator::new(key(), oracle.clone());
+        let mut shard = ShardAccumulator::new(key(), oracle.clone());
         for chunk in responses.chunks(batch_size) {
             let batch = ColumnarBatch::encode(kind, d, ROUND, chunk.to_vec());
-            columnar.fold_columns(&batch);
+            shard.fold_columns(&batch);
         }
 
-        prop_assert_eq!(scalar.into_tally(), columnar.into_tally());
+        prop_assert_eq!(sequential(&oracle, &responses), columnar(&oracle, shard.tally()));
     }
 
     /// The same stream through a whole `ShardArena` (the worker-side
-    /// state) still matches the per-response fold.
+    /// and replay-side state) still matches the sequential fold.
     #[test]
     fn arena_ingest_matches_fold(
         kind_idx in 0usize..3,
@@ -100,17 +128,12 @@ proptest! {
         let oracle = build_oracle(kind, eps, d).unwrap();
         let responses = response_stream(kind, eps, d, n, seed);
 
-        let mut scalar = ShardAccumulator::new(key(), oracle.clone());
-        for response in &responses {
-            scalar.fold(response);
-        }
-
         let mut arena = ShardArena::new();
         for chunk in responses.chunks(batch_size) {
             arena.ingest(Batch::encode(key(), &oracle, chunk.to_vec()));
         }
 
-        prop_assert_eq!(scalar.into_tally(), arena.close(key(), d));
+        prop_assert_eq!(sequential(&oracle, &responses), columnar(&oracle, &arena.close(key(), d)));
     }
 }
 

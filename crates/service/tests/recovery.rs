@@ -4,10 +4,12 @@
 //! counters intact, WAL bounded by snapshot rotation, torn tails
 //! tolerated.
 
-use ldp_fo::{FoKind, Report};
+use ldp_fo::{build_oracle, FoKind, Report};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::UserResponse;
 use ldp_service::{IngestService, ServiceConfig, SessionId, WalSync};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 
 /// Shard counts the acceptance spec pins: degenerate, small, and wide.
@@ -245,5 +247,159 @@ fn sessions_created_after_recovery_get_fresh_ids() {
     let c = svc.create_session().unwrap();
     assert_eq!(c, SessionId::from_raw(2));
     assert!(svc.refusals(a).is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reports no honest client of a `kind` round over `d` values sends: the
+/// other oracles' payloads, and OUE vectors of the wrong length or with
+/// too few words for it. (Too *many* words is a shape the WAL codec
+/// itself refuses to decode, so it is not one replay ever sees.)
+fn malformed_reports(kind: FoKind, d: usize) -> Vec<Report> {
+    let words = d.div_ceil(64);
+    let mut reports = vec![
+        Report::Oue {
+            bits: vec![u64::MAX; words],
+            len: d as u32 + 1,
+        },
+        Report::Oue {
+            bits: vec![u64::MAX; 1],
+            len: 64,
+        },
+        Report::Oue {
+            bits: vec![u64::MAX; words - 1],
+            len: d as u32,
+        },
+        Report::Oue {
+            bits: Vec::new(),
+            len: d as u32,
+        },
+    ];
+    if kind != FoKind::Grr {
+        reports.push(Report::Grr(1));
+        reports.push(Report::Grr(u32::MAX));
+    }
+    if kind != FoKind::Olh {
+        reports.push(Report::Olh { seed: 7, bucket: 1 });
+    }
+    if kind != FoKind::Oue {
+        reports.push(Report::Oue {
+            bits: vec![0b101; words],
+            len: d as u32,
+        });
+    }
+    reports
+}
+
+/// Whatever the live service accepts, replay must accept: the lenient
+/// column path takes wrong-kind and malformed reports in stride, and a
+/// service reopened over a WAL that holds them — in dispatched batches,
+/// in the pending tail, and in single-response records — closes to the
+/// never-crashed close field for field instead of tripping the scalar
+/// oracle's debug assertions on the way up.
+#[test]
+fn malformed_reports_replay_to_the_never_crashed_close() {
+    for kind in [FoKind::Grr, FoKind::Oue, FoKind::Olh] {
+        let (eps, d) = (1.0, 70);
+        let oracle = build_oracle(kind, eps, d).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xbad + kind as u64);
+        let mut stream: Vec<UserResponse> = (0..89)
+            .map(|_| oracle.perturb(rng.gen_range(0..d), &mut rng))
+            .chain(malformed_reports(kind, d))
+            .map(|report| UserResponse::Report { round: 0, report })
+            .collect();
+        // Spread the malformed reports among the good ones.
+        for i in (1..stream.len()).rev() {
+            stream.swap(i, rng.gen_range(0..=i));
+        }
+        stream.push(UserResponse::Refused {
+            round: 0,
+            requested: 1.0,
+            available: 0.0,
+        });
+        let (logged, rest) = stream.split_at(60);
+        let (batched, singles) = logged.split_at(50);
+
+        for shards in SHARD_COUNTS {
+            let config = ServiceConfig::with_threads(shards).with_batch_size(16);
+
+            let reference_svc = IngestService::new(config);
+            let session = reference_svc.create_session().unwrap();
+            reference_svc.open_round(session, 0, kind, eps, d).unwrap();
+            reference_svc.submit_batch(session, stream.clone()).unwrap();
+            let reference = reference_svc.close_round(session).unwrap();
+
+            let dir = tmp_dir(&format!("malformed_{kind:?}_{shards}"));
+            let svc = IngestService::open(config, &dir).unwrap();
+            let session = svc.create_session().unwrap();
+            svc.open_round(session, 0, kind, eps, d).unwrap();
+            svc.submit_batch(session, batched.to_vec()).unwrap();
+            for response in singles {
+                svc.submit(session, response.clone()).unwrap();
+            }
+            let status = svc.status(session).unwrap();
+            drop(svc); // round open, 60 responses on the WAL
+
+            let svc = IngestService::open(config, &dir).unwrap();
+            assert_eq!(svc.status(session).unwrap(), status);
+            svc.submit_batch(session, rest.to_vec()).unwrap();
+            let recovered = svc.close_round(session).unwrap();
+
+            let what = format!("{kind:?} at {shards} shards");
+            assert_bit_identical(&recovered, &reference, &what);
+            assert_eq!(recovered.epsilon.to_bits(), reference.epsilon.to_bits());
+            assert_eq!(
+                svc.refusals(session).unwrap(),
+                reference_svc.refusals(session).unwrap(),
+                "{what}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// Format stability, end to end: `fixtures/pr11_dir` is a durability
+/// directory written by the commit before the session state machine
+/// (PR 11) — one closed round, one open round (37 responses, 5 of them
+/// still pending, in the snapshot; a 23-response delta and three
+/// single-response records in the WAL tail) and one snapshot generation.
+/// The numbers below are what that commit itself reopened it to.
+#[test]
+fn directory_written_by_pr11_reopens_bit_identically() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr11_dir");
+    let dir = tmp_dir("pr11_dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let frequency_crc = |estimate: &RoundEstimate| {
+        let bits = estimate
+            .frequencies
+            .iter()
+            .map(|f| f.to_bits().to_le_bytes());
+        ldp_service::codec::crc32(&bits.flatten().collect::<Vec<u8>>())
+    };
+
+    let config = ServiceConfig::with_threads(2).with_batch_size(16);
+    let svc = IngestService::open(config, &dir).unwrap();
+    let report = svc.recovery_report().unwrap();
+    assert_eq!(report.snapshot_generation, Some(2));
+    assert_eq!(report.wal_records_replayed, 4);
+    assert!(report.corrupt_tail.is_none());
+
+    let session = SessionId::from_raw(0);
+    let status = svc.status(session).unwrap();
+    assert_eq!((status.next_round, status.next_seq), (2, 6));
+    assert_eq!((status.open_round, status.refusals), (Some(1), 7));
+    assert_eq!(status.epsilon_spent, 1.0);
+
+    let closed = svc.close_round_at(session, 0).unwrap();
+    assert_eq!(
+        (closed.reporters, frequency_crc(&closed)),
+        (93, 0x6280_93db)
+    );
+    let open = svc.close_round(session).unwrap();
+    assert_eq!((open.reporters, frequency_crc(&open)), (60, 0x81fd_7753));
+    assert_eq!(svc.refusals(session).unwrap(), 10);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,13 +3,16 @@
 //! / `submit_batch` / `close_round` / `end_session` — including calls on
 //! ended sessions, stale rounds, and out-of-order sequence numbers —
 //! never panic and always yield the documented typed errors. The same
-//! interleaving is driven against an in-memory and a durable service in
-//! lockstep, which must agree on every outcome.
+//! interleaving is driven against three lanes — an in-memory service, a
+//! durable one, and a durable one that is dropped and reopened after
+//! *every* call — which must agree on every outcome and on the session
+//! status after it: replay drives the same state machine as live ingest,
+//! so a restart anywhere in a schedule is invisible.
 
 use ldp_fo::{FoKind, Report};
 use ldp_ids::protocol::UserResponse;
 use ldp_ids::CoreError;
-use ldp_service::{IngestService, ServiceConfig, SessionId};
+use ldp_service::{IngestService, ServiceConfig, SessionId, SessionStatus};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,10 +90,19 @@ fn durable_dir() -> PathBuf {
     dir
 }
 
+/// What one lane saw: per call, its outcome and the current session's
+/// status right after it (`None` once the session has ended).
+type Trace = Vec<(Outcome, Option<SessionStatus>)>;
+
 /// Drive `ops` against `svc`, asserting each call's result against a
-/// tiny reference model of the session lifecycle, and return the flat
-/// outcome trace.
-fn drive(svc: &IngestService, ops: &[Op]) -> Vec<Outcome> {
+/// tiny reference model of the session lifecycle, and return the trace.
+/// `between` gets the service after every call and hands back the one to
+/// continue with — itself, or the same directory reopened.
+fn drive(
+    mut svc: IngestService,
+    ops: &[Op],
+    mut between: impl FnMut(IngestService) -> IngestService,
+) -> Trace {
     let mut outcomes = Vec::with_capacity(ops.len());
     // The model: which session is current, whether it still exists,
     // which round is open, and the next round/sequence numbers.
@@ -259,7 +271,8 @@ fn drive(svc: &IngestService, ops: &[Op]) -> Vec<Outcome> {
                 "undocumented lifecycle error: {err:?}"
             );
         }
-        outcomes.push(outcome);
+        outcomes.push((outcome, svc.status(session).ok()));
+        svc = between(svc);
     }
     // Leave no round open so worker shutdown is clean.
     if alive && open.is_some() {
@@ -272,8 +285,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any interleaving yields typed errors (no panic), and the durable
-    /// service agrees with the in-memory one on every single outcome —
-    /// including estimate bits.
+    /// service — restarted never, or after every single call — agrees
+    /// with the in-memory one on every outcome, estimate bits and
+    /// session status included.
     #[test]
     fn lifecycle_interleavings_never_panic_and_flavours_agree(
         ops in proptest::collection::vec(op_strategy(), 1..50),
@@ -284,16 +298,23 @@ proptest! {
             .with_batch_size(batch_size)
             .with_snapshot_every(7);
 
-        let in_memory = IngestService::new(config);
-        let memory_trace = drive(&in_memory, &ops);
+        let memory_trace = drive(IngestService::new(config), &ops, |svc| svc);
 
         let dir = durable_dir();
         let durable = IngestService::open(config, &dir).expect("open durable");
-        let durable_trace = drive(&durable, &ops);
-        drop(durable);
+        let durable_trace = drive(durable, &ops, |svc| svc);
         let _ = std::fs::remove_dir_all(&dir);
 
-        prop_assert_eq!(memory_trace, durable_trace);
+        let dir = durable_dir();
+        let restarted = IngestService::open(config, &dir).expect("open durable");
+        let restarted_trace = drive(restarted, &ops, |svc| {
+            drop(svc);
+            IngestService::open(config, &dir).expect("reopen between calls")
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+
+        prop_assert_eq!(&memory_trace, &durable_trace);
+        prop_assert_eq!(&memory_trace, &restarted_trace);
     }
 
     /// Calls on a session that was never created are always

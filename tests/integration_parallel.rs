@@ -14,8 +14,8 @@ use ldp_ids::collector::{ReportScope, RoundCollector, RoundEstimate};
 use ldp_ids::protocol::{AggregationServer, ClientCollector, UserResponse};
 use ldp_ids::MechanismConfig;
 use ldp_service::{
-    IngestService, ParallelCollector, RoundKey, ServiceConfig, SessionId, ShardAccumulator,
-    ShardTally,
+    ColumnarBatch, IngestService, ParallelCollector, RoundKey, ServiceConfig, SessionId,
+    ShardAccumulator, ShardTally,
 };
 use ldp_stream::source::ConstantSource;
 use ldp_stream::TrueHistogram;
@@ -95,28 +95,28 @@ proptest! {
         }
         let sequential = server.close_round().unwrap();
 
-        // Reference support counts from one shard folding everything.
+        // Reference support counts from one shard folding everything as
+        // one batch.
         let key = RoundKey { session: SessionId::from_raw(0), round: 0 };
         let mut whole = ShardAccumulator::new(key, oracle.clone());
-        for response in &responses {
-            whole.fold(response);
-        }
+        whole.fold_columns(&ColumnarBatch::encode(oracle.kind(), domain, 0, responses.clone()));
         let reference = whole.into_tally();
         prop_assert_eq!(
             oracle.estimate(&reference.support, reference.reporters).iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             sequential.frequencies.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
         );
+        prop_assert_eq!(reference.refusals, server.refusals());
 
         for shards in SHARD_COUNTS {
             // (a) Raw shard accumulators over a round-robin partition.
-            let mut accumulators: Vec<ShardAccumulator> = (0..shards)
-                .map(|_| ShardAccumulator::new(key, oracle.clone()))
-                .collect();
+            let mut partitions = vec![Vec::new(); shards];
             for (i, response) in responses.iter().enumerate() {
-                accumulators[i % shards].fold(response);
+                partitions[i % shards].push(response.clone());
             }
             let mut merged = ShardTally::empty(domain);
-            for accumulator in accumulators {
+            for partition in partitions {
+                let mut accumulator = ShardAccumulator::new(key, oracle.clone());
+                accumulator.fold_columns(&ColumnarBatch::encode(oracle.kind(), domain, 0, partition));
                 merged.merge(&accumulator.into_tally());
             }
             prop_assert_eq!(&merged.support, &reference.support, "support counts at {} shards", shards);
