@@ -26,22 +26,26 @@
 //! double-count a report.
 
 use crate::backoff::{ClientStats, RetryPolicy};
-use crate::codec::{encode_frame, FrameBuffer};
+use crate::codec::{encode_frame, FrameBuffer, MAX_FRAME_LEN};
 use crate::error::NetError;
-use crate::frame::{AckBody, Frame, WireError};
+use crate::frame::{put_submit_batch, AckBody, Frame, WireError};
 use crate::metrics::ClientMetrics;
 use ldp_fo::FoKind;
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{ReportRequest, UserResponse};
 use ldp_obs::{MetricSample, Scope};
+use ldp_service::codec::put_enveloped;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// Default number of unacknowledged `SubmitBatch` frames the client
-/// keeps in flight before blocking on acks.
-pub const DEFAULT_WINDOW: usize = 32;
+/// Default pipelining window. [`NetClient::submit_batch`] returns with at
+/// most this many submits unacknowledged, so `window + 1` frames ride at
+/// once — which must not exceed the server's
+/// [`ServerConfig::queue_depth`](crate::server::ServerConfig::queue_depth)
+/// (default 8), or the client's own pipeline is shed as `Overloaded`.
+pub const DEFAULT_WINDOW: usize = 7;
 
 /// How often a blocked read wakes to check the RPC deadline.
 const READ_POLL: Duration = Duration::from_millis(20);
@@ -122,6 +126,10 @@ pub struct NetClient {
     window: usize,
     retry: RetryPolicy,
     metrics: ClientMetrics,
+    /// The submit frame being sent and the bytes last read, kept so
+    /// neither is allocated or zeroed per frame.
+    out: Vec<u8>,
+    inbuf: Vec<u8>,
 }
 
 impl NetClient {
@@ -216,6 +224,8 @@ impl NetClient {
             window: options.window.max(1),
             retry: options.retry,
             metrics,
+            out: Vec::new(),
+            inbuf: vec![0; 16 * 1024],
         };
         client.hello(resume)?;
         Ok(client)
@@ -273,25 +283,22 @@ impl NetClient {
         // Replies in flight on the dead connection are gone with it.
         self.unacked = 0;
         let local_next = self.next_seq;
-        let replay: Vec<(u64, Vec<UserResponse>)> = self.inflight.drain(..).collect();
         self.hello(Some(self.session))?;
         // hello() synced next_seq to the server's high-water mark;
         // replay what it lacks, then restore our own (which includes the
-        // replayed deltas).
+        // replayed deltas). Below the mark the ack was lost, not the
+        // delta.
         let server_next = self.next_seq;
-        let round = self.open_round;
-        for (seq, responses) in replay {
-            if seq < server_next {
-                continue; // the ack was lost, not the delta
-            }
-            let round = round.ok_or_else(|| NetError::Protocol {
+        self.next_seq = local_next.max(server_next);
+        self.inflight.retain(|(seq, _)| *seq >= server_next);
+        for at in 0..self.inflight.len() {
+            let seq = self.inflight[at].0;
+            let round = self.open_round.ok_or_else(|| NetError::Protocol {
                 detail: format!("replaying seq {seq} but no round is open server-side"),
             })?;
-            self.inflight.push_back((seq, responses.clone()));
             self.unacked += 1;
-            self.send_submit(round, seq, responses)?;
+            self.send_submit(round, at)?;
         }
-        self.next_seq = local_next.max(server_next);
         Ok(())
     }
 
@@ -337,11 +344,13 @@ impl NetClient {
         })
     }
 
-    /// Submit one delta of responses to the open round (pipelined: up
-    /// to `window` deltas ride unacknowledged).
+    /// Submit one delta of responses to the open round (pipelined: it
+    /// returns with up to `window` deltas unacknowledged, so `window + 1`
+    /// ride while the next call sends).
     ///
-    /// The delta enters the replay queue exactly once, *before* any
-    /// network send — every retry path replays it from there, and the
+    /// The delta moves into the replay queue exactly once, *before* any
+    /// network send — the frame is encoded from a borrow of that entry,
+    /// every retry path replays it from there, and the
     /// server's sequence numbers make duplicates no-ops, so a delta is
     /// counted exactly once no matter how many times it is resent.
     pub fn submit_batch(&mut self, responses: Vec<UserResponse>) -> Result<(), NetError> {
@@ -350,7 +359,7 @@ impl NetClient {
         })?;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.inflight.push_back((seq, responses.clone()));
+        self.inflight.push_back((seq, responses));
         self.unacked += 1;
         let mut sent = false;
         self.with_retry(|c| {
@@ -359,9 +368,9 @@ impl NetClient {
                 // First attempt sends directly; on retries recover()
                 // has already replayed the delta from `inflight`.
                 sent = true;
-                c.send_submit(round, seq, responses.clone())?;
+                c.send_submit(round, c.inflight.len() - 1)?;
             }
-            // Keep at most `window` deltas unacknowledged.
+            // Return with at most `window` deltas unacknowledged.
             while c.unacked > c.window {
                 c.drain_one_ack(deadline)?;
             }
@@ -526,20 +535,17 @@ impl NetClient {
         }
     }
 
-    fn send_submit(
-        &mut self,
-        round: u64,
-        seq: u64,
-        responses: Vec<UserResponse>,
-    ) -> Result<(), NetError> {
+    /// Send replay-queue entry `at` as a `SubmitBatch` for `round`.
+    fn send_submit(&mut self, round: u64, at: usize) -> Result<(), NetError> {
         let corr = self.corr();
-        self.send(&Frame::SubmitBatch {
-            corr,
-            session: self.session,
-            round,
-            seq,
-            responses,
-        })
+        let (seq, responses) = &self.inflight[at];
+        self.out.clear();
+        put_enveloped(&mut self.out, |out| {
+            put_submit_batch(out, corr, self.session, round, *seq, responses)
+        });
+        debug_assert!(self.out.len() - 8 <= MAX_FRAME_LEN as usize);
+        self.stream.write_all(&self.out)?;
+        Ok(())
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
@@ -548,32 +554,13 @@ impl NetClient {
     }
 
     fn recv(&mut self, deadline: Instant) -> Result<Frame, NetError> {
-        loop {
-            if let Some(frame) = self.fb.next_frame()? {
-                return Ok(frame);
-            }
-            let mut buf = [0u8; 16 * 1024];
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    return Err(NetError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    )))
-                }
-                Ok(n) => self.fb.feed(&buf[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if Instant::now() >= deadline {
-                        self.metrics.timeouts.inc();
-                        return Err(NetError::Timeout {
-                            after_ms: self.retry.rpc_timeout.as_millis() as u64,
-                        });
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
+        match read_frame(&mut self.stream, &mut self.fb, &mut self.inbuf, deadline)? {
+            Some(frame) => Ok(frame),
+            None => {
+                self.metrics.timeouts.inc();
+                Err(NetError::Timeout {
+                    after_ms: self.retry.rpc_timeout.as_millis() as u64,
+                })
             }
         }
     }
@@ -675,22 +662,36 @@ pub fn scrape_stats(
         scope: scope.map(str::to_string),
     }))?;
     let deadline = Instant::now() + timeout;
-    let mut fb = FrameBuffer::new();
+    let (mut fb, mut buf) = (FrameBuffer::new(), [0u8; 16 * 1024]);
+    match read_frame(&mut stream, &mut fb, &mut buf, deadline)? {
+        Some(Frame::Ack {
+            body: AckBody::Stats { version, samples },
+            ..
+        }) => Ok((version, samples)),
+        Some(Frame::Err { error, .. }) => Err(NetError::Remote(error)),
+        Some(other) => Err(NetError::Protocol {
+            detail: format!("expected Stats ack, got {other:?}"),
+        }),
+        None => Err(NetError::Timeout {
+            after_ms: timeout.as_millis() as u64,
+        }),
+    }
+}
+
+/// Read `stream` into `fb` until it holds a frame; `None` once a read
+/// poll finds `deadline` passed. `buf` is the caller's, so it is zeroed
+/// once and not per read.
+fn read_frame(
+    stream: &mut TcpStream,
+    fb: &mut FrameBuffer,
+    buf: &mut [u8],
+    deadline: Instant,
+) -> Result<Option<Frame>, NetError> {
     loop {
         if let Some(frame) = fb.next_frame()? {
-            return match frame {
-                Frame::Ack {
-                    body: AckBody::Stats { version, samples },
-                    ..
-                } => Ok((version, samples)),
-                Frame::Err { error, .. } => Err(NetError::Remote(error)),
-                other => Err(NetError::Protocol {
-                    detail: format!("expected Stats ack, got {other:?}"),
-                }),
-            };
+            return Ok(Some(frame));
         }
-        let mut buf = [0u8; 16 * 1024];
-        match stream.read(&mut buf) {
+        match stream.read(buf) {
             Ok(0) => {
                 return Err(NetError::Io(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
@@ -703,9 +704,7 @@ pub fn scrape_stats(
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 if Instant::now() >= deadline {
-                    return Err(NetError::Timeout {
-                        after_ms: timeout.as_millis() as u64,
-                    });
+                    return Ok(None);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}

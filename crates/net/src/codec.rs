@@ -14,7 +14,7 @@
 
 use crate::error::FrameError;
 use crate::frame::Frame;
-use ldp_service::codec::{crc32, put_u32};
+use ldp_service::codec::{crc32, put_enveloped};
 
 /// Largest accepted frame payload: 16 MiB.
 ///
@@ -25,12 +25,9 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 /// Wrap one frame payload in the wire envelope.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = frame.encode_payload();
-    debug_assert!(payload.len() <= MAX_FRAME_LEN as usize);
-    let mut out = Vec::with_capacity(8 + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(64);
+    put_enveloped(&mut out, |out| frame.encode_payload_into(out));
+    debug_assert!(out.len() - 8 <= MAX_FRAME_LEN as usize);
     out
 }
 
@@ -133,6 +130,7 @@ impl FrameBuffer {
 mod tests {
     use super::*;
     use crate::frame::{AckBody, WireError, WIRE_VERSION};
+    use ldp_service::codec::put_u32;
 
     fn sample() -> Frame {
         Frame::Ack {

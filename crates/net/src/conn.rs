@@ -43,7 +43,7 @@ pub(crate) fn serve(
     stop: Arc<AtomicBool>,
     metrics: ServerMetrics,
 ) {
-    if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
+    if arm_accepted(&stream, &config).is_err() {
         return;
     }
     let Ok(write_half) = stream.try_clone() else {
@@ -78,6 +78,16 @@ pub(crate) fn serve(
     // clone) and exit.
     drop(reply_tx);
     let _ = writer.join();
+}
+
+/// Arm an accepted socket (and the writer half cloned from it, which
+/// shares its options): polling reads, and `TCP_NODELAY`. Replies are
+/// small frames written one `write_all` each, and a pipelining client
+/// goes quiet while it drains them — exactly where Nagle holds reply 2
+/// until the client's delayed ACK of reply 1, ~40 ms later.
+fn arm_accepted(stream: &TcpStream, config: &ServerConfig) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(config.poll_interval))?;
+    stream.set_nodelay(true)
 }
 
 fn read_loop(
@@ -264,4 +274,24 @@ fn framing_reply(e: FrameError) -> Frame {
         },
     };
     Frame::Err { corr: 0, error }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn accepted_socket_is_armed_with_nodelay_and_polling_reads() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        assert!(!stream.nodelay().unwrap(), "the OS default is Nagle on");
+        arm_accepted(&stream, &ServerConfig::default()).unwrap();
+        assert!(stream.nodelay().unwrap());
+        // The kernel rounds the timeout to its own tick: armed, not equal.
+        assert!(stream.read_timeout().unwrap().is_some());
+        // The writer thread's half is a clone: same socket, same options.
+        assert!(stream.try_clone().unwrap().nodelay().unwrap());
+    }
 }

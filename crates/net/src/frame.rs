@@ -473,6 +473,27 @@ fn take_opt_str(cur: &mut Cursor<'_>) -> Result<Option<String>, String> {
     }
 }
 
+/// Append the payload of the [`Frame::SubmitBatch`] with these fields,
+/// encoded from a borrow of the responses.
+pub fn put_submit_batch(
+    out: &mut Vec<u8>,
+    corr: u64,
+    session: u64,
+    round: u64,
+    seq: u64,
+    responses: &[UserResponse],
+) {
+    out.extend_from_slice(&[WIRE_VERSION, TAG_SUBMIT_BATCH]);
+    put_u64(out, corr);
+    put_u64(out, session);
+    put_u64(out, round);
+    put_u64(out, seq);
+    put_u32(out, responses.len() as u32);
+    for response in responses {
+        put_response(out, response);
+    }
+}
+
 impl Frame {
     /// The correlation id this frame carries.
     pub fn corr(&self) -> u64 {
@@ -509,7 +530,13 @@ impl Frame {
     /// Encode into the versioned payload bytes (no frame envelope).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
-        out.push(WIRE_VERSION);
+        self.encode_payload_into(&mut out);
+        out
+    }
+
+    /// Append what [`encode_payload`](Self::encode_payload) returns to
+    /// `out`.
+    pub(crate) fn encode_payload_into(&self, out: &mut Vec<u8>) {
         match self {
             Frame::Hello {
                 corr,
@@ -517,21 +544,21 @@ impl Frame {
                 resume,
                 token,
             } => {
-                out.push(TAG_HELLO);
-                put_u64(&mut out, *corr);
-                put_str(&mut out, tenant);
-                put_opt_u64(&mut out, *resume);
-                put_opt_str(&mut out, token.as_deref());
+                out.extend_from_slice(&[WIRE_VERSION, TAG_HELLO]);
+                put_u64(out, *corr);
+                put_str(out, tenant);
+                put_opt_u64(out, *resume);
+                put_opt_str(out, token.as_deref());
             }
             Frame::OpenRound {
                 corr,
                 session,
                 request,
             } => {
-                out.push(TAG_OPEN_ROUND);
-                put_u64(&mut out, *corr);
-                put_u64(&mut out, *session);
-                put_request(&mut out, request);
+                out.extend_from_slice(&[WIRE_VERSION, TAG_OPEN_ROUND]);
+                put_u64(out, *corr);
+                put_u64(out, *session);
+                put_request(out, request);
             }
             Frame::SubmitBatch {
                 corr,
@@ -539,35 +566,25 @@ impl Frame {
                 round,
                 seq,
                 responses,
-            } => {
-                out.push(TAG_SUBMIT_BATCH);
-                put_u64(&mut out, *corr);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *round);
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, responses.len() as u32);
-                for response in responses {
-                    put_response(&mut out, response);
-                }
-            }
+            } => put_submit_batch(out, *corr, *session, *round, *seq, responses),
             Frame::CloseRound {
                 corr,
                 session,
                 round,
             } => {
-                out.push(TAG_CLOSE_ROUND);
-                put_u64(&mut out, *corr);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *round);
+                out.extend_from_slice(&[WIRE_VERSION, TAG_CLOSE_ROUND]);
+                put_u64(out, *corr);
+                put_u64(out, *session);
+                put_u64(out, *round);
             }
             Frame::StatsRequest { corr, scope } => {
-                out.push(TAG_STATS);
-                put_u64(&mut out, *corr);
-                put_opt_str(&mut out, scope.as_deref());
+                out.extend_from_slice(&[WIRE_VERSION, TAG_STATS]);
+                put_u64(out, *corr);
+                put_opt_str(out, scope.as_deref());
             }
             Frame::Ack { corr, body } => {
-                out.push(TAG_ACK);
-                put_u64(&mut out, *corr);
+                out.extend_from_slice(&[WIRE_VERSION, TAG_ACK]);
+                put_u64(out, *corr);
                 match body {
                     AckBody::Session {
                         session,
@@ -576,36 +593,36 @@ impl Frame {
                         open_round,
                     } => {
                         out.push(0);
-                        put_u64(&mut out, *session);
-                        put_u64(&mut out, *next_round);
-                        put_u64(&mut out, *next_seq);
-                        put_opt_u64(&mut out, *open_round);
+                        put_u64(out, *session);
+                        put_u64(out, *next_round);
+                        put_u64(out, *next_seq);
+                        put_opt_u64(out, *open_round);
                     }
                     AckBody::Opened { request } => {
                         out.push(1);
-                        put_request(&mut out, request);
+                        put_request(out, request);
                     }
                     AckBody::Submitted { next_seq } => {
                         out.push(2);
-                        put_u64(&mut out, *next_seq);
+                        put_u64(out, *next_seq);
                     }
                     AckBody::Closed { estimate } => {
                         out.push(3);
-                        put_estimate(&mut out, estimate);
+                        put_estimate(out, estimate);
                     }
                     AckBody::Stats { version, samples } => {
                         out.push(4);
                         out.push(*version);
-                        put_u32(&mut out, samples.len() as u32);
+                        put_u32(out, samples.len() as u32);
                         for sample in samples {
-                            put_metric_sample(&mut out, sample);
+                            put_metric_sample(out, sample);
                         }
                     }
                 }
             }
             Frame::Err { corr, error } => {
-                out.push(TAG_ERR);
-                put_u64(&mut out, *corr);
+                out.extend_from_slice(&[WIRE_VERSION, TAG_ERR]);
+                put_u64(out, *corr);
                 match error {
                     WireError::Version { min, max, got } => {
                         out.push(0);
@@ -615,52 +632,51 @@ impl Frame {
                     }
                     WireError::UnknownTenant { tenant } => {
                         out.push(1);
-                        put_str(&mut out, tenant);
+                        put_str(out, tenant);
                     }
                     WireError::UnknownSession { session } => {
                         out.push(2);
-                        put_u64(&mut out, *session);
+                        put_u64(out, *session);
                     }
                     WireError::SessionBusy { session, round } => {
                         out.push(3);
-                        put_u64(&mut out, *session);
-                        put_u64(&mut out, *round);
+                        put_u64(out, *session);
+                        put_u64(out, *round);
                     }
                     WireError::StaleRound { expected, got } => {
                         out.push(4);
-                        put_u64(&mut out, *expected);
-                        put_u64(&mut out, *got);
+                        put_u64(out, *expected);
+                        put_u64(out, *got);
                     }
                     WireError::NoOpenRound => out.push(5),
                     WireError::SequenceGap { expected, got } => {
                         out.push(6);
-                        put_u64(&mut out, *expected);
-                        put_u64(&mut out, *got);
+                        put_u64(out, *expected);
+                        put_u64(out, *got);
                     }
                     WireError::Service { detail } => {
                         out.push(7);
-                        put_str(&mut out, detail);
+                        put_str(out, detail);
                     }
                     WireError::Protocol { detail } => {
                         out.push(8);
-                        put_str(&mut out, detail);
+                        put_str(out, detail);
                     }
                     WireError::Overloaded { retry_after_ms } => {
                         out.push(9);
-                        put_u64(&mut out, *retry_after_ms);
+                        put_u64(out, *retry_after_ms);
                     }
                     WireError::AuthFailed { tenant } => {
                         out.push(10);
-                        put_str(&mut out, tenant);
+                        put_str(out, tenant);
                     }
                     WireError::BadFrame { detail } => {
                         out.push(11);
-                        put_str(&mut out, detail);
+                        put_str(out, detail);
                     }
                 }
             }
         }
-        out
     }
 
     /// Decode a payload produced by [`encode_payload`](Self::encode_payload).

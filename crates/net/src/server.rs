@@ -28,7 +28,10 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// Capacity of each tenant dispatcher queue and each connection's
-    /// reply queue. Small keeps backpressure tight.
+    /// reply queue. Small keeps backpressure tight. A submit that finds
+    /// the queue full is shed, so a client's `window + 1` frames in
+    /// flight (see [`DEFAULT_WINDOW`](crate::client::DEFAULT_WINDOW))
+    /// must not exceed it.
     pub queue_depth: usize,
     /// Idle connections are closed after this long without a byte.
     pub read_timeout: Duration,

@@ -7,12 +7,13 @@
 use ldp_fo::{FoKind, Report};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{ReportRequest, UserResponse};
+use ldp_net::frame::put_submit_batch;
 use ldp_net::{
     decode_frame, encode_frame, AckBody, Frame, FrameBuffer, FrameError, WireError, MAX_FRAME_LEN,
     WIRE_VERSION,
 };
 use ldp_obs::{HistogramSnapshot, MetricSample, MetricValue};
-use ldp_service::codec::crc32;
+use ldp_service::codec::{crc32, put_enveloped};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -225,6 +226,25 @@ proptest! {
         prop_assert_eq!(used, bytes.len());
         prop_assert_eq!(&decoded, &frame);
         prop_assert_eq!(encode_frame(&decoded), bytes);
+    }
+
+    /// What the client sends — the borrowed `SubmitBatch` payload
+    /// enveloped in place in a reused buffer — is byte for byte what
+    /// `encode_frame` returns for the owned frame.
+    #[test]
+    fn borrowed_submit_encoder_matches_encode_frame(
+        corr in any::<u64>(),
+        session in any::<u64>(),
+        round in any::<u64>(),
+        seq in any::<u64>(),
+        responses in vec(arb_response(), 0..12),
+        stale in vec(any::<u8>(), 0..64),
+    ) {
+        let mut out = stale;
+        out.clear();
+        put_enveloped(&mut out, |out| put_submit_batch(out, corr, session, round, seq, &responses));
+        let frame = Frame::SubmitBatch { corr, session, round, seq, responses };
+        prop_assert_eq!(out, encode_frame(&frame));
     }
 
     /// Every strict prefix of a valid frame is a typed `Truncated` error

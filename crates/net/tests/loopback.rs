@@ -7,18 +7,18 @@
 //! torn-frame reassembly, typed rejection of protocol misuse, idle
 //! reaping, disconnect/resume replay, and graceful shutdown.
 
-use ldp_fo::{build_oracle, FoKind, OracleHandle};
+use ldp_fo::{build_oracle, FoKind, OracleHandle, Report};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{AggregationServer, UserResponse};
 use ldp_net::{
-    encode_frame, AckBody, Frame, FrameBuffer, NetClient, NetError, NetServer, ServerConfig,
-    WireError,
+    encode_frame, AckBody, ClientOptions, Frame, FrameBuffer, NetClient, NetError, NetServer,
+    RetryPolicy, ServerConfig, WireError,
 };
 use ldp_service::{ServiceConfig, TenantRegistry, TenantSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 fn start_server(tenants: &[&str]) -> NetServer {
@@ -330,6 +330,92 @@ fn shutdown_closes_live_connections() {
         client.close_round().map(|_| ())
     });
     assert!(err.is_err(), "expected an error after shutdown");
+}
+
+/// A resume that itself fails must not cost the replay queue. Scripted
+/// server: the first connection takes a delta and dies before acking
+/// it, the second dies mid-`Hello`, the third resumes at `next_seq` 0 —
+/// and must be sent the delta, or the round closes one delta short
+/// behind a `flush` that reported success.
+#[test]
+fn replay_queue_survives_a_failed_resume() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let delta = vec![UserResponse::Report {
+        round: 0,
+        report: Report::Grr(1),
+    }];
+    let expected = delta.clone();
+    let server = std::thread::spawn(move || {
+        let reply = |stream: &mut TcpStream, corr, body| {
+            stream
+                .write_all(&encode_frame(&Frame::Ack { corr, body }))
+                .unwrap()
+        };
+        let session = |next_round, open_round| AckBody::Session {
+            session: 1,
+            next_round,
+            next_seq: 0,
+            open_round,
+        };
+        let (mut first, _) = listener.accept().unwrap();
+        let hello = read_one_frame(&mut first);
+        reply(&mut first, hello.corr(), session(0, None));
+        let Frame::OpenRound { corr, request, .. } = read_one_frame(&mut first) else {
+            panic!("expected OpenRound");
+        };
+        reply(&mut first, corr, AckBody::Opened { request });
+        let submit = read_one_frame(&mut first);
+        assert!(
+            matches!(submit, Frame::SubmitBatch { seq: 0, .. }),
+            "{submit:?}"
+        );
+        drop(first);
+
+        let (mut second, _) = listener.accept().unwrap();
+        let hello = read_one_frame(&mut second);
+        assert!(
+            matches!(
+                hello,
+                Frame::Hello {
+                    resume: Some(1),
+                    ..
+                }
+            ),
+            "{hello:?}"
+        );
+        drop(second);
+
+        let (mut third, _) = listener.accept().unwrap();
+        let hello = read_one_frame(&mut third);
+        reply(&mut third, hello.corr(), session(1, Some(0)));
+        match read_one_frame(&mut third) {
+            Frame::SubmitBatch {
+                corr,
+                seq: 0,
+                responses,
+                ..
+            } => {
+                assert_eq!(responses, expected);
+                reply(&mut third, corr, AckBody::Submitted { next_seq: 1 });
+            }
+            other => panic!("expected the replayed delta, got {other:?}"),
+        }
+    });
+
+    let retry = RetryPolicy {
+        base: Duration::from_millis(1),
+        cap: Duration::from_millis(5),
+        ..RetryPolicy::default()
+    };
+    let options = ClientOptions::default().retry(retry);
+    let mut client = NetClient::connect_with(addr, "acme", options).unwrap();
+    client.open_round_with(0, FoKind::Grr, 1.0, 4).unwrap();
+    client.submit_batch(delta).unwrap();
+    client.flush().unwrap();
+    assert_eq!(client.next_seq(), 1);
+    drop(client); // EOF for a server still waiting on the replay
+    server.join().unwrap();
 }
 
 /// Read exactly one frame off a raw socket (test helper).

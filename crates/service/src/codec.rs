@@ -111,6 +111,21 @@ pub fn put_estimate(out: &mut Vec<u8>, estimate: &RoundEstimate) {
     }
 }
 
+/// Append `[ len : u32 ][ crc32(payload) : u32 ][ payload ]` — the one
+/// envelope of WAL records, snapshots and wire frames. `payload` encodes
+/// in place behind eight reserved bytes, which are patched afterwards,
+/// so the payload is never copied.
+pub fn put_enveloped(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    payload(out);
+    let body = &out[at + 8..];
+    let len = u32::try_from(body.len()).expect("payload fits the u32 length prefix");
+    let crc = crc32(body);
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// A bounds-checked little-endian reader over a payload.
 #[derive(Debug)]
 pub struct Cursor<'a> {
@@ -124,12 +139,17 @@ impl<'a> Cursor<'a> {
         Cursor { bytes, at: 0 }
     }
 
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.bytes.len() - self.at < n {
+        if self.remaining() < n {
             return Err(format!(
                 "payload truncated: needed {n} bytes at offset {}, {} left",
                 self.at,
-                self.bytes.len() - self.at
+                self.remaining()
             ));
         }
         let slice = &self.bytes[self.at..self.at + n];
@@ -166,11 +186,8 @@ impl<'a> Cursor<'a> {
 
     /// Assert the payload was consumed exactly.
     pub fn finish(&self) -> Result<(), String> {
-        if self.at != self.bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after record",
-                self.bytes.len() - self.at
-            ));
+        if self.remaining() != 0 {
+            return Err(format!("{} trailing bytes after record", self.remaining()));
         }
         Ok(())
     }
@@ -205,9 +222,12 @@ pub fn take_report(cur: &mut Cursor<'_>) -> Result<Report, String> {
         1 => {
             let len = cur.u32()?;
             let words = cur.u32()? as usize;
-            if words > len as usize / 64 + 1 {
+            // Any count `put_report` wrote decodes; a forged one cannot
+            // allocate past the payload it arrived in.
+            if words > cur.remaining() / 8 {
                 return Err(format!(
-                    "OUE word count {words} inconsistent with len {len}"
+                    "OUE word count {words} exceeds the {} bytes left",
+                    cur.remaining()
                 ));
             }
             let mut bits = Vec::with_capacity(words);
@@ -257,10 +277,12 @@ pub fn take_estimate(cur: &mut Cursor<'_>) -> Result<RoundEstimate, String> {
 }
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: table `k`
+// maps a byte to its CRC contribution `k` bytes further down the
+// message, so eight input bytes fold in per step instead of one.
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -273,17 +295,33 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) ^ c as u64;
+        c = (0..8).fold(0, |acc, k| acc ^ t[7 - k][(word >> (8 * k)) as u8 as usize]);
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -291,12 +329,95 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn crc32_known_vector() {
         // The canonical check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC-32 `crc32` replaced: the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_length_and_offset() {
+        let mut rng = StdRng::seed_from_u64(0xc3c32);
+        let shared: Vec<u8> = (0..308).map(|_| rng.gen()).collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let bytes = &shared[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        for _ in 0..64 {
+            let len = rng.gen_range(0..=64 * 1024);
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+        }
+    }
+
+    #[test]
+    fn envelope_is_len_crc_payload_wherever_it_lands() {
+        for prefix in [&b""[..], b"LDPSNP01"] {
+            for payload in [&b""[..], b"x", b"123456789", &[0xA5; 1000]] {
+                let mut out = prefix.to_vec();
+                put_enveloped(&mut out, |out| out.extend_from_slice(payload));
+                let mut want = prefix.to_vec();
+                put_u32(&mut want, payload.len() as u32);
+                put_u32(&mut want, crc32(payload));
+                want.extend_from_slice(payload);
+                assert_eq!(out, want);
+            }
+        }
+    }
+
+    /// `take_report ∘ put_report` is the identity on every `Report`, OUE
+    /// word counts that disagree with `len` included; a forged count
+    /// past the payload is refused before anything is allocated for it.
+    #[test]
+    fn reports_roundtrip_whatever_their_word_count() {
+        let reports = [
+            Report::Grr(7),
+            Report::Olh { seed: 9, bucket: 3 },
+            Report::Oue {
+                bits: vec![],
+                len: 128,
+            },
+            Report::Oue {
+                bits: vec![1, 2],
+                len: 128,
+            },
+            Report::Oue {
+                bits: vec![u64::MAX; 9],
+                len: 0,
+            },
+        ];
+        for report in reports {
+            let mut out = Vec::new();
+            put_report(&mut out, &report);
+            let mut cur = Cursor::new(&out);
+            assert_eq!(take_report(&mut cur).unwrap(), report);
+            cur.finish().unwrap();
+        }
+        let mut forged = vec![1];
+        put_u32(&mut forged, 128);
+        put_u32(&mut forged, u32::MAX);
+        forged.extend_from_slice(&[0; 64]);
+        let err = take_report(&mut Cursor::new(&forged)).unwrap_err();
+        assert!(err.contains("exceeds"), "{err}");
     }
 
     #[test]

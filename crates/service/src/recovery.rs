@@ -44,8 +44,8 @@
 
 use crate::batch::{Batch, RoundKey};
 use crate::codec::{
-    crc32, put_estimate, put_f64, put_request, put_response, put_u32, put_u64, take_estimate,
-    take_request, take_response, Cursor,
+    crc32, put_enveloped, put_estimate, put_f64, put_request, put_response, put_u32, put_u64,
+    take_estimate, take_request, take_response, Cursor,
 };
 use crate::machine::{
     Closing, OpenRound, Opening, Session, SessionId, SessionStatus, SessionTable,
@@ -128,43 +128,41 @@ pub(crate) fn seed_each(
 // ---------------------------------------------------------------------
 // The snapshot payload: the session table and its open-round tallies.
 
-fn encode_state(table: &SessionTable, tallies: &Tallies) -> Vec<u8> {
+fn put_state(out: &mut Vec<u8>, table: &SessionTable, tallies: &Tallies) {
     let sessions = table.sessions();
-    let mut out = Vec::with_capacity(256);
-    put_u64(&mut out, table.next_id().raw());
-    put_u32(&mut out, sessions.len() as u32);
+    put_u64(out, table.next_id().raw());
+    put_u32(out, sessions.len() as u32);
     for (id, s) in sessions {
         let status = s.status();
-        put_u64(&mut out, id.raw());
-        put_u64(&mut out, status.next_round);
-        put_u64(&mut out, status.next_seq);
-        put_u64(&mut out, status.refusals);
-        put_f64(&mut out, status.epsilon_spent);
+        put_u64(out, id.raw());
+        put_u64(out, status.next_round);
+        put_u64(out, status.next_seq);
+        put_u64(out, status.refusals);
+        put_f64(out, status.epsilon_spent);
         let flags = u8::from(s.last_closed().is_some()) | (u8::from(s.open().is_some()) << 1);
         out.push(flags);
         if let Some((round, estimate)) = s.last_closed() {
-            put_u64(&mut out, *round);
-            put_estimate(&mut out, estimate);
+            put_u64(out, *round);
+            put_estimate(out, estimate);
         }
         if let Some(open) = s.open() {
             let tally = tallies
                 .get(&open.key)
                 .expect("every open round has a tally");
-            put_request(&mut out, &open.request);
-            put_u32(&mut out, tally.support.len() as u32);
+            put_request(out, &open.request);
+            put_u32(out, tally.support.len() as u32);
             for &c in &tally.support {
-                put_u64(&mut out, c);
+                put_u64(out, c);
             }
-            put_u64(&mut out, tally.reporters);
-            put_u64(&mut out, tally.refusals);
-            put_u64(&mut out, tally.stale);
-            put_u32(&mut out, open.pending.len() as u32);
+            put_u64(out, tally.reporters);
+            put_u64(out, tally.refusals);
+            put_u64(out, tally.stale);
+            put_u32(out, open.pending.len() as u32);
             for response in &open.pending {
-                put_response(&mut out, response);
+                put_response(out, response);
             }
         }
     }
-    out
 }
 
 fn decode_state(payload: &[u8]) -> Result<(SessionTable, Tallies), String> {
@@ -236,13 +234,10 @@ pub(crate) fn write_snapshot(
     table: &SessionTable,
     tallies: &Tallies,
 ) -> Result<(), CoreError> {
-    let payload = encode_state(table, tallies);
-    let mut bytes = Vec::with_capacity(24 + payload.len());
+    let mut bytes = Vec::with_capacity(256);
     bytes.extend_from_slice(SNAP_MAGIC);
     put_u64(&mut bytes, gen);
-    put_u32(&mut bytes, payload.len() as u32);
-    put_u32(&mut bytes, crc32(&payload));
-    bytes.extend_from_slice(&payload);
+    put_enveloped(&mut bytes, |out| put_state(out, table, tallies));
 
     let final_path = snap_path(dir, gen);
     let tmp_path = final_path.with_extension("bin.tmp");
@@ -584,10 +579,34 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    fn encode_state(table: &SessionTable, tallies: &Tallies) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_state(&mut out, table, tallies);
+        out
+    }
+
     #[test]
     fn snapshot_encoding_is_byte_stable() {
         let (table, tallies) = sample_state();
         assert_eq!(hex(&encode_state(&table, &tallies)), SAMPLE_STATE_HEX);
+    }
+
+    /// The file is magic, generation, then the pinned payload behind its
+    /// length and CRC — the in-place envelope writes what the
+    /// encode-then-copy writer did.
+    #[test]
+    fn snapshot_file_is_the_pinned_payload_in_its_envelope() {
+        let dir = tmp_dir("file_bytes");
+        let (table, tallies) = sample_state();
+        write_snapshot(&dir, 7, &table, &tallies).unwrap();
+        let payload = encode_state(&table, &tallies);
+        let mut want = SNAP_MAGIC.to_vec();
+        want.extend_from_slice(&7u64.to_le_bytes());
+        want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        want.extend_from_slice(&crc32(&payload).to_le_bytes());
+        want.extend_from_slice(&payload);
+        assert_eq!(hex(&payload), SAMPLE_STATE_HEX);
+        assert_eq!(std::fs::read(snap_path(&dir, 7)).unwrap(), want);
     }
 
     #[test]

@@ -44,8 +44,8 @@
 //! acknowledged record can survive *behind* a lost one).
 
 use crate::codec::{
-    crc32, put_estimate, put_request, put_response, put_u32, put_u64, take_estimate, take_request,
-    take_response, Cursor,
+    crc32, put_enveloped, put_estimate, put_request, put_response, put_u32, put_u64, take_estimate,
+    take_request, take_response, Cursor,
 };
 use crate::faults;
 use crate::obs::WalObs;
@@ -153,15 +153,21 @@ impl WalRecord {
     /// Encode into the WAL's binary payload format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append what [`encode`](Self::encode) returns to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::CreateSession { session } => {
                 out.push(1);
-                put_u64(&mut out, *session);
+                put_u64(out, *session);
             }
             WalRecord::OpenRound { session, request } => {
                 out.push(2);
-                put_u64(&mut out, *session);
-                put_request(&mut out, request);
+                put_u64(out, *session);
+                put_request(out, request);
             }
             WalRecord::Reports {
                 session,
@@ -170,12 +176,12 @@ impl WalRecord {
                 responses,
             } => {
                 out.push(3);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *round);
-                put_u64(&mut out, *seq);
-                put_u32(&mut out, responses.len() as u32);
+                put_u64(out, *session);
+                put_u64(out, *round);
+                put_u64(out, *seq);
+                put_u32(out, responses.len() as u32);
                 for response in responses {
-                    put_response(&mut out, response);
+                    put_response(out, response);
                 }
             }
             WalRecord::CloseRound {
@@ -185,17 +191,16 @@ impl WalRecord {
                 estimate,
             } => {
                 out.push(4);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *round);
-                put_u64(&mut out, *refusals);
-                put_estimate(&mut out, estimate);
+                put_u64(out, *session);
+                put_u64(out, *round);
+                put_u64(out, *refusals);
+                put_estimate(out, estimate);
             }
             WalRecord::EndSession { session } => {
                 out.push(5);
-                put_u64(&mut out, *session);
+                put_u64(out, *session);
             }
         }
-        out
     }
 
     /// Decode one payload produced by [`WalRecord::encode`].
@@ -400,6 +405,8 @@ pub struct Wal {
     inline_syncs: u64,
     unsynced_reports: u64,
     records_since_sync: u64,
+    /// The frame being appended; kept so appends reuse its allocation.
+    frame: Vec<u8>,
     obs: WalObs,
 }
 
@@ -436,6 +443,7 @@ impl Wal {
             inline_syncs: 0,
             unsynced_reports: 0,
             records_since_sync: 0,
+            frame: Vec::new(),
             obs,
         })
     }
@@ -473,19 +481,16 @@ impl Wal {
     pub fn append(&mut self, record: &WalRecord) -> Result<Commit, CoreError> {
         faults::hit("wal.before_append");
         let start = Instant::now();
-        let payload = record.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
+        self.frame.clear();
+        put_enveloped(&mut self.frame, |out| record.encode_into(out));
         if faults::check("wal.torn_append") {
             // Simulated crash mid-write: half the frame reaches the disk.
-            let _ = self.file.write_all(&frame[..frame.len() / 2]);
+            let _ = self.file.write_all(&self.frame[..self.frame.len() / 2]);
             let _ = self.file.sync_data();
             faults::crash("wal.torn_append");
         }
         self.file
-            .write_all(&frame)
+            .write_all(&self.frame)
             .map_err(|e| wal_err("append", &self.path, &e))?;
         self.records += 1;
         self.records_since_sync += 1;
@@ -726,6 +731,26 @@ mod tests {
             let got: String = record.encode().iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(got, want, "{record:?}");
         }
+    }
+
+    /// The file is the magic, then each pinned payload behind its length
+    /// and CRC — the in-place envelope writes what the encode-then-copy
+    /// appender did.
+    #[test]
+    fn appended_frames_are_the_pinned_payloads_in_their_envelopes() {
+        let path = tmp("envelope.log");
+        let mut wal = Wal::create(&path, WalSync::None).unwrap();
+        let mut want = WAL_MAGIC.to_vec();
+        for record in &sample_records() {
+            wal.append(record).unwrap().wait().unwrap();
+            // Pinned to `SAMPLE_RECORDS_HEX` by the test above.
+            let payload = record.encode();
+            want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            want.extend_from_slice(&crc32(&payload).to_le_bytes());
+            want.extend_from_slice(&payload);
+        }
+        drop(wal);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
     }
 
     #[test]

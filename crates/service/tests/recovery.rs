@@ -252,11 +252,14 @@ fn sessions_created_after_recovery_get_fresh_ids() {
 
 /// Reports no honest client of a `kind` round over `d` values sends: the
 /// other oracles' payloads, and OUE vectors of the wrong length or with
-/// too few words for it. (Too *many* words is a shape the WAL codec
-/// itself refuses to decode, so it is not one replay ever sees.)
+/// too few or too many words for it.
 fn malformed_reports(kind: FoKind, d: usize) -> Vec<Report> {
     let words = d.div_ceil(64);
     let mut reports = vec![
+        Report::Oue {
+            bits: vec![u64::MAX; words + 3],
+            len: d as u32,
+        },
         Report::Oue {
             bits: vec![u64::MAX; words],
             len: d as u32 + 1,
@@ -354,6 +357,65 @@ fn malformed_reports_replay_to_the_never_crashed_close() {
             );
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// `put_report` logs an OUE report with any number of words, so
+/// `take_report` has to read every one of them back: a record the scan
+/// cannot decode reads as a torn tail, and everything logged behind it
+/// — acknowledged deltas — is truncated away on reopen.
+#[test]
+fn overlong_oue_report_keeps_the_wal_behind_it() {
+    let (eps, d) = (1.0, 70);
+    let oracle = build_oracle(FoKind::Oue, eps, d).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x0e5);
+    let mut delta = |n: usize| -> Vec<UserResponse> {
+        (0..n)
+            .map(|_| oracle.perturb(rng.gen_range(0..d), &mut rng))
+            .map(|report| UserResponse::Report { round: 0, report })
+            .collect()
+    };
+    let mut deltas = vec![delta(20), delta(10), delta(20), delta(15)];
+    deltas[1].push(UserResponse::Report {
+        round: 0,
+        report: Report::Oue {
+            bits: vec![u64::MAX; 5],
+            len: d as u32,
+        },
+    });
+
+    for shards in SHARD_COUNTS {
+        let config = ServiceConfig::with_threads(shards).with_batch_size(16);
+
+        let reference_svc = IngestService::new(config);
+        let session = reference_svc.create_session().unwrap();
+        reference_svc
+            .open_round(session, 0, FoKind::Oue, eps, d)
+            .unwrap();
+        for delta in &deltas {
+            reference_svc.submit_batch(session, delta.clone()).unwrap();
+        }
+        let reference = reference_svc.close_round(session).unwrap();
+
+        let dir = tmp_dir(&format!("overlong_oue_{shards}"));
+        let svc = IngestService::open(config, &dir).unwrap();
+        let session = svc.create_session().unwrap();
+        svc.open_round(session, 0, FoKind::Oue, eps, d).unwrap();
+        for delta in &deltas[..3] {
+            svc.submit_batch(session, delta.clone()).unwrap();
+        }
+        let status = svc.status(session).unwrap();
+        drop(svc); // round open; the over-long report is in the second delta of three
+
+        let svc = IngestService::open(config, &dir).unwrap();
+        let report = svc.recovery_report().unwrap();
+        assert_eq!(report.corrupt_tail, None, "{shards} shards");
+        assert_eq!(report.wal_records_replayed, 5, "{shards} shards");
+        assert_eq!(svc.status(session).unwrap(), status);
+        svc.submit_batch(session, deltas[3].clone()).unwrap();
+        let recovered = svc.close_round(session).unwrap();
+        assert_bit_identical(&recovered, &reference, &format!("{shards} shards"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
