@@ -511,7 +511,7 @@ mod tests {
         let sweep = &report.sweeps[0];
         assert_eq!(sweep.runs.len(), THREAD_SWEEP.len());
         assert_eq!(sweep.reports_per_round, 100_000);
-        assert_eq!(sweep.kernel, ldp_fo::kernels::GRR_KERNEL);
+        assert_eq!(sweep.kernel, ldp_fo::kernels::SCALAR_KERNEL);
         for run in &sweep.runs {
             assert!(run.reports_per_sec > 0.0, "{run:?}");
             assert!(run.ns_per_report > 0.0, "{run:?}");

@@ -5,10 +5,17 @@
 //! untrusted, so the *device* must be the final arbiter of its privacy
 //! spend: any request whose budget would push the client's active-window
 //! total past ε is refused, whatever the server claims.
+//!
+//! That check runs on every request of every device, so it has to be
+//! cheap rather than skipped: [`ClientLedger`] keeps the window as a flat
+//! `f64` ring and its sum cached per timestamp, which makes
+//! [`available`](ClientLedger::available) two subtractions. The cached
+//! sum is always the window added oldest slot first — the `f64` a fresh
+//! walk would produce — so the refuse/accept decision is the one the
+//! straightforward ledger (kept as the test oracle below) takes.
 
 use crate::protocol::messages::{ReportRequest, UserResponse};
 use ldp_fo::{build_oracle, FoError, OracleHandle};
-use ldp_stream::RingWindow;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,10 +26,15 @@ use rand::SeedableRng;
 #[derive(Debug, Clone)]
 pub struct ClientLedger {
     epsilon: f64,
-    w: usize,
-    window: RingWindow<f64>,
+    /// Spend of the last `w − 1` closed steps (0 before the stream
+    /// reaches back that far), a ring: `oldest` is the next slot to fall
+    /// out of the window.
+    window: Box<[f64]>,
+    oldest: usize,
+    /// Σ `window`, added oldest slot first. The window only changes in
+    /// [`advance`](Self::advance), so this holds for the whole timestamp.
+    window_sum: f64,
     current_step: f64,
-    tolerance: f64,
 }
 
 impl ClientLedger {
@@ -30,29 +42,54 @@ impl ClientLedger {
     pub fn new(epsilon: f64, w: usize) -> Self {
         ClientLedger {
             epsilon,
-            w,
-            window: RingWindow::new(w.max(2) - 1),
+            window: vec![0.0; w.saturating_sub(1)].into(),
+            oldest: 0,
+            window_sum: 0.0,
             current_step: 0.0,
-            tolerance: 1e-9 * epsilon.max(1.0),
         }
     }
 
     /// Close the current timestamp and open the next.
     pub fn advance(&mut self) {
-        if self.w > 1 {
-            self.window.push(self.current_step);
+        let spent = std::mem::take(&mut self.current_step);
+        // w = 1: no closed step is ever inside the window.
+        let Some(slot) = self.window.get_mut(self.oldest) else {
+            return;
+        };
+        let evicted = std::mem::replace(slot, spent);
+        self.oldest += 1;
+        if self.oldest == self.window.len() {
+            self.oldest = 0;
         }
-        self.current_step = 0.0;
+        if evicted == 0.0 {
+            // A zero contributes nothing wherever it sits in an ordered
+            // sum, so dropping one from the front leaves the sum of the
+            // rest, and the new slot is the last addend.
+            self.window_sum += spent;
+        } else {
+            let (newer, older) = self.window.split_at(self.oldest);
+            self.window_sum = older.iter().chain(newer).sum();
+        }
+    }
+
+    /// Slack absorbing the rounding of a schedule that sums to exactly ε.
+    fn tolerance(&self) -> f64 {
+        1e-9 * self.epsilon.max(1.0)
+    }
+
+    /// Budget spent inside the active window, current timestamp included.
+    pub fn window_spend(&self) -> f64 {
+        self.window_sum + self.current_step
     }
 
     /// Budget still grantable at the current timestamp.
     pub fn available(&self) -> f64 {
-        (self.epsilon - self.window.sum() - self.current_step).max(0.0)
+        (self.epsilon - self.window_sum - self.current_step).max(0.0)
     }
 
     /// Try to spend `eps`; `false` leaves the ledger untouched.
     pub fn try_spend(&mut self, eps: f64) -> bool {
-        if eps <= self.available() + self.tolerance {
+        if eps <= self.available() + self.tolerance() {
             self.current_step += eps;
             true
         } else {
@@ -64,7 +101,6 @@ impl ClientLedger {
 /// One simulated user device.
 #[derive(Debug)]
 pub struct UserClient {
-    id: u64,
     ledger: ClientLedger,
     /// The user's current true value (set by `observe` each timestamp).
     value: usize,
@@ -72,20 +108,14 @@ pub struct UserClient {
 }
 
 impl UserClient {
-    /// A client for user `id` guarding budget `epsilon` per window of
-    /// `w`, with device-local randomness derived from `seed`.
-    pub fn new(id: u64, epsilon: f64, w: usize, seed: u64) -> Self {
+    /// A client guarding budget `epsilon` per window of `w`, with
+    /// device-local randomness derived from `seed`.
+    pub fn new(epsilon: f64, w: usize, seed: u64) -> Self {
         UserClient {
-            id,
             ledger: ClientLedger::new(epsilon, w),
             value: 0,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// User id.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Start a new timestamp with the user's fresh true value.
@@ -97,6 +127,11 @@ impl UserClient {
     /// Budget still grantable at the current timestamp.
     pub fn budget_available(&self) -> f64 {
         self.ledger.available()
+    }
+
+    /// Budget spent inside the active window, current timestamp included.
+    pub fn window_spend(&self) -> f64 {
+        self.ledger.window_spend()
     }
 
     /// Answer a report request: perturb the current value, or refuse if
@@ -133,6 +168,88 @@ pub fn oracle_for_request(request: &ReportRequest) -> Result<OracleHandle, FoErr
 mod tests {
     use super::*;
     use ldp_fo::FoKind;
+    use ldp_stream::RingWindow;
+    use proptest::prelude::*;
+
+    /// The ledger as first written — an `Option`-slotted ring walked on
+    /// every `available` call — kept as the reference [`ClientLedger`]
+    /// must agree with, decision for decision and bit for bit.
+    struct OracleLedger {
+        epsilon: f64,
+        w: usize,
+        window: RingWindow<f64>,
+        current_step: f64,
+        tolerance: f64,
+    }
+
+    impl OracleLedger {
+        fn new(epsilon: f64, w: usize) -> Self {
+            OracleLedger {
+                epsilon,
+                w,
+                window: RingWindow::new(w.max(2) - 1),
+                current_step: 0.0,
+                tolerance: 1e-9 * epsilon.max(1.0),
+            }
+        }
+
+        fn advance(&mut self) {
+            if self.w > 1 {
+                self.window.push(self.current_step);
+            }
+            self.current_step = 0.0;
+        }
+
+        fn available(&self) -> f64 {
+            (self.epsilon - self.window.sum() - self.current_step).max(0.0)
+        }
+
+        fn try_spend(&mut self, eps: f64) -> bool {
+            if eps <= self.available() + self.tolerance {
+                self.current_step += eps;
+                true
+            } else {
+                false
+            }
+        }
+    }
+
+    proptest! {
+        /// Any interleaving of `advance` and `try_spend(ε·k/8)` — through
+        /// the partly filled first w steps, full windows, evictions of
+        /// zero and nonzero slots, and refusals — leaves both ledgers
+        /// with the same decisions and the same `available()`.
+        #[test]
+        fn ledger_matches_ring_window_oracle(
+            epsilon in 0.1f64..4.0,
+            ops in proptest::collection::vec(0u8..14, 0..400),
+        ) {
+            for w in [1usize, 2, 3, 20] {
+                let mut ledger = ClientLedger::new(epsilon, w);
+                let mut oracle = OracleLedger::new(epsilon, w);
+                prop_assert!(ledger.available() == oracle.available());
+                for (i, &op) in ops.iter().enumerate() {
+                    if op <= 8 {
+                        let eps = epsilon * f64::from(op) / 8.0;
+                        let before = ledger.available();
+                        let granted = ledger.try_spend(eps);
+                        prop_assert_eq!(granted, oracle.try_spend(eps), "w {} op {}", w, i);
+                        if !granted {
+                            prop_assert!(ledger.available() == before, "refusal debited");
+                        }
+                    } else {
+                        ledger.advance();
+                        oracle.advance();
+                    }
+                    prop_assert!(
+                        ledger.available() == oracle.available(),
+                        "w {} op {}: {} vs {}", w, i, ledger.available(), oracle.available()
+                    );
+                    prop_assert!(ledger.window_spend() <= epsilon + ledger.tolerance());
+                }
+            }
+        }
+    }
 
     fn request(round: u64, eps: f64) -> ReportRequest {
         ReportRequest {
@@ -146,7 +263,7 @@ mod tests {
 
     #[test]
     fn client_answers_within_budget() {
-        let mut c = UserClient::new(1, 1.0, 4, 99);
+        let mut c = UserClient::new(1.0, 4, 99);
         c.observe(2);
         let req = request(0, 0.25);
         let oracle = oracle_for_request(&req).unwrap();
@@ -155,7 +272,7 @@ mod tests {
 
     #[test]
     fn client_refuses_over_budget_requests() {
-        let mut c = UserClient::new(1, 1.0, 4, 99);
+        let mut c = UserClient::new(1.0, 4, 99);
         c.observe(2);
         let req = request(0, 0.8);
         let oracle = oracle_for_request(&req).unwrap();
@@ -173,7 +290,7 @@ mod tests {
 
     #[test]
     fn budget_recovers_after_window_slides() {
-        let mut c = UserClient::new(1, 1.0, 3, 7);
+        let mut c = UserClient::new(1.0, 3, 7);
         c.observe(0);
         let req = request(0, 1.0);
         let oracle = oracle_for_request(&req).unwrap();
@@ -191,7 +308,7 @@ mod tests {
 
     #[test]
     fn window_of_one_replenishes_each_step() {
-        let mut c = UserClient::new(1, 0.5, 1, 7);
+        let mut c = UserClient::new(0.5, 1, 7);
         let req = request(0, 0.5);
         let oracle = oracle_for_request(&req).unwrap();
         for _ in 0..4 {

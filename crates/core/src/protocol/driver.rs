@@ -99,6 +99,8 @@ pub struct GenericClientCollector<S: ReportSink> {
     /// Ids used in each of the last `w − 1` closed steps.
     used_window: RingWindow<Vec<u32>>,
     used_this_step: Vec<u32>,
+    /// This timestamp's per-user values, refilled in place every step.
+    snapshot: Snapshot,
     t: u64,
     started: bool,
     stats: CollectorStats,
@@ -133,8 +135,9 @@ impl<S: ReportSink> GenericClientCollector<S> {
     ) -> Self {
         let population = source.population();
         let clients = (0..population)
-            .map(|id| UserClient::new(id, config.epsilon, config.w, child_seed(seed, id)))
+            .map(|id| UserClient::new(config.epsilon, config.w, child_seed(seed, id)))
             .collect();
+        let snapshot = Snapshot::new(Vec::new(), source.domain().size());
         GenericClientCollector {
             source,
             fo: config.fo,
@@ -146,6 +149,7 @@ impl<S: ReportSink> GenericClientCollector<S> {
             available: (0..population as u32).collect(),
             used_window: RingWindow::new(config.w.max(2) - 1),
             used_this_step: Vec::new(),
+            snapshot,
             t: 0,
             started: false,
             stats: CollectorStats::default(),
@@ -163,6 +167,16 @@ impl<S: ReportSink> GenericClientCollector<S> {
         &self.sink
     }
 
+    /// The largest active-window spend any device's own ledger holds at
+    /// the current timestamp — the w-event invariant says it never
+    /// exceeds ε (plus the ledger's rounding tolerance).
+    pub fn max_window_spend(&self) -> f64 {
+        self.clients
+            .iter()
+            .map(UserClient::window_spend)
+            .fold(0.0, f64::max)
+    }
+
     fn oracle(&mut self, epsilon: f64) -> Result<OracleHandle, CoreError> {
         let d = self.source.domain().size();
         let key = epsilon.to_bits();
@@ -175,13 +189,17 @@ impl<S: ReportSink> GenericClientCollector<S> {
     }
 
     /// Run one round over the clients with the given ids.
-    fn run_round(&mut self, ids: &[u32], epsilon: f64) -> Result<RoundEstimate, CoreError> {
+    fn run_round(
+        &mut self,
+        ids: impl ExactSizeIterator<Item = u32>,
+        epsilon: f64,
+    ) -> Result<RoundEstimate, CoreError> {
         let oracle = self.oracle(epsilon)?;
         let request =
             self.sink
                 .open_round(self.t.saturating_sub(1), self.fo, epsilon, oracle.clone());
         self.stats.downlink_requests += ids.len() as u64;
-        for &id in ids {
+        for id in ids {
             let response = self.clients[id as usize].handle(&request, &oracle);
             if let UserResponse::Refused {
                 requested,
@@ -230,8 +248,10 @@ impl<S: ReportSink> RoundCollector for GenericClientCollector<S> {
             // cool-down (none needed when w = 1).
             if self.w > 1 {
                 let used = std::mem::take(&mut self.used_this_step);
-                if let Some(recycled) = self.used_window.push(used) {
-                    self.available.extend(recycled);
+                if let Some(mut recycled) = self.used_window.push(used) {
+                    self.available.append(&mut recycled);
+                    // Its storage serves the step now starting.
+                    self.used_this_step = recycled;
                 }
             } else {
                 self.available.append(&mut self.used_this_step);
@@ -245,9 +265,9 @@ impl<S: ReportSink> RoundCollector for GenericClientCollector<S> {
                 got: hist.population(),
             });
         }
-        let snapshot = Snapshot::from_histogram(&hist, &mut self.rng);
-        for (j, client) in self.clients.iter_mut().enumerate() {
-            client.observe(snapshot.value(j));
+        self.snapshot.refill(&hist, &mut self.rng);
+        for (client, &value) in self.clients.iter_mut().zip(self.snapshot.values()) {
+            client.observe(value as usize);
         }
         self.t += 1;
         self.stats.steps += 1;
@@ -257,10 +277,7 @@ impl<S: ReportSink> RoundCollector for GenericClientCollector<S> {
     fn collect(&mut self, scope: ReportScope, epsilon: f64) -> Result<RoundEstimate, CoreError> {
         assert!(self.started, "collect called before begin_step");
         match scope {
-            ReportScope::All => {
-                let ids: Vec<u32> = (0..self.population as u32).collect();
-                self.run_round(&ids, epsilon)
-            }
+            ReportScope::All => self.run_round(0..self.population as u32, epsilon),
             ReportScope::Fresh(k) => {
                 let k_usize = k as usize;
                 if k_usize > self.available.len() {
@@ -270,15 +287,16 @@ impl<S: ReportSink> RoundCollector for GenericClientCollector<S> {
                     });
                 }
                 // Partial Fisher–Yates: move a uniform k-subset to the
-                // front, then split it off.
+                // front, then move it to this step's used list.
                 for i in 0..k_usize {
                     let j = self.rng.gen_range(i..self.available.len());
                     self.available.swap(i, j);
                 }
-                let rest = self.available.split_off(k_usize);
-                let chosen = std::mem::replace(&mut self.available, rest);
-                let result = self.run_round(&chosen, epsilon);
-                self.used_this_step.extend(&chosen);
+                let mut used = std::mem::take(&mut self.used_this_step);
+                let first = used.len();
+                used.extend(self.available.drain(..k_usize));
+                let result = self.run_round(used[first..].iter().copied(), epsilon);
+                self.used_this_step = used;
                 result
             }
         }

@@ -7,7 +7,6 @@
 //! mechanism-level formulas (dissimilarity correction, publication error)
 //! instantiate Eq. (2) through it.
 
-use crate::kernels::{self, ReportColumns};
 use crate::oracle::{validate_params, FoError, FoKind, FrequencyOracle};
 use crate::report::Report;
 use crate::variance::PqPair;
@@ -87,18 +86,6 @@ impl FrequencyOracle for Grr {
             }
             _ => debug_assert!(false, "GRR oracle received non-GRR report"),
         }
-    }
-
-    fn accumulate_columns(&self, columns: &ReportColumns, counts: &mut [u64]) {
-        debug_assert_eq!(counts.len(), self.d);
-        match columns {
-            ReportColumns::Grr { values } => kernels::grr_accumulate_columns(values, counts),
-            other => other.for_each_report(|r| self.accumulate_lenient(&r, counts)),
-        }
-    }
-
-    fn batch_kernel(&self) -> &'static str {
-        kernels::GRR_KERNEL
     }
 
     /// Exact aggregate sampling: for each true cell `k` with `n_k` users,

@@ -15,8 +15,11 @@
 //!   `child_seed` is hoisted per value, `% g` is strength-reduced to a
 //!   multiply-high (exact, see [`FastMod`]), and the compare folds in
 //!   branch-free: `count += (hash == bucket) as u64`.
-//! * **GRR — branch-free scatter.** The domain bounds check collapses
-//!   to a mask: out-of-domain values add 0 to cell 0.
+//!
+//! GRR has no kernel of its own: a report is one bounds-checked
+//! increment, which the trait's default `accumulate_columns` already
+//! runs over the value column. The branch-free scatter that used to
+//! live here did not beat it.
 //!
 //! Every kernel is **bit-identical** to folding the same reports through
 //! the scalar `accumulate` in release mode: tallies are `u64` sums, and
@@ -35,8 +38,6 @@ use ldp_util::rng::{child_seed_premul, LABEL_MUL};
 pub const OUE_KERNEL: &str = "oue-pospopcnt64";
 /// Kernel label for the inverted branch-free OLH path.
 pub const OLH_KERNEL: &str = "olh-inverted-mulhi";
-/// Kernel label for the branch-free GRR scatter.
-pub const GRR_KERNEL: &str = "grr-scatter";
 /// Kernel label for the fallback row-at-a-time path.
 pub const SCALAR_KERNEL: &str = "scalar";
 
@@ -175,23 +176,6 @@ pub fn olh_accumulate_columns(seeds: &[u64], buckets: &[u32], g: u64, counts: &m
             c += u64::from(m.rem(child_seed_premul(seed, l)) == u64::from(bucket));
         }
         counts[v] += c;
-    }
-}
-
-/// Branch-free GRR scatter over a value column.
-///
-/// In-domain values increment their cell; out-of-domain values add 0 to
-/// cell 0 — the same "skip" the scalar path's bounds check performs,
-/// without a data-dependent branch.
-pub fn grr_accumulate_columns(values: &[u32], counts: &mut [u64]) {
-    let d = counts.len();
-    if d == 0 {
-        return;
-    }
-    for &v in values {
-        let idx = v as usize;
-        let ok = idx < d;
-        counts[if ok { idx } else { 0 }] += u64::from(ok);
     }
 }
 
@@ -423,13 +407,6 @@ mod tests {
                 assert_eq!(m.rem(h), h % g, "h={h} g={g}");
             }
         }
-    }
-
-    #[test]
-    fn grr_scatter_skips_out_of_domain() {
-        let mut counts = vec![0u64; 4];
-        grr_accumulate_columns(&[0, 3, 3, 4, u32::MAX, 1], &mut counts);
-        assert_eq!(counts, vec![1, 1, 0, 2]);
     }
 
     #[test]

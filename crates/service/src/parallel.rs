@@ -17,6 +17,18 @@
 //! count: perturbation stays on the driving thread (same RNG streams),
 //! and shard tallies merge by commutative integer addition before the
 //! one floating-point estimation step runs on the merged counts.
+//!
+//! ## Batching
+//!
+//! The driver hands the sink one response at a time; the sink hands the
+//! service [`batch_size`](crate::ServiceConfig::batch_size) at a time.
+//! [`ServiceSink::submit`] only buffers, and the buffer goes to
+//! [`IngestService::submit_batch`] when it fills and before the round
+//! closes — one lock, one lifecycle check and (durably) one WAL record
+//! per batch rather than per response. Batch boundaries are invisible in
+//! the tallies, so the equivalence guarantee is unaffected. A refusal is
+//! buffered like any response: the service counts it when the driver's
+//! error path closes the round.
 
 use crate::session::{IngestService, SessionId};
 use ldp_fo::{FoKind, OracleHandle};
@@ -31,6 +43,8 @@ use std::sync::Arc;
 pub struct ServiceSink {
     service: Arc<IngestService>,
     session: SessionId,
+    /// Responses of the open round not yet handed to the service.
+    buffer: Vec<UserResponse>,
 }
 
 impl ServiceSink {
@@ -39,12 +53,30 @@ impl ServiceSink {
         let session = service
             .create_session()
             .expect("session creation only fails when the WAL device does");
-        ServiceSink { service, session }
+        let buffer = Vec::with_capacity(service.config().batch_size);
+        ServiceSink {
+            service,
+            session,
+            buffer,
+        }
     }
 
     /// The session this sink tallies into.
     pub fn session(&self) -> SessionId {
         self.session
+    }
+
+    /// Hand the buffered responses to the service as one delta.
+    /// `submit_batch` takes its delta by value, so what is reused across
+    /// flushes is the buffer's size, not its storage: one allocation per
+    /// `batch_size` responses.
+    fn flush(&mut self) -> Result<(), CoreError> {
+        if self.buffer.is_empty() {
+            return Ok(());
+        }
+        let capacity = self.service.config().batch_size;
+        let delta = std::mem::replace(&mut self.buffer, Vec::with_capacity(capacity));
+        self.service.submit_batch(self.session, delta)
     }
 }
 
@@ -71,11 +103,19 @@ impl ReportSink for ServiceSink {
     }
 
     fn submit(&mut self, response: &UserResponse) -> Result<(), CoreError> {
-        self.service.submit(self.session, response.clone())
+        self.buffer.push(response.clone());
+        if self.buffer.len() < self.service.config().batch_size {
+            return Ok(());
+        }
+        self.flush()
     }
 
     fn close_round(&mut self) -> Result<RoundEstimate, CoreError> {
-        self.service.close_round(self.session)
+        // A failed flush must not leave the round open (the driver's
+        // error path relies on close_round closing it).
+        let flushed = self.flush();
+        let estimate = self.service.close_round(self.session);
+        flushed.and(estimate)
     }
 
     fn refusals(&self) -> u64 {
@@ -107,6 +147,12 @@ impl ParallelCollector {
     /// Refusals observed so far (0 under any correct mechanism).
     pub fn refusals(&self) -> u64 {
         self.inner.refusals()
+    }
+
+    /// The largest active-window spend any device's ledger holds (see
+    /// [`GenericClientCollector::max_window_spend`]).
+    pub fn max_window_spend(&self) -> f64 {
+        self.inner.max_window_spend()
     }
 }
 

@@ -376,6 +376,14 @@ impl IngestService {
     /// batch is dispatched to the pool (blocking if the pool is
     /// saturated — backpressure). On a durable service the response is
     /// on the WAL before this returns.
+    ///
+    /// One lock, one lifecycle check and one WAL record per response:
+    /// about four times the per-report cost of
+    /// [`submit_batch`](Self::submit_batch). Nothing in the workspace
+    /// calls it on a hot path any more (the
+    /// [`ServiceSink`](crate::ServiceSink) buffers and submits batches);
+    /// it remains for callers that hold one response at a time and for
+    /// the benchmark ladder, which times it.
     pub fn submit(&self, session: SessionId, response: UserResponse) -> Result<(), CoreError> {
         let mut guard = self.lock();
         let st = &mut *guard;

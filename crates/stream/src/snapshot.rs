@@ -57,17 +57,23 @@ impl Snapshot {
     /// to users uniformly at random (paper §7.1.1: "we randomly chose a
     /// portion of p_t users … to set their true report value as 1").
     pub fn from_histogram<R: Rng + ?Sized>(hist: &TrueHistogram, rng: &mut R) -> Self {
-        let n = hist.population() as usize;
-        let d = hist.domain_size();
-        let mut values = Vec::with_capacity(n);
+        let mut snapshot = Snapshot::new(Vec::new(), hist.domain_size());
+        snapshot.refill(hist, rng);
+        snapshot
+    }
+
+    /// [`from_histogram`](Self::from_histogram) into this snapshot's own
+    /// storage: the same values from the same draws, no allocation once
+    /// the buffer has held a population this large.
+    pub fn refill<R: Rng + ?Sized>(&mut self, hist: &TrueHistogram, rng: &mut R) {
+        self.domain_size = hist.domain_size();
+        self.values.clear();
+        self.values.reserve(hist.population() as usize);
         for (k, &c) in hist.counts().iter().enumerate() {
-            values.extend(std::iter::repeat_n(k as u16, c as usize));
+            self.values
+                .extend(std::iter::repeat_n(k as u16, c as usize));
         }
-        values.shuffle(rng);
-        Snapshot {
-            values,
-            domain_size: d,
-        }
+        self.values.shuffle(rng);
     }
 }
 

@@ -8,20 +8,27 @@
 //! partition of the response stream. These property tests pin that
 //! guarantee at three levels: raw shard accumulators, the ingestion
 //! service, and a full protocol collector.
+//!
+//! The deterministic tests after them run the paper's adaptive
+//! mechanisms through the batching [`ParallelCollector`] and check what
+//! must survive batching: the devices' w-event invariant, refusal
+//! accounting, and — durably — one WAL record per batch and a closed
+//! round that survives a crash bit for bit.
 
 use ldp_fo::{build_oracle, FoKind, OracleHandle};
 use ldp_ids::collector::{ReportScope, RoundCollector, RoundEstimate};
 use ldp_ids::protocol::{AggregationServer, ClientCollector, UserResponse};
-use ldp_ids::MechanismConfig;
+use ldp_ids::runner::run_with_collector;
+use ldp_ids::{CoreError, MechanismConfig, MechanismKind};
 use ldp_service::{
-    ColumnarBatch, IngestService, ParallelCollector, RoundKey, ServiceConfig, SessionId,
-    ShardAccumulator, ShardTally,
+    recovery, wal, ColumnarBatch, IngestService, ParallelCollector, RoundKey, ServiceConfig,
+    SessionId, ShardAccumulator, ShardTally, WalRecord,
 };
-use ldp_stream::source::ConstantSource;
+use ldp_stream::source::{ConstantSource, ReplaySource};
 use ldp_stream::TrueHistogram;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Shard counts the satellite spec pins: degenerate, small, and wide.
@@ -186,4 +193,188 @@ proptest! {
             prop_assert_eq!(parallel.refusals(), sequential.refusals());
         }
     }
+}
+
+/// `len` histograms of `population` users over `d` cells whose mass
+/// swings towards cell 0 and back, so the adaptive mechanisms both
+/// publish and approximate.
+fn swinging_stream(population: u64, d: usize, len: usize, seed: u64) -> Vec<TrueHistogram> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|t| {
+            let pull = if (t / 3) % 2 == 0 { 0.1 } else { 0.7 };
+            let mut counts = vec![0u64; d];
+            for _ in 0..population {
+                let cell = if rng.gen::<f64>() < pull {
+                    0
+                } else {
+                    rng.gen_range(0..d)
+                };
+                counts[cell] += 1;
+            }
+            TrueHistogram::new(counts)
+        })
+        .collect()
+}
+
+/// The w-event invariant, executable through the service: LBD, LBA, LPD
+/// and LPA over 3·w timestamps release the sequential collector's bits
+/// at every shard count and batch size (the population is a multiple of
+/// none of them), no device refuses, and no device's own ledger ever
+/// holds more than ε (plus its rounding tolerance) inside a window.
+#[test]
+fn w_event_invariant_holds_through_the_batched_service() {
+    let (epsilon, w, d, population) = (1.0, 5usize, 4usize, 1_003u64);
+    let (steps, seed) = (3 * w, 77);
+    let tolerance = 1e-9 * f64::max(epsilon, 1.0);
+    let config = MechanismConfig::new(epsilon, w, d, population);
+    let stream = swinging_stream(population, d, steps, seed);
+    let source = || Box::new(ReplaySource::new("swing", stream.clone()));
+
+    for kind in [
+        MechanismKind::Lbd,
+        MechanismKind::Lba,
+        MechanismKind::Lpd,
+        MechanismKind::Lpa,
+    ] {
+        let mut sequential = ClientCollector::new(source(), &config, seed);
+        let mut mechanism = kind.build(&config).unwrap();
+        let expected = run_with_collector(mechanism.as_mut(), &mut sequential, steps).unwrap();
+        assert!(expected.publications > 1, "{kind}: the stream never moved");
+
+        for shards in SHARD_COUNTS {
+            for batch_size in [1, 64, 4096] {
+                let what = format!("{kind} at {shards} shards, batches of {batch_size}");
+                let service = Arc::new(IngestService::new(
+                    ServiceConfig::with_threads(shards).with_batch_size(batch_size),
+                ));
+                let mut parallel = ParallelCollector::new(source(), &config, seed, service);
+                let mut mechanism = kind.build(&config).unwrap();
+                let mut peak_spend = 0.0f64;
+                for want in &expected.releases {
+                    let run = run_with_collector(mechanism.as_mut(), &mut parallel, 1).unwrap();
+                    let got = &run.releases[0];
+                    assert_eq!((got.t, &got.kind), (want.t, &want.kind), "{what}");
+                    let bits = |f: &[f64]| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got.frequencies),
+                        bits(&want.frequencies),
+                        "{what}: release {} differs",
+                        want.t
+                    );
+                    let spend = parallel.max_window_spend();
+                    assert!(
+                        spend <= epsilon + tolerance,
+                        "{what}: a device spent {spend} in one window at t = {}",
+                        want.t
+                    );
+                    peak_spend = peak_spend.max(spend);
+                }
+                assert!(peak_spend > 0.0, "{what}: no device ever spent");
+                assert_eq!(parallel.refusals(), 0, "{what}");
+                assert_eq!(parallel.stats(), sequential.stats(), "{what}");
+            }
+        }
+    }
+}
+
+/// The `ParallelCollector` twin of the driver's
+/// `over_budget_schedule_is_refused_not_leaked`: the refusal sits in the
+/// sink's buffer when the driver bails out, and must still be counted,
+/// the round closed, and the next round opened normally.
+#[test]
+fn buffered_refusal_is_counted_and_the_round_closed() {
+    let config = MechanismConfig::new(1.0, 2, 2, 1_000);
+    let source = || Box::new(ConstantSource::new(TrueHistogram::new(vec![500, 500])));
+    let mut sequential = ClientCollector::new(source(), &config, 101);
+    let service = Arc::new(IngestService::new(
+        ServiceConfig::with_threads(2).with_batch_size(64),
+    ));
+    let mut parallel = ParallelCollector::new(source(), &config, 101, service);
+
+    for collector in [
+        &mut sequential as &mut dyn RoundCollector,
+        &mut parallel as &mut dyn RoundCollector,
+    ] {
+        // ε = 1 per window of 2; asking 0.8 twice in one step is a
+        // broken schedule, refused by the first device asked.
+        collector.begin_step().unwrap();
+        collector.collect(ReportScope::All, 0.8).unwrap();
+        let err = collector.collect(ReportScope::All, 0.8).unwrap_err();
+        assert!(matches!(err, CoreError::ClientRefused { user: 0, .. }));
+    }
+    assert_eq!(parallel.refusals(), 1);
+    assert_eq!(parallel.refusals(), sequential.refusals());
+
+    // The window still holds 0.8 of everyone's ε = 1: 0.2 fits.
+    parallel.begin_step().unwrap();
+    let estimate = parallel.collect(ReportScope::All, 0.2).unwrap();
+    assert_eq!(estimate.reporters, 1_000);
+    assert_eq!(parallel.refusals(), 1);
+}
+
+/// On a durable service the sink's batching is what reaches the disk:
+/// ⌈reports ÷ batch_size⌉ `Reports` records per round, not one per
+/// response — and a round the collector closed is recoverable from that
+/// log bit for bit after a crash.
+#[test]
+fn durable_collector_logs_one_record_per_batch_and_survives_a_crash() {
+    let root = std::env::temp_dir().join(format!("ldp_parallel_it_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let (live, image) = (root.join("live"), root.join("image"));
+    let batch_size = 64;
+    let sizing = ServiceConfig::with_threads(2)
+        .with_batch_size(batch_size)
+        .with_snapshot_every(0);
+    let config = MechanismConfig::new(1.0, 2, 2, 1_000);
+    let source = Box::new(ConstantSource::new(TrueHistogram::new(vec![700, 300])));
+
+    let service = Arc::new(IngestService::open(sizing, &live).unwrap());
+    let mut collector = ParallelCollector::new(source, &config, 5, service);
+    collector.begin_step().unwrap();
+    let rounds = [
+        collector.collect(ReportScope::All, 0.25).unwrap(),
+        collector.collect(ReportScope::Fresh(130), 0.5).unwrap(),
+    ];
+
+    // A fresh directory starts at generation 1 and, with automatic
+    // snapshots off, stays there.
+    let log = wal::scan(&recovery::wal_path(&live, 1)).unwrap();
+    assert!(log.corrupt_tail.is_none());
+    for (round, estimate) in rounds.iter().enumerate() {
+        let deltas: Vec<usize> = log
+            .records
+            .iter()
+            .filter_map(|record| match record {
+                WalRecord::Reports {
+                    round: r,
+                    responses,
+                    ..
+                } if *r == round as u64 => Some(responses.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(deltas.iter().sum::<usize>() as u64, estimate.reporters);
+        assert_eq!(
+            deltas.len(),
+            (estimate.reporters as usize).div_ceil(batch_size)
+        );
+        assert!(deltas.iter().all(|&n| n <= batch_size));
+    }
+
+    // The crash: what is on disk now, mid-stream, with no destructor run
+    // (the sink's `Drop` would end its session; a crash does not).
+    std::fs::create_dir_all(&image).unwrap();
+    for entry in std::fs::read_dir(&live).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+    }
+    let reopened = IngestService::open(sizing, &image).unwrap();
+    let report = reopened.recovery_report().expect("durable service");
+    assert_eq!((report.sessions, report.open_rounds), (1, 0));
+    let replayed = reopened.close_round_at(SessionId::from_raw(0), 1).unwrap();
+    assert_bit_identical(&replayed, &rounds[1], "closed round after the crash");
+
+    drop(collector);
+    let _ = std::fs::remove_dir_all(&root);
 }
