@@ -11,8 +11,12 @@
 //!   --stamp ISO      ISO-8601 timestamp recorded in benchmark artifacts
 //!   --fo NAME        throughput only: sweep a single oracle (grr|oue|olh)
 //!   --domain N       throughput only: sweep a single domain size
+//!   --parent-replay COMMIT:RATE
+//!                    recovery only: the parent build's replay rate
+//!                    (reports/s, same host), recorded beside this one's
 //! ```
 
+use ldp_bench::experiments::recovery::ParentReplay;
 use ldp_bench::experiments::{self, ExperimentCtx};
 use ldp_bench::hostmeta::HostMeta;
 use ldp_bench::output::Figure;
@@ -30,6 +34,7 @@ struct Cli {
     stamp: Option<String>,
     fo: Option<FoKind>,
     domain: Option<usize>,
+    parent_replay: Option<ParentReplay>,
 }
 
 fn parse_args() -> Result<Cli, String> {
@@ -42,6 +47,7 @@ fn parse_args() -> Result<Cli, String> {
         stamp: None,
         fo: None,
         domain: None,
+        parent_replay: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -81,6 +87,12 @@ fn parse_args() -> Result<Cli, String> {
                 }
                 cli.domain = Some(d);
             }
+            "--parent-replay" => {
+                let v = args
+                    .next()
+                    .ok_or("--parent-replay needs COMMIT:REPORTS_PER_SEC")?;
+                cli.parent_replay = Some(v.parse()?);
+            }
             "--help" | "-h" => {
                 println!("{}", USAGE);
                 std::process::exit(0);
@@ -97,7 +109,8 @@ fn parse_args() -> Result<Cli, String> {
 
 const USAGE: &str = "usage: repro \
 <fig4|fig5|fig6|fig7|fig8|table2|ablations|datasets|analysis|throughput|net-throughput|chaos|recovery|all> \
-[--quick] [--seeds N] [--json DIR] [--threads N] [--stamp ISO] [--fo grr|oue|olh] [--domain N]\n\
+[--quick] [--seeds N] [--json DIR] [--threads N] [--stamp ISO] [--fo grr|oue|olh] [--domain N] \
+[--parent-replay COMMIT:REPORTS_PER_SEC]\n\
 note: `chaos` needs a build with `--features chaos`";
 
 /// Write a benchmark artifact to the repo root and, when `--json` names
@@ -216,7 +229,7 @@ fn main() {
             }
             "recovery" => {
                 let host = HostMeta::capture(cli.stamp.clone());
-                let report = experiments::recovery::run(cli.scale, host);
+                let report = experiments::recovery::run(cli.scale, host, cli.parent_replay.clone());
                 println!("{}", report.render());
                 write_artifact("BENCH_recovery.json", cli.json_dir.as_deref(), |path| {
                     report.write_json(path)

@@ -55,6 +55,37 @@ pub struct RecoveryTiming {
     pub recover_secs: f64,
     /// Reports replayed per second.
     pub replay_reports_per_sec: f64,
+    /// The same measurement by the build this one is compared against,
+    /// taken on the same host (`repro recovery --parent-replay`).
+    pub parent: Option<ParentReplay>,
+}
+
+/// Another build's [`RecoveryTiming::replay_reports_per_sec`], recorded
+/// beside this build's so the artifact carries its own baseline.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ParentReplay {
+    /// The commit that build was made from.
+    pub commit: String,
+    /// Reports it replayed per second.
+    pub replay_reports_per_sec: f64,
+}
+
+impl std::str::FromStr for ParentReplay {
+    type Err = String;
+
+    /// `COMMIT:REPORTS_PER_SEC`, as `--parent-replay` takes it.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let bad = || format!("bad parent replay `{s}` (want COMMIT:REPORTS_PER_SEC)");
+        let (commit, rate) = s.split_once(':').ok_or_else(bad)?;
+        let rate: f64 = rate.parse().map_err(|_| bad())?;
+        if commit.is_empty() || !(rate.is_finite() && rate > 0.0) {
+            return Err(bad());
+        }
+        Ok(ParentReplay {
+            commit: commit.into(),
+            replay_reports_per_sec: rate,
+        })
+    }
 }
 
 /// One group-commit measurement: the full report set at
@@ -133,8 +164,16 @@ impl RecoveryBenchReport {
                 3,
             );
         }
+        let parent = self.recovery.parent.as_ref().map_or(String::new(), |p| {
+            format!(
+                "; {:.2}x the {:.0} reports/s of {}",
+                self.recovery.replay_reports_per_sec / p.replay_reports_per_sec,
+                p.replay_reports_per_sec,
+                p.commit
+            )
+        });
         format!(
-            "== recovery — {} reports/round, {} d={} ε={}, batch {} ==\n{}\ngroup commit (wal-always, {}-report deltas):\n{}\nrestart: {} WAL records ({} reports) replayed in {:.3}s ({:.0} reports/s)\n{}",
+            "== recovery — {} reports/round, {} d={} ε={}, batch {} ==\n{}\ngroup commit (wal-always, {}-report deltas):\n{}\nrestart: {} WAL records ({} reports) replayed in {:.3}s ({:.0} reports/s{parent})\n{}",
             self.reports_per_round,
             self.fo,
             self.domain_size,
@@ -251,7 +290,7 @@ fn ingest_round(service: &IngestService, template: &[UserResponse], reports: u64
 }
 
 /// Run the durability sweep and the restart measurement at `scale`.
-pub fn run(scale: RunScale, host: HostMeta) -> RecoveryBenchReport {
+pub fn run(scale: RunScale, host: HostMeta, parent: Option<ParentReplay>) -> RecoveryBenchReport {
     let epsilon = 1.0;
     let domain_size = 128;
     let batch_size = 4096;
@@ -357,6 +396,7 @@ pub fn run(scale: RunScale, host: HostMeta) -> RecoveryBenchReport {
             reports_recovered: reports,
             recover_secs,
             replay_reports_per_sec: reports as f64 / recover_secs.max(1e-9),
+            parent,
         },
     }
 }
@@ -367,7 +407,17 @@ mod tests {
 
     #[test]
     fn quick_sweep_measures_every_mode_and_recovers() {
-        let report = run(RunScale::Quick, HostMeta::capture(None));
+        let parent: ParentReplay = "abc123:690000".parse().unwrap();
+        assert!("abc123".parse::<ParentReplay>().is_err());
+        assert!(":1.0".parse::<ParentReplay>().is_err());
+        assert!("abc123:-1".parse::<ParentReplay>().is_err());
+        let report = run(
+            RunScale::Quick,
+            HostMeta::capture(None),
+            Some(parent.clone()),
+        );
+        assert_eq!(report.recovery.parent, Some(parent));
+        assert!(report.render().contains("x the 690000 reports/s of abc123"));
         assert_eq!(report.runs.len(), 4);
         assert_eq!(report.runs[0].mode, "memory");
         assert!((report.runs[0].slowdown_vs_memory - 1.0).abs() < 1e-12);

@@ -24,8 +24,8 @@ use ldp_ids::protocol::{ReportRequest, UserResponse};
 use ldp_ids::CoreError;
 use ldp_obs::{HistogramSnapshot, MetricSample, MetricValue};
 use ldp_service::codec::{
-    put_estimate, put_request, put_response, put_str, put_u32, put_u64, take_estimate,
-    take_request, take_response, Cursor,
+    put_estimate, put_request, put_responses, put_str, put_u32, put_u64, take_estimate,
+    take_request, take_responses, Cursor,
 };
 
 use crate::error::FrameError;
@@ -488,10 +488,7 @@ pub fn put_submit_batch(
     put_u64(out, session);
     put_u64(out, round);
     put_u64(out, seq);
-    put_u32(out, responses.len() as u32);
-    for response in responses {
-        put_response(out, response);
-    }
+    put_responses(out, responses);
 }
 
 impl Frame {
@@ -704,26 +701,13 @@ impl Frame {
                     session: cur.u64()?,
                     request: take_request(&mut cur)?,
                 },
-                TAG_SUBMIT_BATCH => {
-                    let session = cur.u64()?;
-                    let round = cur.u64()?;
-                    let seq = cur.u64()?;
-                    let n = cur.u32()? as usize;
-                    if n > payload.len() {
-                        return Err(format!("response count {n} exceeds payload"));
-                    }
-                    let mut responses = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        responses.push(take_response(&mut cur)?);
-                    }
-                    Frame::SubmitBatch {
-                        corr,
-                        session,
-                        round,
-                        seq,
-                        responses,
-                    }
-                }
+                TAG_SUBMIT_BATCH => Frame::SubmitBatch {
+                    corr,
+                    session: cur.u64()?,
+                    round: cur.u64()?,
+                    seq: cur.u64()?,
+                    responses: take_responses(&mut cur)?,
+                },
                 TAG_CLOSE_ROUND => Frame::CloseRound {
                     corr,
                     session: cur.u64()?,

@@ -359,3 +359,26 @@ proptest! {
         }
     }
 }
+
+/// A checksum-valid frame of the largest size the codec admits, claiming
+/// 16 M responses in its 16 MiB: the count is refused before a vector is
+/// reserved for it (40 B a response would be 640 MB for one frame).
+#[test]
+fn forged_response_count_is_refused_before_allocating() {
+    let mut bytes = Vec::new();
+    put_enveloped(&mut bytes, |out| {
+        put_submit_batch(out, 1, 2, 3, 4, &[]);
+        let count = out.len() - 4;
+        out.resize(8 + MAX_FRAME_LEN as usize, 0);
+        out[count..count + 4].copy_from_slice(&(16u32 << 20).to_le_bytes());
+    });
+    match decode_frame(&bytes) {
+        Err(FrameError::Malformed { detail }) => {
+            assert!(
+                detail.contains("response count 16777216 exceeds"),
+                "{detail}"
+            )
+        }
+        other => panic!("forged count decoded to {other:?}"),
+    }
+}

@@ -9,6 +9,7 @@
 //! columnar batch is bit-identical to folding its source responses one
 //! at a time (see `ShardAccumulator::fold_columns`).
 
+use crate::codec::{take_response_count, Cursor};
 use crate::machine::SessionId;
 use crate::wal::WalSync;
 use ldp_fo::{FoKind, OracleHandle, Report, ReportColumns};
@@ -25,7 +26,7 @@ pub struct RoundKey {
 }
 
 /// One round's slice of responses, encoded into contiguous columns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarBatch {
     round: u64,
     columns: ReportColumns,
@@ -34,6 +35,8 @@ pub struct ColumnarBatch {
     leftovers: Vec<Report>,
     refusals: u64,
     stale: u64,
+    /// The round the first stale response echoed.
+    first_stale: Option<u64>,
 }
 
 impl ColumnarBatch {
@@ -50,32 +53,144 @@ impl ColumnarBatch {
         round: u64,
         responses: Vec<UserResponse>,
     ) -> Self {
-        let mut batch = ColumnarBatch {
-            round,
-            columns: ReportColumns::for_kind(kind, domain_size, responses.len()),
-            leftovers: Vec::new(),
-            refusals: 0,
-            stale: 0,
-        };
+        let mut batch = ColumnarBatch::empty(kind, domain_size, round, responses.len());
         for response in responses {
             match response {
                 UserResponse::Report { round: r, report } => {
-                    if r != round {
-                        batch.stale += 1;
-                    } else if !batch.columns.try_push(&report, domain_size) {
+                    if batch.echoes(r) && !batch.columns.try_push(&report, domain_size) {
                         batch.leftovers.push(report);
                     }
                 }
                 UserResponse::Refused { round: r, .. } => {
-                    if r != round {
-                        batch.stale += 1;
-                    } else {
+                    if batch.echoes(r) {
                         batch.refusals += 1;
                     }
                 }
             }
         }
         batch
+    }
+
+    /// Decode the responses [`put_responses`] wrote — a `Reports`
+    /// record's or a submit frame's — straight into columns: what
+    /// `ColumnarBatch::encode(kind, domain_size, round,
+    /// take_responses(cur)?)` returns, without a [`UserResponse`] (or, for
+    /// OUE, a heap vector per report) in between. It reads what
+    /// [`take_responses`] reads and refuses what it refuses: a forged
+    /// count, a truncated row, an unknown tag.
+    ///
+    /// [`put_responses`]: crate::codec::put_responses
+    /// [`take_responses`]: crate::codec::take_responses
+    pub fn decode(
+        kind: FoKind,
+        domain_size: usize,
+        round: u64,
+        cur: &mut Cursor<'_>,
+    ) -> Result<Self, String> {
+        let n = take_response_count(cur)?;
+        // Room for the rows the bytes can hold, not for the rows the
+        // count claims: an OUE row of the column's shape is wider than
+        // the smallest response the count was checked against.
+        let words = domain_size.div_ceil(64);
+        let row_bytes = match kind {
+            FoKind::Oue => 18 + 8 * words,
+            FoKind::Olh => 22,
+            FoKind::Grr | FoKind::Adaptive => 14,
+        };
+        let mut batch =
+            ColumnarBatch::empty(kind, domain_size, round, n.min(cur.remaining() / row_bytes));
+        for _ in 0..n {
+            let tag = cur.u8()?;
+            let fresh = batch.echoes(cur.u64()?);
+            match tag {
+                0 => batch.decode_report(cur, domain_size, fresh)?,
+                1 => {
+                    cur.bytes(16)?; // requested, available
+                    batch.refusals += u64::from(fresh);
+                }
+                tag => return Err(format!("unknown response tag {tag}")),
+            }
+        }
+        Ok(batch)
+    }
+
+    /// One `put_report` row: into the columns when it has their shape,
+    /// into the leftovers when not, nowhere when its response was stale.
+    fn decode_report(
+        &mut self,
+        cur: &mut Cursor<'_>,
+        domain_size: usize,
+        fresh: bool,
+    ) -> Result<(), String> {
+        match cur.u8()? {
+            0 => {
+                let v = cur.u32()?;
+                match &mut self.columns {
+                    _ if !fresh => {}
+                    ReportColumns::Grr { values } => values.push(v),
+                    _ => self.leftovers.push(Report::Grr(v)),
+                }
+            }
+            1 => {
+                let len = cur.u32()?;
+                let words = cur.u32()? as usize;
+                if words > cur.remaining() / 8 {
+                    return Err(format!(
+                        "OUE word count {words} exceeds the {} bytes left",
+                        cur.remaining()
+                    ));
+                }
+                let row = cur.bytes(8 * words)?.chunks_exact(8);
+                let row =
+                    row.map(|word| u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+                match &mut self.columns {
+                    _ if !fresh => {}
+                    ReportColumns::Oue { words: column, .. }
+                        if len as usize == domain_size && words == domain_size.div_ceil(64) =>
+                    {
+                        column.extend(row)
+                    }
+                    _ => self.leftovers.push(Report::Oue {
+                        bits: row.collect(),
+                        len,
+                    }),
+                }
+            }
+            2 => {
+                let (seed, bucket) = (cur.u64()?, cur.u32()?);
+                match &mut self.columns {
+                    _ if !fresh => {}
+                    ReportColumns::Olh { seeds, buckets } => {
+                        seeds.push(seed);
+                        buckets.push(bucket);
+                    }
+                    _ => self.leftovers.push(Report::Olh { seed, bucket }),
+                }
+            }
+            tag => return Err(format!("unknown report tag {tag}")),
+        }
+        Ok(())
+    }
+
+    fn empty(kind: FoKind, domain_size: usize, round: u64, capacity: usize) -> Self {
+        ColumnarBatch {
+            round,
+            columns: ReportColumns::for_kind(kind, domain_size, capacity),
+            leftovers: Vec::new(),
+            refusals: 0,
+            stale: 0,
+            first_stale: None,
+        }
+    }
+
+    /// Whether a response echoing `round` belongs to this batch's round;
+    /// one that does not is counted stale.
+    fn echoes(&mut self, round: u64) -> bool {
+        if round != self.round {
+            self.stale += 1;
+            self.first_stale.get_or_insert(round);
+        }
+        round == self.round
     }
 
     /// The round id every packed response was validated against.
@@ -106,6 +221,12 @@ impl ColumnarBatch {
     /// Responses dropped at encode time for echoing a wrong round id.
     pub fn stale(&self) -> u64 {
         self.stale
+    }
+
+    /// The round the first response counted stale echoed: `None` exactly
+    /// when every response echoed [`round`](Self::round).
+    pub(crate) fn first_stale(&self) -> Option<u64> {
+        self.first_stale
     }
 
     /// Total responses the batch was encoded from.
@@ -223,6 +344,152 @@ impl Default for ServiceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{put_responses, take_responses};
+    use ldp_fo::build_oracle;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const ROUND: u64 = 5;
+
+    /// An honest round's reports of `kind` over `d` values, with what no
+    /// honest client sends mixed in: refusals, stale echoes, the other
+    /// oracles' reports, and OUE rows of the wrong length or word count
+    /// (the leftovers).
+    fn mixed_stream(kind: FoKind, d: usize, n: usize, seed: u64) -> Vec<UserResponse> {
+        let oracle = build_oracle(kind, 1.0, d).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let words = d.div_ceil(64);
+        let response = |rng: &mut StdRng| {
+            let round = match rng.gen_range(0..8) {
+                0 => ROUND + rng.gen_range(1..4u64),
+                _ => ROUND,
+            };
+            let report = match rng.gen_range(0..16) {
+                0 => {
+                    return UserResponse::Refused {
+                        round,
+                        requested: rng.gen(),
+                        available: rng.gen(),
+                    }
+                }
+                1 => Report::Grr(rng.gen()),
+                2 => Report::Olh {
+                    seed: rng.gen(),
+                    bucket: rng.gen(),
+                },
+                3 => Report::Oue {
+                    bits: (0..words).map(|_| rng.gen()).collect(),
+                    len: d as u32,
+                },
+                4 => Report::Oue {
+                    bits: (0..rng.gen_range(0..words + 3))
+                        .map(|_| rng.gen())
+                        .collect(),
+                    len: d as u32,
+                },
+                5 => Report::Oue {
+                    bits: (0..words).map(|_| rng.gen()).collect(),
+                    len: rng.gen_range(0..2 * d as u32),
+                },
+                _ => oracle.perturb(rng.gen_range(0..d), rng),
+            };
+            UserResponse::Report { round, report }
+        };
+        (0..n).map(|_| response(&mut rng)).collect()
+    }
+
+    /// What `decode` is defined as: the row decoder, then `encode`.
+    fn rows_then_encode(kind: FoKind, d: usize, bytes: &[u8]) -> Result<ColumnarBatch, String> {
+        let mut cur = Cursor::new(bytes);
+        let rows = take_responses(&mut cur)?;
+        cur.finish()?;
+        Ok(ColumnarBatch::encode(kind, d, ROUND, rows))
+    }
+
+    fn decode(kind: FoKind, d: usize, bytes: &[u8]) -> Result<ColumnarBatch, String> {
+        let mut cur = Cursor::new(bytes);
+        let batch = ColumnarBatch::decode(kind, d, ROUND, &mut cur)?;
+        cur.finish()?;
+        Ok(batch)
+    }
+
+    proptest! {
+        /// `decode(bytes) == encode(take_responses(bytes))`, columns,
+        /// leftovers and counters, and every prefix of the bytes is
+        /// refused by both or by neither.
+        #[test]
+        fn decode_is_encode_of_the_row_decoders_rows(
+            kind in proptest::sample::select(&[FoKind::Grr, FoKind::Oue, FoKind::Olh]),
+            d in proptest::sample::select(&[5usize, 64, 100, 128, 1024]),
+            n in 0usize..24,
+            seed in any::<u64>(),
+        ) {
+            let responses = mixed_stream(kind, d, n, seed);
+            let mut bytes = Vec::new();
+            put_responses(&mut bytes, &responses);
+            let want = ColumnarBatch::encode(kind, d, ROUND, responses);
+            prop_assert_eq!(decode(kind, d, &bytes), Ok(want));
+            for cut in 0..bytes.len() {
+                let (rows, columns) = (
+                    rows_then_encode(kind, d, &bytes[..cut]),
+                    decode(kind, d, &bytes[..cut]),
+                );
+                prop_assert!(rows.is_err() && columns.is_err(), "cut at {}", cut);
+            }
+        }
+
+        /// Forged input: overwrite a few bytes anywhere — counts, tags,
+        /// word counts, rounds — and the two decoders still agree, on
+        /// the refusal or on the batch. Neither panics.
+        #[test]
+        fn decode_refuses_what_the_row_decoder_refuses(
+            kind in proptest::sample::select(&[FoKind::Grr, FoKind::Oue, FoKind::Olh]),
+            d in proptest::sample::select(&[5usize, 64, 100, 128, 1024]),
+            n in 1usize..24,
+            seed in any::<u64>(),
+        ) {
+            let mut bytes = Vec::new();
+            put_responses(&mut bytes, &mixed_stream(kind, d, n, seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..32 {
+                let mut forged = bytes.clone();
+                for _ in 0..rng.gen_range(1..4) {
+                    // Small values land on tags and counts that decode.
+                    let at = rng.gen_range(0..forged.len());
+                    forged[at] = if rng.gen() { rng.gen_range(0..4) } else { rng.gen() };
+                }
+                let (rows, columns) = (rows_then_encode(kind, d, &forged), decode(kind, d, &forged));
+                prop_assert_eq!(rows.is_err(), columns.is_err(), "{:?} vs {:?}", rows, columns);
+                if let (Ok(rows), Ok(columns)) = (rows, columns) {
+                    prop_assert_eq!(rows, columns);
+                }
+            }
+        }
+    }
+
+    /// A count the bytes cannot hold is refused before the columns are
+    /// sized for it, and a count they can hold sizes them by the bytes.
+    #[test]
+    fn decode_sizes_columns_by_the_bytes_not_the_count() {
+        let mut forged = Vec::new();
+        crate::codec::put_u32(&mut forged, u32::MAX);
+        forged.extend_from_slice(&[0; 1 << 10]);
+        let err = decode(FoKind::Oue, 1 << 16, &forged).unwrap_err();
+        assert!(err.contains("response count"), "{err}");
+
+        // 73 GRR-sized rows claimed for OUE columns over 65 536 values.
+        let mut forged = Vec::new();
+        crate::codec::put_u32(&mut forged, 73);
+        forged.extend_from_slice(&[0; 73 * 14]);
+        let mut cur = Cursor::new(&forged);
+        let batch = ColumnarBatch::decode(FoKind::Oue, 1 << 16, 0, &mut cur).unwrap();
+        assert_eq!(batch.leftovers().len(), 73);
+        let ReportColumns::Oue { words, .. } = batch.columns() else {
+            panic!("OUE columns")
+        };
+        assert_eq!(words.capacity(), 0);
+    }
 
     #[test]
     fn with_threads_floors_at_one() {

@@ -101,6 +101,15 @@ pub fn put_response(out: &mut Vec<u8>, response: &UserResponse) {
     }
 }
 
+/// Append a `u32` count and then each of `responses` — what
+/// [`take_responses`] reads back.
+pub fn put_responses(out: &mut Vec<u8>, responses: &[UserResponse]) {
+    put_u32(out, responses.len() as u32);
+    for response in responses {
+        put_response(out, response);
+    }
+}
+
 /// Append a [`RoundEstimate`] (bit-exact frequencies).
 pub fn put_estimate(out: &mut Vec<u8>, estimate: &RoundEstimate) {
     put_u64(out, estimate.reporters);
@@ -144,7 +153,8 @@ impl<'a> Cursor<'a> {
         self.bytes.len() - self.at
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    /// Read the next `n` bytes as they are.
+    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.remaining() < n {
             return Err(format!(
                 "payload truncated: needed {n} bytes at offset {}, {} left",
@@ -159,17 +169,17 @@ impl<'a> Cursor<'a> {
 
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Read an `f64` from its IEEE-754 bit pattern.
@@ -180,7 +190,7 @@ impl<'a> Cursor<'a> {
     /// Read a length-prefixed UTF-8 string written by [`put_str`].
     pub fn str(&mut self) -> Result<String, String> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.bytes(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
     }
 
@@ -258,6 +268,35 @@ pub fn take_response(cur: &mut Cursor<'_>) -> Result<UserResponse, String> {
         }),
         tag => Err(format!("unknown response tag {tag}")),
     }
+}
+
+/// Bytes of the smallest response [`put_response`] writes: a GRR report
+/// (response tag, round, report tag, value).
+const MIN_RESPONSE_BYTES: usize = 14;
+
+/// Read the count [`put_responses`] wrote. One that the bytes behind it
+/// cannot hold is refused here, before anything is allocated for it: a
+/// checksum-valid frame cannot make its reader reserve more than the
+/// frame's own length.
+pub(crate) fn take_response_count(cur: &mut Cursor<'_>) -> Result<usize, String> {
+    let n = cur.u32()? as usize;
+    if n > cur.remaining() / MIN_RESPONSE_BYTES {
+        return Err(format!(
+            "response count {n} exceeds the {} bytes left",
+            cur.remaining()
+        ));
+    }
+    Ok(n)
+}
+
+/// Read the responses [`put_responses`] wrote.
+pub fn take_responses(cur: &mut Cursor<'_>) -> Result<Vec<UserResponse>, String> {
+    let n = take_response_count(cur)?;
+    let mut responses = Vec::with_capacity(n);
+    for _ in 0..n {
+        responses.push(take_response(cur)?);
+    }
+    Ok(responses)
 }
 
 /// Read a [`RoundEstimate`] written by [`put_estimate`].
@@ -418,6 +457,32 @@ mod tests {
         forged.extend_from_slice(&[0; 64]);
         let err = take_report(&mut Cursor::new(&forged)).unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
+    }
+
+    /// The largest count a payload can honestly carry — one GRR report
+    /// per 14 bytes — decodes; one more is refused before a vector is
+    /// reserved for it, however large the number.
+    #[test]
+    fn response_counts_are_bounded_by_the_bytes_behind_them() {
+        let rows = vec![
+            UserResponse::Report {
+                round: 3,
+                report: Report::Grr(1),
+            };
+            5
+        ];
+        let mut out = Vec::new();
+        put_responses(&mut out, &rows);
+        assert_eq!(out.len(), 4 + 5 * MIN_RESPONSE_BYTES);
+        let mut cur = Cursor::new(&out);
+        assert_eq!(take_responses(&mut cur).unwrap(), rows);
+        cur.finish().unwrap();
+
+        for forged in [6, 1 << 24, u32::MAX] {
+            out[..4].copy_from_slice(&forged.to_le_bytes());
+            let err = take_responses(&mut Cursor::new(&out)).unwrap_err();
+            assert!(err.contains("response count"), "{err}");
+        }
     }
 
     #[test]

@@ -44,8 +44,10 @@
 //!   sessions' fsyncs under [`WalSync::Always`];
 //! * [`recovery`] — periodic atomic snapshots plus the *replay* driver
 //!   of the same machine: a service reopened after a crash takes the
-//!   snapshotted session table through the logged transitions, folding
-//!   report deltas through the same batch encode and kernels, so
+//!   snapshotted session table through the logged transitions in one
+//!   streaming pass over the WAL (read and checksum of the next record
+//!   overlapped with the fold of this one), report deltas decoded
+//!   straight into columns for the same kernels, so
 //!   sessions, open-round tallies, refusal counters, and budget
 //!   positions come back as they were and re-closed rounds estimate
 //!   **bit-identically** to an uninterrupted run;

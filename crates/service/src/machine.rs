@@ -13,7 +13,7 @@
 //!
 //! * the live [`IngestService`](crate::IngestService) — lock, check,
 //!   append to the WAL, apply, hand the effects to the worker pool;
-//! * [`recovery`](crate::recovery) — scan the WAL, check, apply, hand
+//! * [`recovery`](crate::recovery) — walk the WAL, check, apply, hand
 //!   the effects to a local shard arena.
 //!
 //! So that a record can be logged *between* the check and the mutation
@@ -228,6 +228,19 @@ impl EndStep<'_> {
     }
 }
 
+/// The first round `responses` echo that is not `open`, as a check for
+/// [`SessionTable::accept`].
+pub(crate) fn stale_echo(responses: &[UserResponse]) -> impl FnOnce(u64) -> Option<u64> + '_ {
+    move |open| {
+        let mut echoed = responses.iter().map(|response| {
+            let (UserResponse::Report { round, .. } | UserResponse::Refused { round, .. }) =
+                response;
+            *round
+        });
+        echoed.find(|round| *round != open)
+    }
+}
+
 fn unknown(session: SessionId) -> CoreError {
     CoreError::UnknownSession {
         session: session.raw(),
@@ -317,16 +330,18 @@ impl SessionTable {
         }))
     }
 
-    /// Check a delta of `responses` for `session`'s open round. `expect`
+    /// Check a delta of responses for `session`'s open round. `expect`
     /// is the sequence number a retrying client names: a delta the
     /// session already has is `None` (acknowledge, apply nothing), one
     /// from the future is [`SequenceGap`](CoreError::SequenceGap). Every
-    /// response must echo the open round.
+    /// response must echo the open round: `stale`, given that round,
+    /// names the first echo that does not ([`stale_echo`] of the rows, or
+    /// what a batch decoded against that round already found).
     pub fn accept(
         &mut self,
         session: SessionId,
         expect: Option<u64>,
-        responses: &[UserResponse],
+        stale: impl FnOnce(u64) -> Option<u64>,
     ) -> Result<Option<AcceptStep<'_>>, CoreError> {
         let s = self.get_mut(session)?;
         if let Some(got) = expect {
@@ -339,15 +354,8 @@ impl SessionTable {
             }
         }
         let expected = s.status.open_round.ok_or(CoreError::NoOpenRound)?;
-        for response in responses {
-            let (UserResponse::Report { round, .. } | UserResponse::Refused { round, .. }) =
-                response;
-            if *round != expected {
-                return Err(CoreError::StaleRound {
-                    expected,
-                    got: *round,
-                });
-            }
+        if let Some(got) = stale(expected) {
+            return Err(CoreError::StaleRound { expected, got });
         }
         Ok(Some(AcceptStep { session: s }))
     }
@@ -473,7 +481,10 @@ mod tests {
         open(&mut table, s, None);
         let before = table.get(s).unwrap().status();
         {
-            let step = table.accept(s, None, &[report(0)]).unwrap().unwrap();
+            let step = table
+                .accept(s, None, stale_echo(&[report(0)]))
+                .unwrap()
+                .unwrap();
             assert_eq!((step.round(), step.seq()), (0, 0));
         }
         assert_eq!(table.get(s).unwrap().status(), before);
@@ -533,13 +544,16 @@ mod tests {
         let mut table = SessionTable::default();
         let s = table.create();
         assert_eq!(
-            table.accept(s, None, &[report(0)]).err().unwrap(),
+            table
+                .accept(s, None, stale_echo(&[report(0)]))
+                .err()
+                .unwrap(),
             CoreError::NoOpenRound
         );
         open(&mut table, s, None);
         assert_eq!(
             table
-                .accept(s, None, &[report(0), report(4)])
+                .accept(s, None, stale_echo(&[report(0), report(4)]))
                 .err()
                 .unwrap(),
             CoreError::StaleRound {
@@ -548,21 +562,31 @@ mod tests {
             }
         );
         table
-            .accept(s, Some(0), &[report(0)])
+            .accept(s, Some(0), stale_echo(&[report(0)]))
             .unwrap()
             .unwrap()
             .apply();
         // Sequence rules come before round rules: a duplicate is
         // acknowledged whatever it carries, a gap is a gap.
-        assert!(table.accept(s, Some(0), &[report(4)]).unwrap().is_none());
+        assert!(table
+            .accept(s, Some(0), stale_echo(&[report(4)]))
+            .unwrap()
+            .is_none());
         assert_eq!(
-            table.accept(s, Some(2), &[report(0)]).err().unwrap(),
+            table
+                .accept(s, Some(2), stale_echo(&[report(0)]))
+                .err()
+                .unwrap(),
             CoreError::SequenceGap {
                 expected: 1,
                 got: 2
             }
         );
-        let round = table.accept(s, Some(1), &[]).unwrap().unwrap().apply();
+        let round = table
+            .accept(s, Some(1), stale_echo(&[]))
+            .unwrap()
+            .unwrap()
+            .apply();
         round.pending.push(report(0));
         assert_eq!(table.get(s).unwrap().status().next_seq, 2);
         assert_eq!(table.get(s).unwrap().open().unwrap().pending.len(), 1);

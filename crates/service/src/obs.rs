@@ -64,6 +64,11 @@ pub struct ServiceMetrics {
     pub snapshot_ns: Arc<Histogram>,
     /// `ldp_replay_ns`: duration of snapshot load + WAL replay at open.
     pub replay_ns: Arc<Histogram>,
+    /// `ldp_replay_reports_total`: responses WAL replay folded back into
+    /// open rounds, over every open; with `ldp_replay_ns`, replay rate.
+    pub replay_reports: Arc<Counter>,
+    /// `ldp_replay_bytes_total`: WAL bytes replayed, over every open.
+    pub replay_bytes: Arc<Counter>,
     /// WAL latency handles (shared across generations).
     pub wal: WalObs,
     scope: Scope,
@@ -90,6 +95,11 @@ impl ServiceMetrics {
                 "ldp_replay_ns",
                 "recovery (snapshot+WAL replay) duration (ns)",
             ),
+            replay_reports: scope.counter(
+                "ldp_replay_reports_total",
+                "responses folded back into open rounds by WAL replay",
+            ),
+            replay_bytes: scope.counter("ldp_replay_bytes_total", "WAL bytes replayed at open"),
             wal: WalObs::in_scope(scope),
             scope: scope.clone(),
         }

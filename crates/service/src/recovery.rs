@@ -23,10 +23,11 @@
 //! each open round. A snapshot is that pair written out; recovery
 //! decodes it and then does to it what the live service did when it
 //! wrote each WAL record: the same transition, with the report deltas
-//! encoded by the same [`Batch::encode`] and folded by the same
-//! [`ShardArena::ingest`] kernels the workers run. Nothing here decides
-//! what a session may do; a record the transitions refuse means the log
-//! contradicts itself and is a [`CoreError::RecoveryMismatch`].
+//! in the same columns ([`ColumnarBatch::decode`] is by definition
+//! [`ColumnarBatch::encode`] of the rows the bytes hold) and folded by
+//! the same [`ShardArena::ingest`] kernels the workers run. Nothing here
+//! decides what a session may do; a record the transitions refuse means
+//! the log contradicts itself and is a [`CoreError::RecoveryMismatch`].
 //! What replay adds is *verification* of what the log claims:
 //!
 //! * deltas already covered by the snapshot are skipped by the
@@ -41,23 +42,36 @@
 //! A torn or corrupt WAL tail truncates replay at the last complete
 //! record and is surfaced as a typed error in the [`RecoveryReport`] —
 //! recovery itself still succeeds.
+//!
+//! ## One streaming pass
+//!
+//! The log is walked once, a frame at a time (`wal::FrameReader`), and a
+//! `Reports` payload never becomes [`WalRecord`] rows: recovery's memory
+//! is a few records (`READ_AHEAD + 2` payload buffers, recycled), not
+//! the log. A scoped thread reads and checksums the next frame while
+//! this one decodes, checks and folds the current one. The order errors
+//! are found in is the order two passes found them in — a payload's
+//! structure before its place in the lifecycle, and nothing behind the
+//! first bad frame.
 
-use crate::batch::{Batch, RoundKey};
+use crate::batch::{Batch, ColumnarBatch, RoundKey};
 use crate::codec::{
-    crc32, put_enveloped, put_estimate, put_f64, put_request, put_response, put_u32, put_u64,
-    take_estimate, take_request, take_response, Cursor,
+    crc32, put_enveloped, put_estimate, put_f64, put_request, put_responses, put_u32, put_u64,
+    take_estimate, take_request, take_responses, Cursor,
 };
 use crate::machine::{
-    Closing, OpenRound, Opening, Session, SessionId, SessionStatus, SessionTable,
+    stale_echo, AcceptStep, Closing, OpenRound, Opening, Session, SessionId, SessionStatus,
+    SessionTable,
 };
 use crate::shard::{ShardArena, ShardTally};
-use crate::wal::{self, wal_err, WalRecord};
+use crate::wal::{self, wal_err, FrameReader, FramesEnd, WalRecord};
 use ldp_fo::OracleHandle;
 use ldp_ids::protocol::ReportRequest;
 use ldp_ids::CoreError;
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAP_MAGIC: &[u8; 8] = b"LDPSNP01";
@@ -81,6 +95,12 @@ pub struct RecoveryReport {
     pub snapshot_generation: Option<u64>,
     /// Complete WAL records replayed on top of the snapshot.
     pub wal_records_replayed: u64,
+    /// Responses those records folded into open rounds (deltas the
+    /// snapshot already covered are skipped, and not counted).
+    pub reports_replayed: u64,
+    /// Bytes of WAL replayed: the valid prefix, magic and frame headers
+    /// included.
+    pub wal_bytes_read: u64,
     /// Sessions alive after recovery.
     pub sessions: usize,
     /// Rounds re-opened mid-flight after recovery.
@@ -157,10 +177,7 @@ fn put_state(out: &mut Vec<u8>, table: &SessionTable, tallies: &Tallies) {
             put_u64(out, tally.reporters);
             put_u64(out, tally.refusals);
             put_u64(out, tally.stale);
-            put_u32(out, open.pending.len() as u32);
-            for response in &open.pending {
-                put_response(out, response);
-            }
+            put_responses(out, &open.pending);
         }
     }
 }
@@ -205,14 +222,7 @@ fn decode_state(payload: &[u8]) -> Result<(SessionTable, Tallies), String> {
                 refusals: cur.u64()?,
                 stale: cur.u64()?,
             };
-            let pending_n = cur.u32()? as usize;
-            if pending_n > payload.len() {
-                return Err(format!("pending count {pending_n} exceeds payload"));
-            }
-            let mut pending = Vec::with_capacity(pending_n);
-            for _ in 0..pending_n {
-                pending.push(take_response(&mut cur)?);
-            }
+            let pending = take_responses(&mut cur)?;
             let open = OpenRound::new(id, request, pending)
                 .map_err(|e| format!("round parameters no longer build an oracle: {e}"))?;
             tallies.insert(open.key, tally);
@@ -348,14 +358,31 @@ fn mismatch(detail: String) -> CoreError {
     CoreError::RecoveryMismatch { detail }
 }
 
+/// Apply a checked delta the log files under `round`, which has to be
+/// the round it was checked against.
+fn apply_delta(
+    step: AcceptStep<'_>,
+    session: u64,
+    round: u64,
+) -> Result<&mut OpenRound, CoreError> {
+    if step.round() != round {
+        return Err(mismatch(format!(
+            "session {session} logs reports for round {round}; round {} is open",
+            step.round()
+        )));
+    }
+    Ok(step.apply())
+}
+
 /// Take `table` through the transition `record` logged, and `arena`
 /// through its effects — what the live service did when it wrote the
 /// record, with the log checked where the live service appended to it.
+/// Returns the responses it folded.
 fn replay(
     table: &mut SessionTable,
     arena: &mut ShardArena,
     record: WalRecord,
-) -> Result<(), CoreError> {
+) -> Result<u64, CoreError> {
     match record {
         WalRecord::CreateSession { session } => {
             let id = table.create();
@@ -384,6 +411,9 @@ fn replay(
                 }
             };
         }
+        // Where `replay_delta` sends the deltas it has no open round to
+        // decode for. One of them gets this far only to be refused, or
+        // skipped as a duplicate.
         WalRecord::Reports {
             session,
             round,
@@ -392,15 +422,11 @@ fn replay(
         } => {
             let id = SessionId::from_raw(session);
             // `None`: already folded into the snapshot this WAL follows.
-            if let Some(step) = table.accept(id, Some(seq), &responses)? {
-                if step.round() != round {
-                    return Err(mismatch(format!(
-                        "session {session} logs reports for round {round}; round {} is open",
-                        step.round()
-                    )));
-                }
-                let open = step.apply();
+            if let Some(step) = table.accept(id, Some(seq), stale_echo(&responses))? {
+                let open = apply_delta(step, session, round)?;
+                let folded = responses.len() as u64;
                 arena.ingest(Batch::encode(open.key, &open.oracle, responses));
+                return Ok(folded);
             }
         }
         WalRecord::CloseRound {
@@ -441,7 +467,157 @@ fn replay(
         }
         WalRecord::EndSession { session } => table.end(SessionId::from_raw(session))?.apply(),
     }
-    Ok(())
+    Ok(0)
+}
+
+/// Why a checksum-valid payload was not replayed.
+enum Refused {
+    /// It is not a record: the log ends in front of it, as at a torn
+    /// frame. The detail is the decoder's.
+    Undecodable(String),
+    /// It is a record the state it is replayed onto contradicts.
+    Rule(CoreError),
+}
+
+/// [`replay`] for a `Reports` payload, without its rows: the delta goes
+/// from the log's bytes into the open round's columns, through the same
+/// `accept` and the same fold. `None` when `session` has no open round
+/// to say what the columns are; the caller then takes the row path,
+/// which ends in the lifecycle error (or the duplicate) this is.
+fn replay_delta(
+    table: &mut SessionTable,
+    arena: &mut ShardArena,
+    payload: &[u8],
+) -> Result<Option<u64>, Refused> {
+    let mut cur = Cursor::new(&payload[1..]);
+    let mut header = || cur.u64().map_err(Refused::Undecodable);
+    let (session, round, seq) = (header()?, header()?, header()?);
+    let id = SessionId::from_raw(session);
+    let Some(open) = table.get(id).ok().and_then(Session::open) else {
+        return Ok(None);
+    };
+    // Structure before lifecycle, as when a scan decoded every record
+    // before the first was replayed.
+    let (kind, d) = (open.oracle.kind(), open.oracle.domain_size());
+    let columns = ColumnarBatch::decode(kind, d, open.key.round, &mut cur)
+        .and_then(|columns| cur.finish().map(|()| columns))
+        .map_err(Refused::Undecodable)?;
+    let accept = table.accept(id, Some(seq), |_| columns.first_stale());
+    // `None`: already folded into the snapshot this WAL follows.
+    let Some(step) = accept.map_err(Refused::Rule)? else {
+        return Ok(Some(0));
+    };
+    let open = apply_delta(step, session, round).map_err(Refused::Rule)?;
+    let folded = columns.responses();
+    arena.ingest(Batch {
+        key: open.key,
+        oracle: open.oracle.clone(),
+        columns,
+    });
+    Ok(Some(folded))
+}
+
+/// Replay one checksum-valid WAL payload; returns the responses folded.
+fn replay_payload(
+    table: &mut SessionTable,
+    arena: &mut ShardArena,
+    payload: &[u8],
+) -> Result<u64, Refused> {
+    if payload.first() == Some(&wal::TAG_REPORTS) {
+        if let Some(folded) = replay_delta(table, arena, payload)? {
+            return Ok(folded);
+        }
+    }
+    let record = WalRecord::decode(payload).map_err(Refused::Undecodable)?;
+    replay(table, arena, record).map_err(Refused::Rule)
+}
+
+/// Payloads the reader may hold verified ahead of the one being folded.
+const READ_AHEAD: usize = 2;
+
+/// What a pass over the WAL replayed.
+#[derive(Default)]
+struct Replayed {
+    records: u64,
+    reports: u64,
+}
+
+/// A record the transitions refuse means the log contradicts the state
+/// it is replayed onto; `i` is the record's place in the log.
+fn contradiction(i: u64, e: CoreError) -> CoreError {
+    match e {
+        CoreError::RecoveryMismatch { .. } => e,
+        rule => mismatch(format!("WAL record {i} breaks the lifecycle: {rule}")),
+    }
+}
+
+/// The fold's half of [`replay_wal`]: replay each verified payload and
+/// hand its buffer back. With what it replayed, `Some` end of the log
+/// when a payload turned out not to be a record. Returning hangs up on
+/// the reader.
+fn fold_verified(
+    verified: mpsc::Receiver<(u64, Vec<u8>)>,
+    recycle: mpsc::Sender<Vec<u8>>,
+    path: &Path,
+    table: &mut SessionTable,
+    arena: &mut ShardArena,
+) -> Result<(Replayed, Option<FramesEnd>), CoreError> {
+    let mut replayed = Replayed::default();
+    for (at, payload) in verified {
+        match replay_payload(table, arena, &payload) {
+            Ok(reports) => replayed.reports += reports,
+            Err(Refused::Undecodable(detail)) => {
+                let end = FramesEnd {
+                    valid_len: at,
+                    corrupt_tail: Some(wal::undecodable(path, at, &detail)),
+                };
+                return Ok((replayed, Some(end)));
+            }
+            Err(Refused::Rule(e)) => return Err(contradiction(replayed.records, e)),
+        }
+        replayed.records += 1;
+        let _ = recycle.send(payload);
+    }
+    Ok((replayed, None))
+}
+
+/// Replay every frame of `frames` onto `table` and `arena`, in one pass:
+/// a scoped thread reads and checksums frame `i + 1` while this one
+/// decodes, checks and folds frame `i`. The payload buffers go round
+/// between the two, so the log's footprint here is `READ_AHEAD + 2`
+/// records, whatever its length.
+fn replay_wal(
+    mut frames: FrameReader,
+    path: &Path,
+    table: &mut SessionTable,
+    arena: &mut ShardArena,
+) -> Result<(Replayed, FramesEnd), CoreError> {
+    std::thread::scope(|scope| {
+        let (verified_tx, verified) = mpsc::sync_channel(READ_AHEAD);
+        let (recycle, recycled) = mpsc::channel::<Vec<u8>>();
+        let read = move || -> Result<FramesEnd, CoreError> {
+            loop {
+                let mut payload = recycled.try_recv().unwrap_or_default();
+                match frames.next_into(&mut payload)? {
+                    Some(at) if verified_tx.send((at, payload)).is_ok() => {}
+                    // The walk ended, or the fold did and hung up.
+                    _ => return Ok(frames.end()),
+                }
+            }
+        };
+        let reader = std::thread::Builder::new()
+            .name("ldp-wal-read".into())
+            .spawn_scoped(scope, read)
+            .expect("spawn WAL reader");
+        let folded = fold_verified(verified, recycle, path, table, arena);
+        let walked = reader.join().expect("the WAL reader does not panic");
+        let (replayed, undecodable) = folded?;
+        let end = match undecodable {
+            Some(end) => end,
+            None => walked?,
+        };
+        Ok((replayed, end))
+    })
 }
 
 /// Rebuild the full service state from `dir`: highest-generation valid
@@ -460,16 +636,12 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, CoreError> {
         arena.seed(key, oracle, tally)
     });
 
-    let scan = wal::scan(&wal_path(dir, generation))?;
-    let wal_records_replayed = scan.records.len() as u64;
-    for (i, record) in scan.records.into_iter().enumerate() {
-        // A record the transitions refuse means the log contradicts the
-        // state it is replayed onto.
-        replay(&mut table, &mut arena, record).map_err(|e| match e {
-            CoreError::RecoveryMismatch { .. } => e,
-            rule => mismatch(format!("WAL record {i} breaks the lifecycle: {rule}")),
-        })?;
-    }
+    let path = wal_path(dir, generation);
+    // No WAL, no reader thread: a first open has nothing to overlap.
+    let (replayed, end) = match FrameReader::open(&path)? {
+        Some(frames) => replay_wal(frames, &path, &mut table, &mut arena)?,
+        None => Default::default(),
+    };
 
     let still_open = open_rounds(&table).into_iter();
     let tallies: Tallies = still_open
@@ -477,10 +649,12 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, CoreError> {
         .collect();
     let report = RecoveryReport {
         snapshot_generation: snapshot_gen,
-        wal_records_replayed,
+        wal_records_replayed: replayed.records,
+        reports_replayed: replayed.reports,
+        wal_bytes_read: end.valid_len,
         sessions: table.sessions().len(),
         open_rounds: tallies.len(),
-        corrupt_tail: scan.corrupt_tail,
+        corrupt_tail: end.corrupt_tail,
     };
     Ok(Recovered {
         generation,
@@ -620,6 +794,22 @@ mod tests {
         assert_eq!(open.status().open_round, Some(0));
         assert_eq!(open.open().unwrap().pending.len(), 1);
         assert_eq!(encode_state(&decoded, &decoded_tallies), bytes);
+    }
+
+    /// A snapshot claiming more pending responses than its bytes can
+    /// hold is refused on the count, before a vector is reserved for it.
+    #[test]
+    fn forged_pending_count_is_refused_before_allocating() {
+        let (table, tallies) = sample_state();
+        let mut bytes = encode_state(&table, &tallies);
+        // The one pending response is the payload's last 14 bytes; its
+        // count sits in front of it.
+        let count = bytes.len() - 14 - 4;
+        assert_eq!(bytes[count..count + 4], 1u32.to_le_bytes());
+        bytes[count..count + 4].copy_from_slice(&(16u32 << 20).to_le_bytes());
+        bytes.resize(16 << 20, 0);
+        let err = decode_state(&bytes).unwrap_err();
+        assert!(err.contains("response count 16777216 exceeds"), "{err}");
     }
 
     #[test]
@@ -822,6 +1012,288 @@ mod tests {
             recover(&dir),
             Err(CoreError::RecoveryMismatch { .. })
         ));
+    }
+
+    /// What a recovery of generation 0's WAL comes to: records replayed,
+    /// reports folded, valid length, the tail, and the recovered state in
+    /// its snapshot encoding — or the error that refused the log.
+    type Outcome = Result<(u64, u64, u64, Option<CoreError>, Vec<u8>), CoreError>;
+
+    fn single_pass(dir: &Path) -> Outcome {
+        let rec = recover(dir)?;
+        let report = rec.report;
+        Ok((
+            report.wal_records_replayed,
+            report.reports_replayed,
+            report.wal_bytes_read,
+            report.corrupt_tail,
+            encode_state(&rec.table, &rec.tallies),
+        ))
+    }
+
+    /// The two passes `recover` was before it streamed: `wal::scan` the
+    /// whole log into records, then `replay` them one by one.
+    fn scan_then_replay(dir: &Path) -> Outcome {
+        let scan = wal::scan(&wal_path(dir, 0))?;
+        let (mut table, mut arena) = (SessionTable::default(), ShardArena::new());
+        let (records, mut reports) = (scan.records.len() as u64, 0);
+        for (i, record) in scan.records.into_iter().enumerate() {
+            reports +=
+                replay(&mut table, &mut arena, record).map_err(|e| contradiction(i as u64, e))?;
+        }
+        let tallies: Tallies = open_rounds(&table)
+            .into_iter()
+            .map(|open| (open.key, arena.close(open.key, open.request.domain_size)))
+            .collect();
+        let state = encode_state(&table, &tallies);
+        Ok((records, reports, scan.valid_len, scan.corrupt_tail, state))
+    }
+
+    /// A small log with every record kind in it: session 0 closes a GRR
+    /// round and has an OLH round open, session 1 has an OUE round open
+    /// (regular rows, a leftover, a refusal), session 2 came and went.
+    fn multi_record_wal(path: &Path) -> usize {
+        let request = |round, fo, domain_size| ReportRequest {
+            round,
+            t: round,
+            fo,
+            epsilon: 1.0,
+            domain_size,
+        };
+        let report = |round, report| UserResponse::Report { round, report };
+        let refused = |round| UserResponse::Refused {
+            round,
+            requested: 1.0,
+            available: 0.5,
+        };
+        let oue = |bits: Vec<u64>| ldp_fo::Report::Oue { bits, len: 70 };
+        let grr = build_oracle(FoKind::Grr, 1.0, 3).unwrap();
+        let records = vec![
+            WalRecord::CreateSession { session: 0 },
+            WalRecord::OpenRound {
+                session: 0,
+                request: request(0, FoKind::Grr, 3),
+            },
+            WalRecord::Reports {
+                session: 0,
+                round: 0,
+                seq: 0,
+                responses: vec![
+                    report(0, ldp_fo::Report::Grr(2)),
+                    refused(0),
+                    report(0, ldp_fo::Report::Grr(0)),
+                ],
+            },
+            WalRecord::CreateSession { session: 1 },
+            WalRecord::OpenRound {
+                session: 1,
+                request: request(0, FoKind::Oue, 70),
+            },
+            WalRecord::Reports {
+                session: 1,
+                round: 0,
+                seq: 0,
+                responses: vec![
+                    report(0, oue(vec![0b1011, 0b10])),
+                    report(0, oue(vec![u64::MAX; 3])),
+                    refused(0),
+                    report(0, oue(vec![1 << 40, 0])),
+                ],
+            },
+            WalRecord::CloseRound {
+                session: 0,
+                round: 0,
+                refusals: 1,
+                estimate: RoundEstimate {
+                    frequencies: grr.estimate(&[1, 0, 1], 2),
+                    reporters: 2,
+                    epsilon: 1.0,
+                },
+            },
+            WalRecord::OpenRound {
+                session: 0,
+                request: request(1, FoKind::Olh, 5),
+            },
+            WalRecord::Reports {
+                session: 0,
+                round: 1,
+                seq: 1,
+                responses: vec![report(1, ldp_fo::Report::Olh { seed: 9, bucket: 1 })],
+            },
+            WalRecord::CreateSession { session: 2 },
+            WalRecord::EndSession { session: 2 },
+            WalRecord::Reports {
+                session: 1,
+                round: 0,
+                seq: 1,
+                responses: vec![report(0, ldp_fo::Report::Grr(1))],
+            },
+        ];
+        let mut wal = wal::Wal::create(path, crate::wal::WalSync::None).unwrap();
+        for record in &records {
+            wal.append(record).unwrap().wait().unwrap();
+        }
+        records.len()
+    }
+
+    /// On every broken log — the multi-record WAL cut at every length,
+    /// and with every one of its bits flipped — the single streaming
+    /// pass recovers what `wal::scan` then `replay` does: as many
+    /// records, as long a valid prefix, the same tail, the same table
+    /// and tallies, or the same refusal.
+    #[test]
+    fn single_pass_matches_wal_scan_then_replay_on_every_broken_log() {
+        let dir = tmp_dir("scan_equivalence");
+        let path = wal_path(&dir, 0);
+        let records = multi_record_wal(&path) as u64;
+        let bytes = std::fs::read(&path).unwrap();
+
+        let (replayed, reports, valid_len, tail, _) = single_pass(&dir).unwrap();
+        assert_eq!((replayed, reports, tail), (records, 9, None));
+        assert_eq!(valid_len, bytes.len() as u64);
+        assert_eq!(single_pass(&dir), scan_then_replay(&dir));
+
+        for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let got = single_pass(&dir);
+            assert_eq!(got, scan_then_replay(&dir), "cut at {cut}");
+            match got {
+                Ok((replayed, _, valid_len, tail, _)) => {
+                    assert!(
+                        replayed < records && valid_len <= cut as u64,
+                        "cut at {cut}"
+                    );
+                    // Clean only when cut between two frames; half a
+                    // magic is a short header.
+                    let torn = valid_len < cut as u64 || cut < 8;
+                    assert_eq!(tail.is_some(), torn, "cut at {cut}");
+                }
+                // Nothing refuses a log for being short.
+                Err(e) => panic!("cut at {cut}: {e}"),
+            }
+        }
+        for bit in 0..8 * bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &flipped).unwrap();
+            let got = single_pass(&dir);
+            assert_eq!(got, scan_then_replay(&dir), "bit {bit} flipped");
+            match got {
+                Ok((replayed, _, _, tail, _)) => {
+                    assert!(replayed < records && tail.is_some(), "bit {bit} flipped")
+                }
+                Err(e) => assert!(bit < 64, "bit {bit} flipped: {e}"),
+            }
+        }
+    }
+
+    /// Write a WAL of checksum-valid frames around arbitrary payloads.
+    fn write_frames(path: &Path, payloads: &[Vec<u8>]) {
+        let mut bytes = wal::WAL_MAGIC.to_vec();
+        for payload in payloads {
+            put_enveloped(&mut bytes, |out| out.extend_from_slice(payload));
+        }
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// Structure before lifecycle: a checksum-valid `Reports` payload
+    /// that does not decode ends the log at its offset — a corrupt tail,
+    /// recovery succeeds — whether or not the table has a round open for
+    /// it, and nothing behind it is replayed. One that does decode and
+    /// has no round is the lifecycle's to refuse.
+    #[test]
+    fn undecodable_reports_are_a_corrupt_tail_before_they_are_a_lifecycle_error() {
+        let dir = tmp_dir("structure_first");
+        let path = wal_path(&dir, 0);
+        let delta = |session, rows: &[UserResponse]| {
+            let responses = rows.to_vec();
+            let (round, seq) = (0, 0);
+            WalRecord::Reports {
+                session,
+                round,
+                seq,
+                responses,
+            }
+            .encode()
+        };
+        let row = UserResponse::Report {
+            round: 0,
+            report: ldp_fo::Report::Grr(1),
+        };
+        let create = WalRecord::CreateSession { session: 0 }.encode();
+        let open = WalRecord::OpenRound {
+            session: 0,
+            request: ReportRequest {
+                round: 0,
+                t: 0,
+                fo: FoKind::Grr,
+                epsilon: 1.0,
+                domain_size: 3,
+            },
+        }
+        .encode();
+        let good = delta(0, &[row.clone(), row.clone()]);
+        let truncated = good[..good.len() - 3].to_vec();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut bad_tag = good.clone();
+        bad_tag[29] = 7; // the first response's tag
+        let mut forged_count = good.clone();
+        forged_count[25..29].copy_from_slice(&u32::MAX.to_le_bytes());
+
+        for broken in [&truncated, &trailing, &bad_tag, &forged_count] {
+            // With the round open, without a round, without a session:
+            // the log ends in front of the broken delta all the same.
+            let prefixes = [
+                vec![create.clone(), open.clone(), good.clone()],
+                vec![create.clone()],
+                vec![],
+            ];
+            for prefix in prefixes {
+                let mut payloads = prefix.clone();
+                payloads.push(broken.clone());
+                payloads.push(create.clone());
+                write_frames(&path, &payloads);
+                let got = single_pass(&dir);
+                assert_eq!(got, scan_then_replay(&dir));
+                let (replayed, _, valid_len, tail, _) = got.unwrap();
+                let before: usize = prefix.iter().map(|p| 8 + p.len()).sum();
+                assert_eq!(replayed, prefix.len() as u64);
+                assert_eq!(valid_len, 8 + before as u64);
+                match tail {
+                    Some(CoreError::Corrupt { offset, detail, .. }) => {
+                        assert_eq!(offset, valid_len);
+                        assert!(detail.starts_with("undecodable payload"), "{detail}");
+                    }
+                    other => panic!("expected an undecodable tail, got {other:?}"),
+                }
+            }
+        }
+
+        // Well-formed, and nothing to fold it into: the log contradicts
+        // itself, which is not a tail to cut off.
+        for prefix in [vec![create.clone()], vec![]] {
+            let mut payloads = prefix;
+            payloads.push(good.clone());
+            write_frames(&path, &payloads);
+            let got = single_pass(&dir);
+            assert_eq!(got, scan_then_replay(&dir));
+            assert!(matches!(got, Err(CoreError::RecoveryMismatch { .. })));
+        }
+        // A response echoing another round than the open one, likewise.
+        let stale = UserResponse::Report {
+            round: 4,
+            report: ldp_fo::Report::Grr(1),
+        };
+        write_frames(&path, &[create, open, delta(0, &[row, stale])]);
+        let got = single_pass(&dir);
+        assert_eq!(got, scan_then_replay(&dir));
+        match got {
+            Err(CoreError::RecoveryMismatch { detail }) => {
+                assert!(detail.contains("WAL record 2"), "{detail}")
+            }
+            other => panic!("expected a lifecycle refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@
 
 use crate::batch::{Batch, ServiceConfig};
 use crate::faults;
-use crate::machine::{AcceptStep, Closing, OpenRound, Opening, SessionTable};
+use crate::machine::{stale_echo, AcceptStep, Closing, OpenRound, Opening, SessionTable};
 use crate::obs::ServiceMetrics;
 use crate::pool::WorkerPool;
 use crate::recovery::{self, RecoveryReport, Tallies};
@@ -183,6 +183,10 @@ impl IngestService {
         std::fs::create_dir_all(&dir).map_err(|e| wal_err("create", &dir, &e))?;
         let recovered = recovery::recover(&dir)?;
         metrics.replay_ns.record_duration(replay_start.elapsed());
+        metrics
+            .replay_reports
+            .add(recovered.report.reports_replayed);
+        metrics.replay_bytes.add(recovered.report.wal_bytes_read);
         ldp_obs::trace::event("service.replay", || {
             format!("dir={} found={:?}", dir.display(), recovered.report)
         });
@@ -388,7 +392,7 @@ impl IngestService {
         let mut guard = self.lock();
         let st = &mut *guard;
         let delta = std::slice::from_ref(&response);
-        let Some(step) = st.table.accept(session, None, delta)? else {
+        let Some(step) = st.table.accept(session, None, stale_echo(delta))? else {
             return Ok(());
         };
         let commit = log(&mut st.durable, || WalRecord::Reports {
@@ -443,7 +447,7 @@ impl IngestService {
     ) -> Result<(), CoreError> {
         let mut guard = self.lock();
         let st = &mut *guard;
-        let Some(step) = st.table.accept(session, expect, &responses)? else {
+        let Some(step) = st.table.accept(session, expect, stale_echo(&responses))? else {
             // Already logged and applied; the ack was lost. Idempotent.
             return Ok(());
         };

@@ -44,8 +44,8 @@
 //! acknowledged record can survive *behind* a lost one).
 
 use crate::codec::{
-    crc32, put_enveloped, put_estimate, put_request, put_response, put_u32, put_u64, take_estimate,
-    take_request, take_response, Cursor,
+    crc32, put_enveloped, put_estimate, put_request, put_responses, put_u64, take_estimate,
+    take_request, take_responses, Cursor,
 };
 use crate::faults;
 use crate::obs::WalObs;
@@ -53,7 +53,7 @@ use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{ReportRequest, UserResponse};
 use ldp_ids::CoreError;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -143,6 +143,10 @@ pub enum WalRecord {
     },
 }
 
+/// The payload tag of [`WalRecord::Reports`]. Recovery peeks it: a report
+/// delta is decoded straight into columns, never into this enum.
+pub(crate) const TAG_REPORTS: u8 = 3;
+
 impl WalRecord {
     /// Whether this is a control record (always fsynced under
     /// [`WalSync::Batch`]).
@@ -175,14 +179,11 @@ impl WalRecord {
                 seq,
                 responses,
             } => {
-                out.push(3);
+                out.push(TAG_REPORTS);
                 put_u64(out, *session);
                 put_u64(out, *round);
                 put_u64(out, *seq);
-                put_u32(out, responses.len() as u32);
-                for response in responses {
-                    put_response(out, response);
-                }
+                put_responses(out, responses);
             }
             WalRecord::CloseRound {
                 session,
@@ -214,25 +215,12 @@ impl WalRecord {
                 session: cur.u64()?,
                 request: take_request(&mut cur)?,
             },
-            3 => {
-                let session = cur.u64()?;
-                let round = cur.u64()?;
-                let seq = cur.u64()?;
-                let n = cur.u32()? as usize;
-                if n > payload.len() {
-                    return Err(format!("response count {n} exceeds payload"));
-                }
-                let mut responses = Vec::with_capacity(n);
-                for _ in 0..n {
-                    responses.push(take_response(&mut cur)?);
-                }
-                WalRecord::Reports {
-                    session,
-                    round,
-                    seq,
-                    responses,
-                }
-            }
+            TAG_REPORTS => WalRecord::Reports {
+                session: cur.u64()?,
+                round: cur.u64()?,
+                seq: cur.u64()?,
+                responses: take_responses(&mut cur)?,
+            },
             4 => WalRecord::CloseRound {
                 session: cur.u64()?,
                 round: cur.u64()?,
@@ -567,84 +555,160 @@ pub struct WalScan {
     pub corrupt_tail: Option<CoreError>,
 }
 
-/// Scan a WAL file, tolerating a torn/corrupt tail.
+fn corrupt(path: &Path, offset: u64, detail: String) -> CoreError {
+    CoreError::Corrupt {
+        file: path.display().to_string(),
+        offset,
+        detail,
+    }
+}
+
+/// The tail a checksum-valid frame at `offset` leaves when its payload is
+/// not a record: the log ends there, as it does at a torn frame.
+pub(crate) fn undecodable(path: &Path, offset: u64, detail: &str) -> CoreError {
+    corrupt(path, offset, format!("undecodable payload: {detail}"))
+}
+
+/// Where a walk over a WAL's frames stopped, and why.
+#[derive(Debug, Default)]
+pub(crate) struct FramesEnd {
+    /// Byte length of the valid prefix (magic + complete frames).
+    pub valid_len: u64,
+    /// The torn or corrupt frame the walk stopped at, if it did not stop
+    /// at the end of the file.
+    pub corrupt_tail: Option<CoreError>,
+}
+
+/// The one frame loop: walks a WAL file front to back, handing out one
+/// checksum-verified payload at a time into the caller's buffer, so a
+/// reader holds a record of the log in memory, not the log.
 ///
-/// A missing file scans as empty (a crash can land between snapshot
+/// A missing file is no reader at all (a crash can land between snapshot
 /// rotation and the creation of the next WAL). A present file with a
 /// wrong magic is a hard [`CoreError::Corrupt`] — that is not our file,
-/// and truncating it would destroy someone's data.
-pub fn scan(path: &Path) -> Result<WalScan, CoreError> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(WalScan {
-                records: Vec::new(),
-                valid_len: 0,
-                corrupt_tail: None,
-            })
-        }
-        Err(e) => return Err(wal_err("read", path, &e)),
-    };
-    let file = path.display().to_string();
-    if bytes.len() < WAL_MAGIC.len() {
-        // Crash while writing the header: nothing was ever logged.
-        return Ok(WalScan {
-            records: Vec::new(),
-            valid_len: 0,
-            corrupt_tail: Some(CoreError::Corrupt {
-                file,
-                offset: 0,
-                detail: format!("short header ({} bytes)", bytes.len()),
-            }),
-        });
-    }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(CoreError::Corrupt {
-            file,
-            offset: 0,
-            detail: "bad magic; not an LDPWAL01 file".into(),
-        });
-    }
-    let mut records = Vec::new();
-    let mut offset = WAL_MAGIC.len();
-    let corrupt_tail = loop {
-        if offset == bytes.len() {
-            break None;
-        }
-        let tail = |detail: String| CoreError::Corrupt {
-            file: file.clone(),
-            offset: offset as u64,
-            detail,
+/// and truncating it would destroy someone's data. The first incomplete
+/// or checksum-failing frame ends the walk; [`end`](Self::end) says where.
+#[derive(Debug)]
+pub(crate) struct FrameReader {
+    reader: BufReader<File>,
+    path: PathBuf,
+    /// Length of the file when it was opened; nothing appends to a WAL
+    /// while it is being recovered.
+    len: u64,
+    /// Where the next frame starts.
+    offset: u64,
+    tail: Option<CoreError>,
+}
+
+impl FrameReader {
+    pub fn open(path: &Path) -> Result<Option<FrameReader>, CoreError> {
+        let file = match File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(wal_err("read", path, &e)),
         };
-        if bytes.len() - offset < 8 {
-            break Some(tail(format!(
-                "torn frame header ({} trailing bytes)",
-                bytes.len() - offset
-            )));
+        let len = file
+            .metadata()
+            .map_err(|e| wal_err("read", path, &e))?
+            .len();
+        let mut frames = FrameReader {
+            reader: BufReader::new(file),
+            path: path.to_path_buf(),
+            len,
+            offset: 0,
+            tail: None,
+        };
+        if len < WAL_MAGIC.len() as u64 {
+            // Crash while writing the header: nothing was ever logged.
+            frames.tail = Some(corrupt(path, 0, format!("short header ({len} bytes)")));
+            return Ok(Some(frames));
         }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-        if bytes.len() - offset - 8 < len {
-            break Some(tail(format!(
-                "torn frame payload ({} of {len} bytes present)",
-                bytes.len() - offset - 8
-            )));
+        let mut magic = [0; WAL_MAGIC.len()];
+        frames.read_exact(&mut magic)?;
+        if &magic != WAL_MAGIC {
+            return Err(corrupt(path, 0, "bad magic; not an LDPWAL01 file".into()));
         }
-        let payload = &bytes[offset + 8..offset + 8 + len];
+        frames.offset = magic.len() as u64;
+        Ok(Some(frames))
+    }
+
+    fn read_exact(&mut self, buf: &mut [u8]) -> Result<(), CoreError> {
+        self.reader
+            .read_exact(buf)
+            .map_err(|e| wal_err("read", &self.path, &e))
+    }
+
+    /// Read the next frame's payload into `payload` (its old contents
+    /// are discarded, its allocation reused) and return the offset the
+    /// frame starts at; `None` once the walk has ended.
+    pub fn next_into(&mut self, payload: &mut Vec<u8>) -> Result<Option<u64>, CoreError> {
+        let left = self.len - self.offset;
+        if self.tail.is_some() || left == 0 {
+            return Ok(None);
+        }
+        let at = self.offset;
+        if left < 8 {
+            let detail = format!("torn frame header ({left} trailing bytes)");
+            self.tail = Some(corrupt(&self.path, at, detail));
+            return Ok(None);
+        }
+        let mut header = [0; 8];
+        self.read_exact(&mut header)?;
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = header;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
+        if left - 8 < len as u64 {
+            let detail = format!("torn frame payload ({} of {len} bytes present)", left - 8);
+            self.tail = Some(corrupt(&self.path, at, detail));
+            return Ok(None);
+        }
+        payload.resize(len as usize, 0);
+        self.read_exact(payload)?;
         if crc32(payload) != crc {
-            break Some(tail("frame checksum mismatch".into()));
+            self.tail = Some(corrupt(&self.path, at, "frame checksum mismatch".into()));
+            return Ok(None);
         }
-        match WalRecord::decode(payload) {
-            Ok(record) => records.push(record),
-            Err(detail) => break Some(tail(format!("undecodable payload: {detail}"))),
+        self.offset += 8 + len as u64;
+        Ok(Some(at))
+    }
+
+    /// Where the walk stands: the valid prefix behind it, and the bad
+    /// frame in front of it if it has met one.
+    pub fn end(self) -> FramesEnd {
+        FramesEnd {
+            valid_len: self.offset,
+            corrupt_tail: self.tail,
         }
-        offset += 8 + len;
+    }
+}
+
+/// Scan a WAL file, tolerating a torn/corrupt tail: every frame
+/// `FrameReader` yields, decoded and collected. A missing file scans
+/// as empty; a foreign one is a hard error.
+pub fn scan(path: &Path) -> Result<WalScan, CoreError> {
+    let mut scan = WalScan {
+        records: Vec::new(),
+        valid_len: 0,
+        corrupt_tail: None,
     };
-    Ok(WalScan {
-        records,
-        valid_len: offset as u64,
-        corrupt_tail,
-    })
+    let Some(mut frames) = FrameReader::open(path)? else {
+        return Ok(scan);
+    };
+    let mut payload = Vec::new();
+    while let Some(at) = frames.next_into(&mut payload)? {
+        match WalRecord::decode(&payload) {
+            Ok(record) => scan.records.push(record),
+            Err(detail) => {
+                scan.valid_len = at;
+                scan.corrupt_tail = Some(undecodable(path, at, &detail));
+                return Ok(scan);
+            }
+        }
+    }
+    let end = frames.end();
+    scan.valid_len = end.valid_len;
+    scan.corrupt_tail = end.corrupt_tail;
+    Ok(scan)
 }
 
 #[cfg(test)]
@@ -759,6 +823,18 @@ mod tests {
             let payload = record.encode();
             assert_eq!(WalRecord::decode(&payload).unwrap(), record);
         }
+    }
+
+    /// A `Reports` payload claiming more responses than its bytes can
+    /// hold is refused on the count, before a vector is reserved for it.
+    #[test]
+    fn forged_response_count_is_refused_before_allocating() {
+        let mut payload = sample_records()[2].encode();
+        // tag, session, round, seq, then the count.
+        payload[25..29].copy_from_slice(&(16u32 << 20).to_le_bytes());
+        payload.resize(16 << 20, 0);
+        let err = WalRecord::decode(&payload).unwrap_err();
+        assert!(err.contains("response count 16777216 exceeds"), "{err}");
     }
 
     #[test]

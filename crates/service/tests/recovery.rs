@@ -7,7 +7,7 @@
 use ldp_fo::{build_oracle, FoKind, Report};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::UserResponse;
-use ldp_service::{IngestService, ServiceConfig, SessionId, WalSync};
+use ldp_service::{IngestService, ServiceConfig, ServiceMetrics, SessionId, WalSync};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -93,6 +93,41 @@ fn restart_mid_round_is_bit_identical_at_every_shard_count() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The volume of a replay is in the report and in the registry: the
+/// responses folded back, and the WAL bytes they came from, next to
+/// `ldp_replay_ns`. An open that finds no WAL counts nothing.
+#[test]
+fn replay_volume_is_reported_and_counted() {
+    let dir = tmp_dir("replay_volume");
+    let config = ServiceConfig::with_threads(2).with_batch_size(16);
+    let metrics = ServiceMetrics::standalone();
+    let svc = IngestService::open_observed(config, &dir, metrics.clone()).unwrap();
+    let first = svc.recovery_report().unwrap();
+    assert_eq!((first.reports_replayed, first.wal_bytes_read), (0, 0));
+    let session = svc.create_session().unwrap();
+    svc.open_round(session, 0, FoKind::Grr, 1.0, 4).unwrap();
+    svc.submit_batch(session, responses(0, 70, 4)).unwrap();
+    svc.submit_batch(session, responses(0, 30, 4)).unwrap();
+    drop(svc);
+    let wal_len = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .find(|entry| entry.file_name().to_str().unwrap().starts_with("wal-"))
+        .map(|entry| entry.metadata().unwrap().len())
+        .unwrap();
+
+    let svc = IngestService::open_observed(config, &dir, metrics.clone()).unwrap();
+    let report = svc.recovery_report().unwrap();
+    assert_eq!(report.wal_records_replayed, 4);
+    assert_eq!(report.reports_replayed, 100);
+    assert_eq!(report.wal_bytes_read, wal_len);
+    assert_eq!(metrics.replay_reports.get(), 100);
+    assert_eq!(metrics.replay_bytes.get(), wal_len);
+    assert_eq!(metrics.replay_ns.snapshot().count, 2);
+    assert_eq!(svc.close_round(session).unwrap().reporters, 92);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
