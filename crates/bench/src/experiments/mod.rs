@@ -7,10 +7,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod inspect;
-pub mod net;
-pub mod recovery;
 pub mod table2;
-pub mod throughput;
 
 use crate::grid::{default_threads, run_parallel};
 use crate::output::Figure;

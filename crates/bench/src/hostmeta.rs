@@ -1,11 +1,12 @@
-//! Host metadata stamped into benchmark artifacts.
+//! Host metadata printed with the repo benchmark's results.
 //!
 //! Throughput numbers from a 1-core CI container and an 8-core
-//! workstation are not comparable; the committed JSON artifacts carry
-//! the logical core count, the compiler that built the binary, and an
-//! ISO-8601 timestamp (passed in by the harness via `--stamp`, since
-//! the benchmark itself should not trust the container clock) so every
-//! number is attributable to the machine that produced it.
+//! workstation are not comparable; a run carries the logical core
+//! count, the compiler that built the binary, the commit, and an
+//! ISO-8601 timestamp when the harness passes one (the benchmark itself
+//! should not trust the container clock), so every number is
+//! attributable to the machine that produced it. `benchmark/` is the
+//! only caller.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,8 +18,8 @@ pub struct HostMeta {
     /// `rustc --version` of the toolchain on the host, or `"unknown"`
     /// when the compiler is not on the bench host's PATH.
     pub rustc: String,
-    /// ISO-8601 timestamp passed in by the harness (`--stamp`); `None`
-    /// when the run was not stamped.
+    /// ISO-8601 timestamp passed in by the harness; `None` when the run
+    /// was not stamped.
     pub stamped_at: Option<String>,
     /// Abbreviated git commit the benched tree was at, with a `-dirty`
     /// suffix when the working tree had local changes; `"unknown"` when

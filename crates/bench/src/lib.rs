@@ -12,10 +12,15 @@
 //! | [`experiments::table2`] | Table 2 — CFPU, 7 methods × 5 datasets × 3 configs |
 //! | [`experiments::ablations`] | beyond-paper design-choice ablations |
 //!
+//! [`experiments::inspect`] prints the reproduction's inputs (dataset
+//! statistics, the closed-form analysis tables).
+//!
 //! The pieces they share: [`spec`] (a run specification and its
 //! execution), [`scale`] (paper-scale vs quick-scale parameter
 //! adjustment), [`grid`] (a parallel grid executor) and [`output`]
-//! (figure/table rendering and JSON dumps).
+//! (figure/table rendering and JSON dumps). Performance is measured by
+//! the repo benchmark (`benchmark/`), which borrows [`hostmeta`] from
+//! here and nothing else.
 
 #![warn(missing_docs)]
 

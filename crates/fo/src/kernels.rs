@@ -34,13 +34,6 @@ use crate::oracle::FoKind;
 use crate::report::{iter_set_bits, Report};
 use ldp_util::rng::{child_seed_premul, LABEL_MUL};
 
-/// Kernel label for the OUE positional-popcount path.
-pub const OUE_KERNEL: &str = "oue-pospopcnt64";
-/// Kernel label for the inverted branch-free OLH path.
-pub const OLH_KERNEL: &str = "olh-inverted-mulhi";
-/// Kernel label for the fallback row-at-a-time path.
-pub const SCALAR_KERNEL: &str = "scalar";
-
 /// Transpose a 64×64 bit matrix in place (Hacker's Delight §7-3).
 ///
 /// The swap network uses MSB-first row/column numbering, so in this

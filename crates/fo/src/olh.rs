@@ -120,10 +120,6 @@ impl FrequencyOracle for Olh {
         }
     }
 
-    fn batch_kernel(&self) -> &'static str {
-        kernels::OLH_KERNEL
-    }
-
     fn perturb_aggregate(&self, true_counts: &[u64], rng: &mut dyn RngCore) -> Vec<u64> {
         debug_assert_eq!(true_counts.len(), self.d);
         let n: u64 = true_counts.iter().sum();

@@ -180,12 +180,6 @@ pub trait FrequencyOracle: Send + Sync + std::fmt::Debug {
         columns.for_each_report(|report| self.accumulate_lenient(&report, counts));
     }
 
-    /// Which batched kernel [`accumulate_batch`](Self::accumulate_batch)
-    /// runs (a stable label stamped into benchmark artifacts).
-    fn batch_kernel(&self) -> &'static str {
-        kernels::SCALAR_KERNEL
-    }
-
     /// Unbiased frequency estimates from raw support counts of `n` users.
     fn estimate(&self, counts: &[u64], n: u64) -> Vec<f64> {
         let PqPair { p, q } = self.pq();

@@ -99,10 +99,6 @@ impl FrequencyOracle for Oue {
         }
     }
 
-    fn batch_kernel(&self) -> &'static str {
-        kernels::OUE_KERNEL
-    }
-
     /// Exact aggregate sampling: OUE bit-columns are independent given
     /// the true counts, so column `j` collects
     /// `Bin(n_j, 1/2) + Bin(n − n_j, q)` set bits. This reproduces the

@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Domains that stress the OUE kernel's 64-bit word boundaries plus a
-/// spread of ordinary sizes.
-const DOMAINS: [usize; 12] = [2, 3, 17, 32, 63, 64, 65, 127, 128, 129, 200, 513];
+/// spread of ordinary sizes, up to 16 OUE words.
+const DOMAINS: [usize; 13] = [2, 3, 17, 32, 63, 64, 65, 127, 128, 129, 200, 513, 1024];
 
 fn perturbed_reports(oracle: &dyn FrequencyOracle, n: usize, seed: u64) -> Vec<Report> {
     let d = oracle.domain_size();

@@ -42,8 +42,7 @@
 //!   faults.
 //!
 //! The `ldp-server` / `ldp-client` binaries wrap the two ends for
-//! loopback smoke tests and benchmarks (`repro net-throughput`,
-//! `repro chaos`).
+//! loopback smoke tests.
 //!
 //! ## Quick example
 //!

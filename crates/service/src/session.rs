@@ -575,8 +575,8 @@ impl IngestService {
     }
 
     /// Append/fsync counters of the current WAL generation (`None` for
-    /// an in-memory service). Drives the group-commit rows of
-    /// `BENCH_recovery.json`.
+    /// an in-memory service). The repo benchmark reads
+    /// `service.wal.fsyncs_per_record` from it.
     pub fn wal_stats(&self) -> Option<WalStats> {
         self.lock().durable.as_ref().map(|d| d.wal.stats())
     }

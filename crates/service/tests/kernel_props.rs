@@ -138,56 +138,63 @@ proptest! {
 }
 
 /// The acceptance pin: the sharded service's estimates are bit-identical
-/// to the sequential `AggregationServer` at 1, 2, and 8 shards, for
-/// every oracle.
+/// to the sequential `AggregationServer` at 1, 2, 4 and 8 shards, for
+/// every oracle, from a half-word OUE domain to d = 1024 (16 OUE words;
+/// n shrinks there so OLH's d hashes per report stay cheap).
 #[test]
 fn service_estimates_bit_identical_to_sequential_server() {
-    for kind in [FoKind::Grr, FoKind::Oue, FoKind::Olh] {
-        let (eps, d, n) = (1.0, 67, 4_000);
-        let oracle = build_oracle(kind, eps, d).unwrap();
-        let mut rng = StdRng::seed_from_u64(0xc01_u64 + kind as u64);
-        let reports: Vec<Report> = (0..n)
-            .map(|_| oracle.perturb(rng.gen_range(0..d), &mut rng))
-            .collect();
-
-        // Sequential reference.
-        let mut server = AggregationServer::new();
-        let request = server.open_round(0, kind, eps, oracle.clone());
-        for report in &reports {
-            server
-                .submit(&UserResponse::Report {
-                    round: request.round,
-                    report: report.clone(),
-                })
-                .unwrap();
-        }
-        let reference = server.close_round().unwrap();
-
-        for shards in [1usize, 2, 8] {
-            let service = Arc::new(IngestService::new(
-                ServiceConfig::with_threads(shards).with_batch_size(64),
-            ));
-            let session = service.create_session().unwrap();
-            let req = service.open_round(session, 0, kind, eps, d).unwrap();
-            let responses: Vec<UserResponse> = reports
-                .iter()
-                .map(|report| UserResponse::Report {
-                    round: req.round,
-                    report: report.clone(),
-                })
+    let eps = 1.0;
+    for (d, n) in [(32, 4_000), (67, 4_000), (128, 4_000), (1024, 1_000)] {
+        for kind in [FoKind::Grr, FoKind::Oue, FoKind::Olh] {
+            let oracle = build_oracle(kind, eps, d).unwrap();
+            let mut rng = StdRng::seed_from_u64(0xc01_u64 + kind as u64 + d as u64);
+            let reports: Vec<Report> = (0..n)
+                .map(|_| oracle.perturb(rng.gen_range(0..d), &mut rng))
                 .collect();
-            service.submit_batch(session, responses).unwrap();
-            let estimate = service.close_round(session).unwrap();
-            assert_eq!(estimate.reporters, reference.reporters);
-            assert_eq!(
-                estimate.frequencies.len(),
-                reference.frequencies.len(),
-                "{kind:?} x{shards}"
-            );
-            for (a, b) in estimate.frequencies.iter().zip(&reference.frequencies) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} x{shards}: {a} != {b}");
+
+            // Sequential reference.
+            let mut server = AggregationServer::new();
+            let request = server.open_round(0, kind, eps, oracle.clone());
+            for report in &reports {
+                server
+                    .submit(&UserResponse::Report {
+                        round: request.round,
+                        report: report.clone(),
+                    })
+                    .unwrap();
             }
-            service.end_session(session).unwrap();
+            let reference = server.close_round().unwrap();
+
+            for shards in [1usize, 2, 4, 8] {
+                let service = Arc::new(IngestService::new(
+                    ServiceConfig::with_threads(shards).with_batch_size(64),
+                ));
+                let session = service.create_session().unwrap();
+                let req = service.open_round(session, 0, kind, eps, d).unwrap();
+                let responses: Vec<UserResponse> = reports
+                    .iter()
+                    .map(|report| UserResponse::Report {
+                        round: req.round,
+                        report: report.clone(),
+                    })
+                    .collect();
+                service.submit_batch(session, responses).unwrap();
+                let estimate = service.close_round(session).unwrap();
+                assert_eq!(estimate.reporters, reference.reporters);
+                assert_eq!(
+                    estimate.frequencies.len(),
+                    reference.frequencies.len(),
+                    "{kind:?} d={d} x{shards}"
+                );
+                for (a, b) in estimate.frequencies.iter().zip(&reference.frequencies) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{kind:?} d={d} x{shards}: {a} != {b}"
+                    );
+                }
+                service.end_session(session).unwrap();
+            }
         }
     }
 }

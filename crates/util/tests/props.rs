@@ -1,6 +1,6 @@
 //! Property tests for the numeric substrate.
 
-use ldp_util::{ln_gamma, sample_multivariate_hypergeometric, AliasTable, KahanSum, Zipf};
+use ldp_util::{ln_gamma, sample_multivariate_hypergeometric, KahanSum, Zipf};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,21 +61,6 @@ proptest! {
         let rhs = ln_gamma(x) + x.ln();
         let scale = lhs.abs().max(1.0);
         prop_assert!((lhs - rhs).abs() / scale < 1e-10, "{lhs} vs {rhs}");
-    }
-
-    /// Alias tables sample only valid indices and their pmf matches the
-    /// normalized weights.
-    #[test]
-    fn alias_table_respects_support(
-        weights in proptest::collection::vec(0.01f64..100.0, 2..20),
-        seed in 0u64..1000,
-    ) {
-        let table = AliasTable::new(&weights).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..50 {
-            let idx = table.sample(&mut rng);
-            prop_assert!(idx < weights.len());
-        }
     }
 
     /// Zipf pmf is a probability distribution over its support.
