@@ -22,6 +22,7 @@
 
 use crate::config::MechanismConfig;
 use crate::error::CoreError;
+use crate::protocol::UserResponse;
 use ldp_fo::{build_oracle, FoKind, OracleHandle};
 use ldp_stream::{RingWindow, StreamSource, TrueHistogram};
 use ldp_util::sample_multivariate_hypergeometric;
@@ -236,9 +237,10 @@ impl RoundCollector for AggregateCollector {
         let support = oracle.perturb_aggregate(&group_counts, &mut self.rng);
         let frequencies = oracle.estimate(&support, reporters);
         self.stats.uplink_reports += reporters;
-        // One report per user; wire size per report is oracle-dependent
-        // but constant, so approximate with the GRR/OUE/OLH formats.
-        self.stats.uplink_bytes += reporters * wire_size_hint(self.fo, self.domain_size());
+        // One response per user, all of the size the client path would
+        // count for the oracle this round resolved to.
+        self.stats.uplink_bytes +=
+            reporters * UserResponse::report_wire_size(oracle.kind(), self.domain_size()) as u64;
         Ok(RoundEstimate {
             frequencies,
             reporters,
@@ -248,19 +250,6 @@ impl RoundCollector for AggregateCollector {
 
     fn stats(&self) -> CollectorStats {
         self.stats
-    }
-}
-
-/// Constant per-report wire size of each oracle's report format, used by
-/// the aggregate collector (which does not materialize reports).
-pub(crate) fn wire_size_hint(fo: FoKind, d: usize) -> u64 {
-    match fo {
-        FoKind::Grr => 4,
-        FoKind::Oue => 4 + 8 * d.div_ceil(64) as u64,
-        FoKind::Olh => 12,
-        // Adaptive resolves to GRR or OUE at construction; without the
-        // resolved kind assume the larger format.
-        FoKind::Adaptive => 4 + 8 * d.div_ceil(64) as u64,
     }
 }
 
@@ -377,7 +366,11 @@ mod tests {
         c.collect(ReportScope::All, 1.0).unwrap();
         let s = c.stats();
         assert_eq!(s.steps, 1);
-        assert_eq!(s.uplink_bytes, 1000 * 4, "GRR reports are 4 bytes");
+        assert_eq!(
+            s.uplink_bytes,
+            1000 * (8 + 4),
+            "a GRR response is the 8-byte round echo and a 4-byte value"
+        );
     }
 
     #[test]

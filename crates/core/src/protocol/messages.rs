@@ -31,6 +31,9 @@ impl ReportRequest {
     }
 }
 
+/// Bytes of the round id every response echoes back.
+const ROUND_ECHO_BYTES: usize = 8;
+
 /// User → server: a perturbed report, or a refusal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum UserResponse {
@@ -62,9 +65,16 @@ impl UserResponse {
     /// Approximate uplink wire size in bytes.
     pub fn wire_size(&self) -> usize {
         match self {
-            UserResponse::Report { report, .. } => 8 + report.wire_size(),
-            UserResponse::Refused { .. } => 8 + 16,
+            UserResponse::Report { report, .. } => ROUND_ECHO_BYTES + report.wire_size(),
+            UserResponse::Refused { .. } => ROUND_ECHO_BYTES + 16,
         }
+    }
+
+    /// [`wire_size`](Self::wire_size) of a `Report` response from a
+    /// concrete `kind` oracle over `d` values, for the collector that
+    /// samples a round's tallies without materialising its responses.
+    pub fn report_wire_size(kind: FoKind, d: usize) -> usize {
+        ROUND_ECHO_BYTES + Report::wire_size_of(kind, d)
     }
 }
 
@@ -92,6 +102,7 @@ mod tests {
         };
         assert!(rep.is_report());
         assert_eq!(rep.wire_size(), 12);
+        assert_eq!(UserResponse::report_wire_size(FoKind::Grr, 4), 12);
         let refusal = UserResponse::Refused {
             round: 3,
             requested: 0.5,

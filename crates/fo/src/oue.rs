@@ -5,13 +5,26 @@
 //! clear bit turns on with `q = 1/(e^ε + 1)`. OUE's variance
 //! `4e^ε/(n(e^ε−1)²)` is independent of `d`, which makes it the better
 //! oracle for large domains (`d ≥ 3e^ε + 2`).
+//!
+//! `perturb` fills whole report words from
+//! [`BernoulliWords`](ldp_util::bernoulli::BernoulliWords): 64 lanes
+//! compare lazily revealed uniforms against the binary expansion of `q`,
+//! one random word per digit, until every lane is decided (≈ 7.3 words
+//! per 64 bits instead of 64 draws). The expansion is the `f64` `q`
+//! itself, digit for digit, so `P(bit = 1)` is exactly the dyadic
+//! rational [`Oue::q`] returns and `estimate`, `perturb_aggregate` and
+//! the variance formulas describe what clients do without adjustment.
+//! All `d` lanes are drawn as noise first and only then is the true
+//! value's bit overwritten with one fair coin, so the number of RNG
+//! draws and the work done never depend on the value being hidden.
 
 use crate::kernels::{self, ReportColumns};
 use crate::oracle::{validate_params, FoError, FoKind, FrequencyOracle};
-use crate::report::{iter_set_bits, BitVec, Report};
+use crate::report::{iter_set_bits, Report};
 use crate::variance::PqPair;
+use ldp_util::bernoulli::BernoulliWords;
 use ldp_util::binomial::sample_binomial;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// OUE oracle for a fixed `(ε, d)`.
 #[derive(Debug, Clone)]
@@ -19,16 +32,20 @@ pub struct Oue {
     epsilon: f64,
     d: usize,
     q: f64,
+    /// 64 `Bernoulli(q)` lanes per call, over `q`'s exact expansion.
+    noise: BernoulliWords,
 }
 
 impl Oue {
     /// Create an OUE oracle; requires finite `ε > 0` and `d ≥ 2`.
     pub fn new(epsilon: f64, d: usize) -> Result<Self, FoError> {
         validate_params(epsilon, d)?;
+        let q = 1.0 / (epsilon.exp() + 1.0);
         Ok(Oue {
             epsilon,
             d,
-            q: 1.0 / (epsilon.exp() + 1.0),
+            q,
+            noise: BernoulliWords::new(q).expect("1/(e^ε + 1) lies in [0, 1/2) for ε > 0"),
         })
     }
 
@@ -58,18 +75,22 @@ impl FrequencyOracle for Oue {
     fn perturb(&self, value: usize, rng: &mut dyn RngCore) -> Report {
         debug_assert!(value < self.d);
         let value = value.min(self.d - 1);
-        let mut bits = BitVec::zeros(self.d);
-        for j in 0..self.d {
-            let on = if j == value {
-                rng.gen::<f64>() < 0.5
-            } else {
-                rng.gen::<f64>() < self.q
-            };
-            if on {
-                bits.set(j, true);
-            }
+        let mut bits: Vec<u64> = (0..self.d.div_ceil(64))
+            .map(|_| self.noise.sample(rng))
+            .collect();
+        let tail_bits = self.d % 64;
+        if tail_bits != 0 {
+            let last = bits.len() - 1;
+            bits[last] &= (1u64 << tail_bits) - 1;
         }
-        bits.into_report()
+        // The only value-dependent step: one bit replaced by a fair coin.
+        let coin = rng.next_u64() >> 63;
+        let (word, bit) = (value / 64, value % 64);
+        bits[word] = bits[word] & !(1u64 << bit) | coin << bit;
+        Report::Oue {
+            bits,
+            len: self.d as u32,
+        }
     }
 
     fn accumulate(&self, report: &Report, counts: &mut [u64]) {
@@ -121,6 +142,7 @@ impl FrequencyOracle for Oue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::BitVec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -145,26 +167,47 @@ mod tests {
 
     #[test]
     fn perturb_bit_rates_match_p_and_q() {
-        let o = Oue::new(1.0, 8).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        let trials = 50_000;
-        let mut own = 0u64;
-        let mut other = 0u64;
-        for _ in 0..trials {
-            if let Report::Oue { bits, len } = o.perturb(3, &mut rng) {
-                for j in iter_set_bits(&bits, len) {
-                    if j == 3 {
-                        own += 1;
-                    } else {
-                        other += 1;
-                    }
-                }
+        // d = 70 puts the true value in the second word.
+        for (d, value, seed) in [(8usize, 3usize, 2u64), (70, 66, 4)] {
+            let o = Oue::new(1.0, d).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let trials = 50_000u64;
+            let mut on = vec![0u64; d];
+            for _ in 0..trials {
+                o.accumulate(&o.perturb(value, &mut rng), &mut on);
             }
+            let sigma = |p: f64, n: u64| (p * (1.0 - p) / n as f64).sqrt();
+            let own_rate = on[value] as f64 / trials as f64;
+            assert!(
+                (own_rate - 0.5).abs() < 4.5 * sigma(0.5, trials),
+                "d = {d}: own rate {own_rate}"
+            );
+            let others = trials * (d as u64 - 1);
+            let other_rate = (on.iter().sum::<u64>() - on[value]) as f64 / others as f64;
+            assert!(
+                (other_rate - o.q()).abs() < 4.5 * sigma(o.q(), others),
+                "d = {d}: other rate {other_rate} vs q = {}",
+                o.q()
+            );
         }
-        let own_rate = own as f64 / trials as f64;
-        let other_rate = other as f64 / (trials as f64 * 7.0);
-        assert!((own_rate - 0.5).abs() < 0.01, "own rate {own_rate}");
-        assert!((other_rate - o.q()).abs() < 0.01, "other rate {other_rate}");
+    }
+
+    #[test]
+    fn epsilon_past_exp_overflow_reports_only_the_coin() {
+        // e^710 = ∞ in f64, so q = 0.0: no noise bit may ever be set.
+        let o = Oue::new(710.0, 130).unwrap();
+        assert_eq!(o.q(), 0.0);
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut on = vec![0u64; 130];
+        for _ in 0..1_000 {
+            o.accumulate(&o.perturb(129, &mut rng), &mut on);
+        }
+        assert_eq!(on.iter().sum::<u64>(), on[129]);
+        assert!(
+            (400..600).contains(&on[129]),
+            "coin landed {} of 1000",
+            on[129]
+        );
     }
 
     #[test]

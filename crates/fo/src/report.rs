@@ -1,5 +1,6 @@
 //! The wire format of a single perturbed user report.
 
+use crate::oracle::FoKind;
 use serde::{Deserialize, Serialize};
 
 /// One locally perturbed report, as sent from a user device to the
@@ -30,13 +31,31 @@ pub enum Report {
 }
 
 impl Report {
-    /// Approximate on-the-wire size in bytes, used by the communication
-    /// accounting in the protocol layer.
+    /// Modelled on-the-wire size in bytes of one report of the concrete
+    /// `kind` over `d` values: the one byte model behind the
+    /// communication accounting, whether or not a report is materialised.
+    ///
+    /// [`FoKind::Adaptive`] resolves at oracle construction — pass the
+    /// oracle's `kind()`; unresolved it is charged as OUE, the larger
+    /// format, under a debug assertion.
+    pub fn wire_size_of(kind: FoKind, d: usize) -> usize {
+        match kind {
+            FoKind::Grr => 4,
+            FoKind::Olh => 12,
+            FoKind::Oue => 4 + 8 * d.div_ceil(64),
+            FoKind::Adaptive => {
+                debug_assert!(false, "Adaptive resolves before a report exists");
+                4 + 8 * d.div_ceil(64)
+            }
+        }
+    }
+
+    /// Modelled on-the-wire size of this report in bytes.
     pub fn wire_size(&self) -> usize {
         match self {
-            Report::Grr(_) => 4,
-            Report::Oue { bits, .. } => 4 + bits.len() * 8,
-            Report::Olh { .. } => 12,
+            Report::Grr(_) => Self::wire_size_of(FoKind::Grr, 0),
+            Report::Oue { len, .. } => Self::wire_size_of(FoKind::Oue, *len as usize),
+            Report::Olh { .. } => Self::wire_size_of(FoKind::Olh, 0),
         }
     }
 }
@@ -172,6 +191,9 @@ mod tests {
         assert_eq!(Report::Olh { seed: 1, bucket: 2 }.wire_size(), 12);
         let oue = BitVec::zeros(100).into_report();
         assert_eq!(oue.wire_size(), 4 + 2 * 8);
+        assert_eq!(Report::wire_size_of(FoKind::Oue, 100), oue.wire_size());
+        assert_eq!(Report::wire_size_of(FoKind::Oue, 128), 4 + 2 * 8);
+        assert_eq!(Report::wire_size_of(FoKind::Oue, 129), 4 + 3 * 8);
     }
 
     #[test]

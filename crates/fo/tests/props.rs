@@ -8,12 +8,13 @@ use rand::SeedableRng;
 proptest! {
     /// Every report an oracle emits is structurally valid and
     /// accumulates into support counts without panicking; GRR adds
-    /// exactly one support, OUE/OLH add between 0 and d.
+    /// exactly one support, OUE/OLH add between 0 and d. An OUE report
+    /// is exactly ⌈d/64⌉ words with nothing set above bit d.
     #[test]
     fn reports_are_well_formed(
         kind_idx in 0usize..3,
         eps in 0.1f64..5.0,
-        d in 2usize..40,
+        d in 2usize..200,
         value_frac in 0.0f64..1.0,
         seed in 0u64..1000,
     ) {
@@ -24,7 +25,13 @@ proptest! {
         let report = oracle.perturb(value, &mut rng);
         match &report {
             Report::Grr(v) => prop_assert!((*v as usize) < d),
-            Report::Oue { len, .. } => prop_assert_eq!(*len as usize, d),
+            Report::Oue { bits, len } => {
+                prop_assert_eq!(*len as usize, d);
+                prop_assert_eq!(bits.len(), d.div_ceil(64));
+                if let Some(tail) = bits.get(d / 64) {
+                    prop_assert_eq!(tail >> (d % 64), 0, "padding above bit {}", d);
+                }
+            }
             Report::Olh { .. } => {}
         }
         let mut counts = vec![0u64; d];

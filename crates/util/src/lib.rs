@@ -6,12 +6,14 @@
 //! that a single master seed reproduces an entire experiment grid.
 //!
 //! The crate deliberately hand-rolls the distributions whose exact form the
-//! paper depends on (Laplace noise, Zipf popularity) and
+//! paper depends on (Laplace noise, Zipf popularity, the bit-sliced
+//! Bernoulli behind OUE's per-bit flips) and
 //! delegates the numerically fiddly ones (binomial/BTPE, standard normal)
 //! to [`rand_distr`], as recorded in `DESIGN.md`.
 
 #![warn(missing_docs)]
 
+pub mod bernoulli;
 pub mod binomial;
 pub mod gaussian;
 pub mod hypergeometric;
@@ -21,6 +23,7 @@ pub mod rng;
 pub mod stats;
 pub mod zipf;
 
+pub use bernoulli::BernoulliWords;
 pub use binomial::{sample_binomial, sample_multinomial_uniform, split_binomial};
 pub use gaussian::Gaussian;
 pub use hypergeometric::{ln_gamma, sample_hypergeometric, sample_multivariate_hypergeometric};

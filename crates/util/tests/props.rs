@@ -1,9 +1,9 @@
 //! Property tests for the numeric substrate.
 
-use ldp_util::{ln_gamma, sample_multivariate_hypergeometric, KahanSum, Zipf};
+use ldp_util::{ln_gamma, sample_multivariate_hypergeometric, BernoulliWords, KahanSum, Zipf};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 proptest! {
     /// Kahan summation is at least as accurate as naive summation
@@ -73,5 +73,33 @@ proptest! {
         for k in 1..n {
             prop_assert!(z.pmf(k) <= z.pmf(k - 1) + 1e-12);
         }
+    }
+
+    /// Bit-sliced Bernoulli lanes are coupled through the word stream:
+    /// on the same words every lane's uniform is the same, so raising p
+    /// can only turn lanes on, p = ½ is the complement of one word, and
+    /// no call draws past the end of p's expansion.
+    #[test]
+    fn bernoulli_words_are_monotone_in_p(a in 0.0f64..=1.0, b in 0.0f64..=1.0, seed in 0u64..10_000) {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let sample = |p: f64| {
+            let sampler = BernoulliWords::new(p).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let lanes = sampler.sample(&mut rng);
+            // Words drawn = distance to the same stream's position.
+            let mut probe = StdRng::seed_from_u64(seed);
+            let mut drawn = 0u32;
+            while probe != rng {
+                probe.next_u64();
+                drawn += 1;
+            }
+            (lanes, drawn, sampler.expansion_len())
+        };
+        let (lanes_lo, drawn_lo, len_lo) = sample(lo);
+        let (lanes_hi, drawn_hi, len_hi) = sample(hi);
+        prop_assert_eq!(lanes_lo & !lanes_hi, 0, "lanes on at p = {} but off at p = {}", lo, hi);
+        prop_assert!(drawn_lo <= len_lo && drawn_hi <= len_hi);
+        let (half, _, _) = sample(0.5);
+        prop_assert_eq!(half, !StdRng::seed_from_u64(seed).next_u64());
     }
 }

@@ -6,6 +6,7 @@
 //! compare the two backends' estimate moments and the mechanisms'
 //! end-to-end error under both.
 
+use ldp_fo::FoKind;
 use ldp_ids::collector::{AggregateCollector, ReportScope, RoundCollector};
 use ldp_ids::protocol::ClientCollector;
 use ldp_ids::runner::{run_on_source, CollectorMode};
@@ -14,42 +15,85 @@ use ldp_stream::source::ConstantSource;
 use ldp_stream::{Dataset, MaterializedStream, TrueHistogram};
 use ldp_util::stats::{mean, sample_variance};
 
+/// One population and the cell whose estimate the moment tests follow.
+struct Lane {
+    fo: FoKind,
+    counts: Vec<u64>,
+    cell: usize,
+}
+
+impl Lane {
+    /// The paper's default: GRR over a binary domain, 70 % in cell 0.
+    fn grr() -> Self {
+        Lane {
+            fo: FoKind::Grr,
+            counts: vec![1400, 600],
+            cell: 0,
+        }
+    }
+
+    /// OUE over two report words, following a cell in the second one:
+    /// here the client path sums 2000 bit-sliced per-user reports while
+    /// the aggregate path draws two binomials per cell, so a biased or
+    /// lane-correlated per-user sampler shows as a moment mismatch.
+    fn oue() -> Self {
+        let mut counts = vec![16u64; 70];
+        counts[0] = 500;
+        counts[1] += 12;
+        counts[66] = 400;
+        Lane {
+            fo: FoKind::Oue,
+            counts,
+            cell: 66,
+        }
+    }
+
+    fn population(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    fn truth(&self) -> f64 {
+        self.counts[self.cell] as f64 / self.population() as f64
+    }
+
+    fn collector(&self, mode: CollectorMode, eps: f64, seed: u64) -> Box<dyn RoundCollector> {
+        let source = Box::new(ConstantSource::new(TrueHistogram::new(self.counts.clone())));
+        let config =
+            MechanismConfig::new(eps, 4, self.counts.len(), self.population()).with_fo(self.fo);
+        match mode {
+            CollectorMode::Aggregate => Box::new(AggregateCollector::new(source, &config, seed)),
+            CollectorMode::Client => Box::new(ClientCollector::new(source, &config, seed)),
+        }
+    }
+}
+
 fn one_round_estimates(
+    lane: &Lane,
     mode: CollectorMode,
     trials: usize,
     scope: ReportScope,
     eps: f64,
 ) -> Vec<f64> {
-    let counts = vec![1400u64, 600];
-    let config = MechanismConfig::new(eps, 4, 2, 2000);
     (0..trials)
         .map(|seed| {
-            let source = ConstantSource::new(TrueHistogram::new(counts.clone()));
-            let mut collector: Box<dyn RoundCollector> = match mode {
-                CollectorMode::Aggregate => Box::new(AggregateCollector::new(
-                    Box::new(source),
-                    &config,
-                    seed as u64,
-                )),
-                CollectorMode::Client => {
-                    Box::new(ClientCollector::new(Box::new(source), &config, seed as u64))
-                }
-            };
+            let mut collector = lane.collector(mode, eps, seed as u64);
             collector.begin_step().unwrap();
-            collector.collect(scope, eps).unwrap().frequencies[0]
+            collector.collect(scope, eps).unwrap().frequencies[lane.cell]
         })
         .collect()
 }
 
-#[test]
-fn collectors_agree_on_all_scope_moments() {
+/// Both backends' estimates of the lane's cell centre on the truth and
+/// spread alike over 300 seeded rounds.
+fn assert_backends_agree(lane: &Lane, scope: ReportScope, mean_tolerance: f64) {
     let eps = 1.0;
     let trials = 300;
-    let agg = one_round_estimates(CollectorMode::Aggregate, trials, ReportScope::All, eps);
-    let cli = one_round_estimates(CollectorMode::Client, trials, ReportScope::All, eps);
+    let agg = one_round_estimates(lane, CollectorMode::Aggregate, trials, scope, eps);
+    let cli = one_round_estimates(lane, CollectorMode::Client, trials, scope, eps);
     let (m_a, m_c) = (mean(&agg), mean(&cli));
-    assert!((m_a - 0.7).abs() < 0.02, "aggregate mean {m_a}");
-    assert!((m_c - 0.7).abs() < 0.02, "client mean {m_c}");
+    let truth = lane.truth();
+    assert!((m_a - truth).abs() < mean_tolerance, "aggregate mean {m_a}");
+    assert!((m_c - truth).abs() < mean_tolerance, "client mean {m_c}");
     let (v_a, v_c) = (sample_variance(&agg), sample_variance(&cli));
     let ratio = v_a / v_c;
     assert!(
@@ -59,25 +103,65 @@ fn collectors_agree_on_all_scope_moments() {
 }
 
 #[test]
+fn collectors_agree_on_all_scope_moments() {
+    assert_backends_agree(&Lane::grr(), ReportScope::All, 0.02);
+}
+
+#[test]
 fn collectors_agree_on_fresh_scope_moments() {
-    let eps = 1.0;
-    let trials = 300;
-    let agg = one_round_estimates(
-        CollectorMode::Aggregate,
-        trials,
-        ReportScope::Fresh(500),
-        eps,
-    );
-    let cli = one_round_estimates(CollectorMode::Client, trials, ReportScope::Fresh(500), eps);
-    let (m_a, m_c) = (mean(&agg), mean(&cli));
-    assert!((m_a - 0.7).abs() < 0.03, "aggregate mean {m_a}");
-    assert!((m_c - 0.7).abs() < 0.03, "client mean {m_c}");
-    let (v_a, v_c) = (sample_variance(&agg), sample_variance(&cli));
-    let ratio = v_a / v_c;
-    assert!(
-        (0.6..1.6).contains(&ratio),
-        "variance mismatch: aggregate {v_a} vs client {v_c}"
-    );
+    assert_backends_agree(&Lane::grr(), ReportScope::Fresh(500), 0.03);
+}
+
+#[test]
+fn collectors_agree_on_all_scope_moments_oue() {
+    // sd of one estimate ≈ 0.043 (4e^ε/(n(e^ε − 1)²) at n = 2000), of
+    // the 300-round mean ≈ 0.0025: the bound is 4 σ.
+    assert_backends_agree(&Lane::oue(), ReportScope::All, 0.01);
+}
+
+#[test]
+fn collectors_agree_on_fresh_scope_moments_oue() {
+    assert_backends_agree(&Lane::oue(), ReportScope::Fresh(500), 0.02);
+}
+
+/// Both backends charge a round the same bytes: the aggregate sampler
+/// materialises no response, so it must price one by the same model —
+/// at the oracle the round resolved to, round echo included.
+#[test]
+fn backends_agree_on_uplink_bytes() {
+    let per_response = [
+        (FoKind::Grr, 5, 8 + 4),
+        (FoKind::Adaptive, 5, 8 + 4),
+        (FoKind::Oue, 77, 8 + 4 + 2 * 8),
+        (FoKind::Adaptive, 77, 8 + 4 + 2 * 8),
+    ];
+    for (fo, d, bytes) in per_response {
+        let lane = Lane {
+            fo,
+            counts: vec![20; d],
+            cell: 0,
+        };
+        let stats = [CollectorMode::Aggregate, CollectorMode::Client].map(|mode| {
+            let mut collector = lane.collector(mode, 1.0, 3);
+            collector.begin_step().unwrap();
+            collector.collect(ReportScope::All, 1.0).unwrap();
+            collector.stats()
+        });
+        assert_eq!(
+            stats[0].uplink_reports,
+            lane.population(),
+            "{fo:?}, d = {d}"
+        );
+        assert_eq!(
+            stats[0].uplink_bytes,
+            lane.population() * bytes,
+            "{fo:?}, d = {d}"
+        );
+        assert_eq!(
+            stats[0].uplink_bytes, stats[1].uplink_bytes,
+            "{fo:?}, d = {d}"
+        );
+    }
 }
 
 #[test]
@@ -126,9 +210,15 @@ fn aggregate_variance_matches_closed_form() {
     // every adaptive decision in the system relies on.
     let eps = 1.0;
     let trials = 600;
-    let est = one_round_estimates(CollectorMode::Aggregate, trials, ReportScope::All, eps);
+    let est = one_round_estimates(
+        &Lane::grr(),
+        CollectorMode::Aggregate,
+        trials,
+        ReportScope::All,
+        eps,
+    );
     let emp = sample_variance(&est);
-    let oracle = ldp_fo::build_oracle(ldp_fo::FoKind::Grr, eps, 2).unwrap();
+    let oracle = ldp_fo::build_oracle(FoKind::Grr, eps, 2).unwrap();
     let theory = oracle.cell_variance(2000, 0.7);
     let rel = (emp - theory).abs() / theory;
     assert!(
