@@ -10,10 +10,13 @@
 //! function (typed [`FrameError`] on any defect, including
 //! [`FrameError::Truncated`] for a short buffer), and [`FrameBuffer`]
 //! wraps it incrementally for socket readers, where "truncated" just
-//! means "feed me more bytes".
+//! means "feed me more bytes". The server's reader drains its buffer
+//! with [`FrameBuffer::next_request`]: same envelope checks, same CRC
+//! over the whole payload, but a `SubmitBatch` keeps its responses as
+//! the bytes they arrived as.
 
 use crate::error::FrameError;
-use crate::frame::Frame;
+use crate::frame::{Frame, Request, SubmitBatchBytes};
 use ldp_service::codec::{crc32, put_enveloped};
 
 /// Largest accepted frame payload: 16 MiB.
@@ -31,12 +34,11 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Decode one frame from the front of `bytes`.
-///
-/// Returns the frame and the number of bytes it consumed. A buffer that
-/// ends mid-frame is a typed [`FrameError::Truncated`] carrying how many
-/// bytes the complete frame needs — never a panic.
-pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
+/// The envelope at the front of `bytes`: its checksum field and the
+/// payload behind it, not yet verified against each other. A buffer
+/// that ends mid-frame is a typed [`FrameError::Truncated`] carrying how
+/// many bytes the complete frame needs — never a panic.
+fn open_envelope(bytes: &[u8]) -> Result<(u32, &[u8]), FrameError> {
     if bytes.len() < 8 {
         return Err(FrameError::Truncated {
             needed: 8,
@@ -57,14 +59,27 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
             have: bytes.len(),
         });
     }
-    let expected = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let payload = &bytes[8..total];
+    let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    Ok((crc, &bytes[8..total]))
+}
+
+/// Verify `payload` against its envelope's checksum and decode it.
+fn decode_checked(expected: u32, payload: &[u8]) -> Result<Frame, FrameError> {
     let got = crc32(payload);
     if got != expected {
         return Err(FrameError::Checksum { expected, got });
     }
-    let frame = Frame::decode_payload(payload)?;
-    Ok((frame, total))
+    Frame::decode_payload(payload)
+}
+
+/// Decode one frame from the front of `bytes`.
+///
+/// Returns the frame and the number of bytes it consumed. A buffer that
+/// ends mid-frame is a typed [`FrameError::Truncated`] carrying how many
+/// bytes the complete frame needs — never a panic.
+pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
+    let (crc, payload) = open_envelope(bytes)?;
+    Ok((decode_checked(crc, payload)?, 8 + payload.len()))
 }
 
 /// An incremental frame decoder for socket readers.
@@ -105,18 +120,41 @@ impl FrameBuffer {
 
     /// Decode the next complete frame, if the buffer holds one.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        match decode_frame(&self.buf[self.start..]) {
-            Ok((frame, consumed)) => {
-                self.start += consumed;
-                if self.start == self.buf.len() {
-                    self.buf.clear();
-                    self.start = 0;
-                }
-                Ok(Some(frame))
-            }
-            Err(FrameError::Truncated { .. }) => Ok(None),
-            Err(e) => Err(e),
+        self.next_with(decode_checked)
+    }
+
+    /// [`next_frame`](Self::next_frame) for the server's reader: the same
+    /// envelope and the same checksum over the whole payload, but a
+    /// `SubmitBatch` comes back with its responses still encoded — owned
+    /// bytes under their own CRC, no row built. Every other payload is
+    /// decoded as `next_frame` decodes it.
+    pub fn next_request(&mut self) -> Result<Option<Request>, FrameError> {
+        self.next_with(
+            |crc, payload| match SubmitBatchBytes::from_payload(payload, crc) {
+                Some(submit) => submit.map(Request::Submit),
+                None => decode_checked(crc, payload).map(Request::Frame),
+            },
+        )
+    }
+
+    /// Take the next complete envelope off the buffer and `decode` its
+    /// checksum field and payload.
+    fn next_with<T>(
+        &mut self,
+        decode: impl FnOnce(u32, &[u8]) -> Result<T, FrameError>,
+    ) -> Result<Option<T>, FrameError> {
+        let (crc, payload) = match open_envelope(&self.buf[self.start..]) {
+            Ok(envelope) => envelope,
+            Err(FrameError::Truncated { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let decoded = decode(crc, payload)?;
+        self.start += 8 + payload.len();
+        if self.start == self.buf.len() {
+            self.buf.clear();
+            self.start = 0;
         }
+        Ok(Some(decoded))
     }
 
     /// Discard all buffered bytes (used when reconnecting).

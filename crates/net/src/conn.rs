@@ -2,10 +2,26 @@
 //!
 //! The reader drains the socket into a [`FrameBuffer`], resolves the
 //! connection's tenant at `Hello` (checking the tenant's shared secret
-//! in constant time), and forwards every decoded request into the
-//! tenant's bounded dispatcher queue. A separate writer thread owns the
+//! in constant time), and forwards every request into the tenant's
+//! bounded dispatcher queue. A separate writer thread owns the
 //! outbound half of the socket and serializes reply frames from a
 //! bounded channel, so slow clients stall only their own replies.
+//!
+//! **A `SubmitBatch` crosses this thread as bytes.** The reader checks
+//! its envelope and the CRC over the whole payload, decodes the 34-byte
+//! head, and holds the response count against the bytes behind it —
+//! nothing else: the rows go to the dispatcher as the owned bytes they
+//! arrived as ([`Request::Submit`]), to be decoded straight into the
+//! open round's columns and logged under the checksum they came with.
+//! So there are two kinds of bad submit. One whose envelope fails
+//! (length, checksum, version) leaves the stream unsynchronized: it gets
+//! `Err { corr: 0, BadFrame }` and the connection is dropped, as for any
+//! frame. One whose envelope holds but whose rows do not decode (a count
+//! past the bytes, an unknown tag, a truncated row, trailing bytes) is
+//! the sender's mistake on a stream still in step: it gets
+//! `Err { corr, BadFrame }` under its own correlation id — from here for
+//! the count, from the dispatcher for the rows — and the connection
+//! stays open. Neither reaches the session or the WAL.
 //!
 //! **Graceful degradation ordering.** `SubmitBatch` — the bulk of the
 //! traffic and the only frame a flood is made of — passes the tenant's
@@ -23,10 +39,11 @@
 
 use crate::codec::{encode_frame, FrameBuffer};
 use crate::error::FrameError;
-use crate::frame::{AckBody, Frame, WireError, STATS_VERSION, WIRE_VERSION};
+use crate::frame::{AckBody, Frame, Request, WireError, STATS_VERSION, WIRE_VERSION};
 use crate::metrics::ServerMetrics;
 use crate::server::ServerConfig;
 use crate::tenant::{TenantHandle, TenantWork, Tenants};
+use ldp_service::codec::{take_response_count, Cursor};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,8 +141,8 @@ fn read_loop(
             Err(_) => return,
         }
         loop {
-            let frame = match fb.next_frame() {
-                Ok(Some(frame)) => frame,
+            let request = match fb.next_request() {
+                Ok(Some(request)) => request,
                 Ok(None) => break,
                 Err(e) => {
                     // The stream is unsynchronized after a framing
@@ -134,8 +151,8 @@ fn read_loop(
                     return;
                 }
             };
-            metrics.record_in(&frame);
-            match route(frame, tenants, &mut tenant, reply_tx, config, metrics) {
+            metrics.record_request(&request);
+            match route(request, tenants, &mut tenant, reply_tx, config, metrics) {
                 Routed::Ok => {}
                 Routed::Closed => return,
             }
@@ -149,14 +166,14 @@ enum Routed {
 }
 
 fn route(
-    frame: Frame,
+    request: Request,
     tenants: &Tenants,
     tenant: &mut Option<TenantHandle>,
     reply_tx: &SyncSender<Frame>,
     config: &ServerConfig,
     metrics: &ServerMetrics,
 ) -> Routed {
-    let corr = frame.corr();
+    let corr = request.corr();
     let reject = |error: WireError| {
         if reply_tx.send(Frame::Err { corr, error }).is_ok() {
             Routed::Ok
@@ -167,7 +184,7 @@ fn route(
     // Stats requests are answered from the shared registry right here —
     // before the Hello check, so operators scrape without binding (or
     // even having) a tenant.
-    if let Frame::StatsRequest { scope, .. } = &frame {
+    if let Request::Frame(Frame::StatsRequest { scope, .. }) = &request {
         let mut samples = metrics.registry().snapshot();
         if let Some(scope) = scope {
             samples.retain(|s| s.label("tenant") == Some(scope));
@@ -187,9 +204,9 @@ fn route(
     }
     // Hello (re)binds the connection's tenant; everything else requires
     // a prior Hello.
-    if let Frame::Hello {
+    if let Request::Frame(Frame::Hello {
         tenant: id, token, ..
-    } = &frame
+    }) = &request
     {
         let Some(handle) = tenants.handle(id) else {
             return reject(WireError::UnknownTenant { tenant: id.clone() });
@@ -204,11 +221,19 @@ fn route(
             detail: "Hello must precede other frames".into(),
         });
     };
-    if let Frame::SubmitBatch { responses, .. } = &frame {
+    if let Request::Submit(submit) = &request {
+        // What admission debits is the frame's own count, so it is held
+        // against the bytes behind it first: a forged one is refused
+        // here, having cost the tenant nothing.
+        let count = take_response_count(&mut Cursor::new(submit.responses.bytes()));
+        let responses = match count {
+            Ok(responses) => responses,
+            Err(detail) => return reject(WireError::BadFrame { detail }),
+        };
         // The shedding path: admission gate + non-blocking enqueue.
         // Refusals reply Overloaded from this reader thread — the
         // request never reached the service, so it is safe to retry.
-        let guard = match handle.admission.admit(responses.len()) {
+        let guard = match handle.admission.admit(responses) {
             Ok(guard) => guard,
             Err((_reason, wait)) => {
                 return reject(WireError::Overloaded {
@@ -217,7 +242,7 @@ fn route(
             }
         };
         let work = TenantWork {
-            frame,
+            request,
             reply: reply_tx.clone(),
             inflight: Some(guard),
         };
@@ -244,7 +269,7 @@ fn route(
     // this reader, the socket stops draining, TCP pushes back — but the
     // frame is never shed, so open rounds can always close.
     let work = TenantWork {
-        frame,
+        request,
         reply: reply_tx.clone(),
         inflight: None,
     };

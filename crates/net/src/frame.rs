@@ -15,6 +15,15 @@
 //! IEEE-754 bit patterns, which is what makes a network round's estimate
 //! bit-identical to an in-process one.
 //!
+//! For `SubmitBatch` the shared form goes further: its payload from the
+//! `session` field on *is* a WAL `Reports` record's payload behind its
+//! tag, so the server does not decode one to encode the other.
+//! [`SubmitBatchBytes`] is the frame as the server's reader takes it —
+//! head decoded, responses left as the bytes `put_responses` wrote —
+//! and [`Request`] what the reader hands on: that, or any other frame
+//! decoded. [`Frame::SubmitBatch`] with its `Vec<UserResponse>` stays
+//! the client's and the tests' form of the same frame.
+//!
 //! Every request carries a client-chosen correlation id (`corr`),
 //! echoed verbatim in the matching `Ack`/`Err`, so clients can pipeline
 //! requests and still pair responses.
@@ -25,7 +34,7 @@ use ldp_ids::CoreError;
 use ldp_obs::{HistogramSnapshot, MetricSample, MetricValue};
 use ldp_service::codec::{
     put_estimate, put_request, put_responses, put_str, put_u32, put_u64, take_estimate,
-    take_request, take_responses, Cursor,
+    take_request, take_responses, Cursor, EncodedResponses,
 };
 
 use crate::error::FrameError;
@@ -491,6 +500,88 @@ pub fn put_submit_batch(
     put_responses(out, responses);
 }
 
+/// Bytes of a `SubmitBatch` payload in front of its responses: version,
+/// tag, `corr`, `session`, `round`, `seq`.
+const SUBMIT_HEAD_LEN: usize = 2 + 4 * 8;
+
+/// A [`Frame::SubmitBatch`] as the server takes it off the wire: the
+/// head decoded, the responses still the bytes [`put_responses`] wrote —
+/// which from `session` on are a WAL `Reports` record's, so the service
+/// folds and logs them as they came.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SubmitBatchBytes {
+    /// Correlation id echoed in the reply.
+    pub corr: u64,
+    /// The session the delta belongs to.
+    pub session: u64,
+    /// The open round the responses target.
+    pub round: u64,
+    /// The session's write-ahead sequence number of this delta.
+    pub seq: u64,
+    /// The responses, encoded, under their own checksum. Checked against
+    /// the frame's, not yet decoded.
+    pub responses: EncodedResponses,
+}
+
+impl SubmitBatchBytes {
+    /// `payload` taken apart, when it is a `SubmitBatch`'s with a whole
+    /// head (`None`: any other payload, [`Frame::decode_payload`]'s to
+    /// judge). `crc` is the envelope's checksum of the payload; it is
+    /// verified here, in the one pass that checksums the responses.
+    pub(crate) fn from_payload(payload: &[u8], crc: u32) -> Option<Result<Self, FrameError>> {
+        if payload.len() < SUBMIT_HEAD_LEN || payload[..2] != [WIRE_VERSION, TAG_SUBMIT_BATCH] {
+            return None;
+        }
+        let (head, responses) = payload.split_at(SUBMIT_HEAD_LEN);
+        let word = |i: usize| {
+            let at = 2 + 8 * i;
+            u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes of the head"))
+        };
+        Some(
+            EncodedResponses::behind(head, responses, crc)
+                .map(|responses| SubmitBatchBytes {
+                    corr: word(0),
+                    session: word(1),
+                    round: word(2),
+                    seq: word(3),
+                    responses,
+                })
+                .map_err(|got| FrameError::Checksum { expected: crc, got }),
+        )
+    }
+}
+
+/// One request as a connection's reader hands it on: a `SubmitBatch`
+/// stays bytes, every other frame is decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Any frame but a well-formed `SubmitBatch`.
+    Frame(Frame),
+    /// A `SubmitBatch`, its responses not decoded.
+    Submit(SubmitBatchBytes),
+}
+
+impl Request {
+    /// The correlation id the request carries.
+    pub fn corr(&self) -> u64 {
+        match self {
+            Request::Frame(frame) => frame.corr(),
+            Request::Submit(submit) => submit.corr,
+        }
+    }
+
+    /// [`Frame::kind_index`] of the frame the request arrived as.
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Request::Frame(frame) => frame.kind_index(),
+            Request::Submit(_) => SUBMIT_BATCH_KIND,
+        }
+    }
+}
+
+/// [`Frame::kind_index`] of a `SubmitBatch`.
+const SUBMIT_BATCH_KIND: usize = 2;
+
 impl Frame {
     /// The correlation id this frame carries.
     pub fn corr(&self) -> u64 {
@@ -511,7 +602,7 @@ impl Frame {
         match self {
             Frame::Hello { .. } => 0,
             Frame::OpenRound { .. } => 1,
-            Frame::SubmitBatch { .. } => 2,
+            Frame::SubmitBatch { .. } => SUBMIT_BATCH_KIND,
             Frame::CloseRound { .. } => 3,
             Frame::Ack { .. } => 4,
             Frame::Err { .. } => 5,

@@ -12,7 +12,9 @@
 //!   `CloseRound`/`Ack`/`Err`). Same binary primitives as the WAL, so
 //!   floats travel as IEEE-754 bit patterns and a network round's
 //!   estimate is **bit-identical** to an in-process one. Decoding is
-//!   panic-free on arbitrary input (typed [`FrameError`]s).
+//!   panic-free on arbitrary input (typed [`FrameError`]s). The server
+//!   takes a `SubmitBatch` as bytes ([`Request::Submit`]): one checksum
+//!   pass, no row objects, the same bytes to the WAL.
 //! * [`server`] + [`conn`] + [`tenant`] — the threaded frontend:
 //!   accept loop, per-connection reader/writer pairs with idle
 //!   timeouts, and per-tenant dispatcher threads behind bounded
@@ -88,7 +90,9 @@ pub use chaos::{ChaosConfig, ChaosSnapshot, FaultKind, FlakyTransport};
 pub use client::{scrape_stats, ClientOptions, NetClient, DEFAULT_WINDOW};
 pub use codec::{decode_frame, encode_frame, FrameBuffer, MAX_FRAME_LEN};
 pub use error::{FrameError, NetError};
-pub use frame::{AckBody, Frame, WireError, STATS_VERSION, WIRE_VERSION};
+pub use frame::{
+    AckBody, Frame, Request, SubmitBatchBytes, WireError, STATS_VERSION, WIRE_VERSION,
+};
 pub use metrics::{ClientMetrics, ServerMetrics};
 pub use server::{NetServer, ServerConfig};
 pub use tenant::{TenantHandle, TenantWork, Tenants};

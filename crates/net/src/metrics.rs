@@ -14,7 +14,7 @@
 //! so a fleet's histograms merge for free.
 
 use crate::backoff::ClientStats;
-use crate::frame::{Frame, FRAME_KIND_NAMES};
+use crate::frame::{Frame, Request, FRAME_KIND_NAMES};
 use ldp_obs::{Counter, Gauge, Histogram, MetricsRegistry, Scope};
 use std::sync::Arc;
 use std::time::Duration;
@@ -63,9 +63,9 @@ impl ServerMetrics {
         &self.registry
     }
 
-    /// Count one decoded inbound frame.
-    pub fn record_in(&self, frame: &Frame) {
-        self.frames_in[frame.kind_index()].inc();
+    /// Count one inbound request, under the kind of the frame it came as.
+    pub fn record_request(&self, request: &Request) {
+        self.frames_in[request.kind_index()].inc();
     }
 
     /// Count one outbound reply frame.
@@ -160,8 +160,9 @@ mod tests {
             resume: None,
             token: None,
         };
-        metrics.record_in(&hello);
-        metrics.record_in(&hello);
+        let hello = Request::Frame(hello);
+        metrics.record_request(&hello);
+        metrics.record_request(&hello);
         let snap = metrics.registry().snapshot();
         let hello_in = snap
             .iter()

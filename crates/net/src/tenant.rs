@@ -2,7 +2,9 @@
 //! each tenant's [`IngestService`].
 //!
 //! Every registered tenant gets one dispatcher thread fed by a bounded
-//! `sync_channel`. Connections decode frames and `send` them here; a
+//! `sync_channel`. Connections decode frames — all but a `SubmitBatch`'s
+//! responses, which [`dispatch_submit`] hands the service still encoded —
+//! and `send` them here; a
 //! full queue blocks the connection's reader, which stops draining its
 //! socket, which fills the kernel buffers, which back-pressures the
 //! client through TCP flow control — the same end-to-end backpressure
@@ -15,21 +17,20 @@
 //! pipeline without a reorder buffer.
 
 use crate::admission::{Admission, AdmissionSnapshot, InflightGuard};
-use crate::frame::{AckBody, Frame, WireError, FRAME_KIND_NAMES};
+use crate::frame::{AckBody, Frame, Request, SubmitBatchBytes, WireError, FRAME_KIND_NAMES};
 use ldp_obs::Histogram;
 use ldp_service::registry::TenantRegistry;
-use ldp_service::{IngestService, SessionId};
+use ldp_service::{EncodedSubmitError, IngestService, SessionId};
 use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One decoded request frame plus the reply lane of the connection it
-/// arrived on.
+/// One request plus the reply lane of the connection it arrived on.
 pub struct TenantWork {
-    /// The request frame (already validated as a client→server frame).
-    pub frame: Frame,
+    /// The request: a `SubmitBatch` as bytes, anything else decoded.
+    pub request: Request,
     /// The connection's outbound frame queue. A send failure means the
     /// connection is gone; the reply is then dropped.
     pub reply: SyncSender<Frame>,
@@ -85,9 +86,12 @@ impl Tenants {
                     // Drains until every connection's sender is dropped
                     // (server shutdown), then exits — graceful drain.
                     while let Ok(work) = rx.recv() {
-                        let op = work.frame.kind_index();
+                        let op = work.request.kind_index();
                         let start = Instant::now();
-                        let reply = dispatch(&service, work.frame);
+                        let reply = match work.request {
+                            Request::Frame(frame) => dispatch(&service, frame),
+                            Request::Submit(submit) => dispatch_submit(&service, submit),
+                        };
                         rpc_ns[op].record_duration(start.elapsed());
                         let _ = work.reply.send(reply);
                         // `work.inflight` drops here, releasing the
@@ -154,6 +158,35 @@ pub fn dispatch(service: &Arc<IngestService>, frame: Frame) -> Frame {
     }
 }
 
+/// [`dispatch`] for a `SubmitBatch` the reader left encoded: the bytes
+/// go to the service as they are, to be folded and logged without a row
+/// in between. Bytes that turn out not to be a response list are the
+/// sender's [`WireError::BadFrame`], under the request's own `corr` —
+/// the envelope and its checksum held, so the stream is still in step.
+pub fn dispatch_submit(service: &Arc<IngestService>, submit: SubmitBatchBytes) -> Frame {
+    let SubmitBatchBytes {
+        corr,
+        session,
+        round,
+        seq,
+        responses,
+    } = submit;
+    let session = SessionId::from_raw(session);
+    match service.submit_encoded_at(session, round, seq, &responses) {
+        Ok(next_seq) => Frame::Ack {
+            corr,
+            body: AckBody::Submitted { next_seq },
+        },
+        Err(e) => Frame::Err {
+            corr,
+            error: match e {
+                EncodedSubmitError::Undecodable(detail) => WireError::BadFrame { detail },
+                EncodedSubmitError::Rule(e) => WireError::from(&e),
+            },
+        },
+    }
+}
+
 fn execute(service: &Arc<IngestService>, frame: Frame) -> Result<AckBody, WireError> {
     match frame {
         Frame::Hello { resume, .. } => {
@@ -187,11 +220,24 @@ fn execute(service: &Arc<IngestService>, frame: Frame) -> Result<AckBody, WireEr
         }
         Frame::SubmitBatch {
             session,
+            round,
             seq,
             responses,
             ..
         } => {
             let session = SessionId::from_raw(session);
+            // The round the delta was sent for is its first echo: checked
+            // where `accept` checks the responses', after the sequence
+            // rules, so a duplicate is acknowledged whatever it names.
+            let status = service.status(session).map_err(|e| WireError::from(&e))?;
+            if let Some(expected) = status.open_round {
+                if seq == status.next_seq && round != expected {
+                    return Err(WireError::StaleRound {
+                        expected,
+                        got: round,
+                    });
+                }
+            }
             service
                 .submit_batch_at(session, seq, responses)
                 .map_err(|e| WireError::from(&e))?;
@@ -219,8 +265,9 @@ fn execute(service: &Arc<IngestService>, frame: Frame) -> Result<AckBody, WireEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_fo::FoKind;
-    use ldp_ids::protocol::ReportRequest;
+    use ldp_fo::{FoKind, Report};
+    use ldp_ids::protocol::{ReportRequest, UserResponse};
+    use ldp_service::codec::EncodedResponses;
     use ldp_service::{ServiceConfig, TenantSpec};
 
     fn registry() -> TenantRegistry {
@@ -296,6 +343,94 @@ mod tests {
             ),
             "{close:?}"
         );
+    }
+
+    /// The round a `SubmitBatch` names is checked on both routes, the
+    /// decoded frame's and the encoded one's — after the sequence rules,
+    /// so a duplicate is acknowledged whatever it names — and bytes that
+    /// are not a response list come back under the request's own `corr`.
+    #[test]
+    fn a_delta_for_another_round_is_stale_on_both_routes() {
+        let registry = registry();
+        let service = registry.lookup("acme").unwrap();
+        let session = service.create_session().unwrap();
+        service
+            .open_round_at(session, 0, 0, FoKind::Grr, 8.0, 2)
+            .unwrap();
+        let rows = |round| {
+            vec![UserResponse::Report {
+                round,
+                report: Report::Grr(1),
+            }]
+        };
+        // The two routes for one frame: decoded, and left encoded.
+        let routes = |round, seq, responses: Vec<UserResponse>| {
+            let encoded = EncodedResponses::encode(&responses);
+            let decoded = Frame::SubmitBatch {
+                corr: 5,
+                session: session.raw(),
+                round,
+                seq,
+                responses,
+            };
+            let encoded = SubmitBatchBytes {
+                corr: 5,
+                session: session.raw(),
+                round,
+                seq,
+                responses: encoded,
+            };
+            [
+                dispatch(&service, decoded),
+                dispatch_submit(&service, encoded),
+            ]
+        };
+        let stale = |got| Frame::Err {
+            corr: 5,
+            error: WireError::StaleRound { expected: 0, got },
+        };
+        let submitted = |next_seq| Frame::Ack {
+            corr: 5,
+            body: AckBody::Submitted { next_seq },
+        };
+        // Round 7 while round 0 is open: refused, though no response
+        // contradicts it (an empty delta) or every one agrees with it.
+        assert_eq!(routes(7, 0, Vec::new()), [stale(7), stale(7)]);
+        assert_eq!(routes(7, 0, rows(7)), [stale(7), stale(7)]);
+        // The head agrees, a response does not: the response's echo.
+        assert_eq!(routes(0, 0, rows(3)), [stale(3), stale(3)]);
+        // An honest delta (the second route's is already its duplicate),
+        // then duplicates and gaps that name round 7: the sequence rules
+        // answer first.
+        assert_eq!(routes(0, 0, rows(0)), [submitted(1), submitted(1)]);
+        assert_eq!(routes(7, 0, rows(7)), [submitted(1), submitted(1)]);
+        let gap = Frame::Err {
+            corr: 5,
+            error: WireError::SequenceGap {
+                expected: 1,
+                got: 4,
+            },
+        };
+        assert_eq!(routes(7, 4, rows(7)), [gap.clone(), gap]);
+        assert_eq!(service.close_round(session).unwrap().reporters, 1);
+
+        let forged = SubmitBatchBytes {
+            corr: 6,
+            session: session.raw(),
+            round: 0,
+            seq: 1,
+            responses: EncodedResponses::new(vec![1, 0, 0, 0]),
+        };
+        service
+            .open_round_at(session, 1, 0, FoKind::Grr, 8.0, 2)
+            .unwrap();
+        match dispatch_submit(&service, forged) {
+            Frame::Err {
+                corr: 6,
+                error: WireError::BadFrame { detail },
+            } => assert!(detail.contains("response count 1 exceeds"), "{detail}"),
+            other => panic!("expected BadFrame, got {other:?}"),
+        }
     }
 
     #[test]

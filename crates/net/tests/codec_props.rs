@@ -9,11 +9,11 @@ use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{ReportRequest, UserResponse};
 use ldp_net::frame::put_submit_batch;
 use ldp_net::{
-    decode_frame, encode_frame, AckBody, Frame, FrameBuffer, FrameError, WireError, MAX_FRAME_LEN,
-    WIRE_VERSION,
+    decode_frame, encode_frame, AckBody, Frame, FrameBuffer, FrameError, Request, WireError,
+    MAX_FRAME_LEN, WIRE_VERSION,
 };
 use ldp_obs::{HistogramSnapshot, MetricSample, MetricValue};
-use ldp_service::codec::{crc32, put_enveloped};
+use ldp_service::codec::{crc32, put_enveloped, EncodedResponses};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -345,6 +345,48 @@ proptest! {
         }
         prop_assert_eq!(decoded, frames);
         prop_assert_eq!(fb.pending(), 0);
+    }
+
+    /// The server's reader and `next_frame` are one decoder up to the
+    /// form a `SubmitBatch`'s responses come back in: the same frames,
+    /// the same "need more bytes", and for a flipped byte anywhere the
+    /// same typed error — the checksum `next_request` combines from two
+    /// parts is the one `next_frame` computes over the whole.
+    #[test]
+    fn next_request_is_next_frame_with_the_responses_left_encoded(
+        frame in arb_frame(),
+        corrupt in any::<bool>(),
+        pos in any::<u32>(),
+        flip in 1u8..=255,
+    ) {
+        let mut bytes = encode_frame(&frame);
+        if corrupt {
+            let pos = pos as usize % bytes.len();
+            bytes[pos] ^= flip;
+        }
+        let (mut frames, mut requests) = (FrameBuffer::new(), FrameBuffer::new());
+        frames.feed(&bytes);
+        requests.feed(&bytes);
+        match (frames.next_frame(), requests.next_request()) {
+            (
+                Ok(Some(Frame::SubmitBatch { corr, session, round, seq, responses })),
+                Ok(Some(Request::Submit(got))),
+            ) => {
+                prop_assert_eq!(
+                    (got.corr, got.session, got.round, got.seq),
+                    (corr, session, round, seq)
+                );
+                prop_assert_eq!(got.responses, EncodedResponses::encode(&responses));
+            }
+            (Ok(Some(frame)), Ok(Some(got))) => {
+                prop_assert!(!matches!(frame, Frame::SubmitBatch { .. }), "{:?}", got);
+                prop_assert_eq!(got, Request::Frame(frame));
+            }
+            (Ok(None), Ok(None)) => {}
+            (Err(frame), Err(request)) => prop_assert_eq!(frame, request),
+            (frame, request) => prop_assert!(false, "{:?} vs {:?}", frame, request),
+        }
+        prop_assert_eq!(frames.pending(), requests.pending());
     }
 
     /// Decoding arbitrary garbage bytes never panics; any `Ok` is a

@@ -4,17 +4,24 @@
 //! The invariant under test is the workspace's core one — estimates that
 //! crossed the wire are **bit-identical** to the sequential in-process
 //! [`AggregationServer`] — plus the transport behaviors around it:
-//! torn-frame reassembly, typed rejection of protocol misuse, idle
-//! reaping, disconnect/resume replay, and graceful shutdown.
+//! torn-frame reassembly, typed rejection of protocol misuse and of
+//! forged `SubmitBatch` rows (which the server reads in the tenant
+//! dispatcher, so they cost the sender a typed reply, not the
+//! connection), idle reaping, disconnect/resume replay, and graceful
+//! shutdown.
 
 use ldp_fo::{build_oracle, FoKind, OracleHandle, Report};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{AggregationServer, UserResponse};
 use ldp_net::{
-    encode_frame, AckBody, ClientOptions, Frame, FrameBuffer, NetClient, NetError, NetServer,
-    RetryPolicy, ServerConfig, WireError,
+    encode_frame, scrape_stats, AckBody, ClientOptions, Frame, FrameBuffer, NetClient, NetError,
+    NetServer, RetryPolicy, ServerConfig, WireError,
 };
-use ldp_service::{ServiceConfig, TenantRegistry, TenantSpec};
+use ldp_obs::MetricValue;
+use ldp_service::codec::{put_enveloped, put_u32, EncodedResponses};
+use ldp_service::{
+    RateLimit, ServiceConfig, SessionId, TenantLimits, TenantRegistry, TenantSpec, WalSync,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
@@ -416,6 +423,302 @@ fn replay_queue_survives_a_failed_resume() {
     assert_eq!(client.next_seq(), 1);
     drop(client); // EOF for a server still waiting on the replay
     server.join().unwrap();
+}
+
+/// A checksum-valid `SubmitBatch` frame around whatever `responses`
+/// holds — the bytes `put_responses` wrote, or a forgery of them.
+fn submit_frame(corr: u64, session: u64, round: u64, seq: u64, responses: &[u8]) -> Vec<u8> {
+    let empty = encode_frame(&Frame::SubmitBatch {
+        corr,
+        session,
+        round,
+        seq,
+        responses: Vec::new(),
+    });
+    // Behind the envelope: the frame's head, then a zero count.
+    let head = &empty[8..empty.len() - 4];
+    let mut frame = Vec::new();
+    put_enveloped(&mut frame, |out| {
+        out.extend_from_slice(head);
+        out.extend_from_slice(responses);
+    });
+    frame
+}
+
+fn encoded(responses: &[UserResponse]) -> Vec<u8> {
+    EncodedResponses::encode(responses).bytes().to_vec()
+}
+
+/// One forged input per way a `SubmitBatch`'s rows can lie, each inside
+/// a frame whose envelope and checksum hold. Every one is refused with
+/// the typed error the decoded route gives the same rows — `BadFrame`
+/// for bytes that are not a response list, the lifecycle's own error for
+/// a list the session refuses, an ack for a duplicate — under the
+/// request's own `corr`, on a connection that stays open: the framing
+/// was never in doubt. None moves `next_seq` or the WAL, debits the rate
+/// budget by a forged count, or keeps its in-flight slot.
+#[test]
+fn forged_submits_get_typed_replies_and_the_connection_stays_open() {
+    let (fo, epsilon, domain) = (FoKind::Oue, 1.0, 128);
+    let oracle = build_oracle(fo, epsilon, domain).unwrap();
+    let honest = seeded_responses(&oracle, 0, 8, 41);
+    let expected = sequential_estimate(&oracle, fo, epsilon, &honest);
+
+    let dir = std::env::temp_dir().join(format!("ldp_loopback_forged_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = TenantRegistry::new();
+    // A rate budget the honest rows fit and a forged count would drain.
+    let limits = TenantLimits {
+        rate: Some(RateLimit {
+            reports_per_sec: 0.0,
+            burst: 64,
+        }),
+        ..TenantLimits::open()
+    };
+    let config = ServiceConfig::with_threads(2)
+        .with_snapshot_every(0)
+        .with_sync(WalSync::None);
+    let service = registry
+        .register(TenantSpec::durable("acme", config, &dir).with_limits(limits))
+        .unwrap();
+    let server = NetServer::start("127.0.0.1:0", &registry, ServerConfig::default()).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut call = |bytes: Vec<u8>| {
+        stream.write_all(&bytes).unwrap();
+        read_one_frame(&mut stream)
+    };
+    let err = |corr, error| Frame::Err { corr, error };
+    let submitted = |corr, next_seq| Frame::Ack {
+        corr,
+        body: AckBody::Submitted { next_seq },
+    };
+
+    // A submit before `Hello`, and one with no round open.
+    match call(submit_frame(1, 0, 0, 0, &encoded(&honest[..4]))) {
+        Frame::Err {
+            corr: 1,
+            error: WireError::Protocol { detail },
+        } => assert!(detail.contains("Hello"), "{detail}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    let hello = call(encode_frame(&Frame::Hello {
+        corr: 2,
+        tenant: "acme".into(),
+        resume: None,
+        token: None,
+    }));
+    let Frame::Ack {
+        body: AckBody::Session { session, .. },
+        ..
+    } = hello
+    else {
+        panic!("expected a session, got {hello:?}");
+    };
+    assert_eq!(
+        call(submit_frame(3, session, 0, 0, &encoded(&honest[..4]))),
+        err(3, WireError::NoOpenRound)
+    );
+
+    let request = ldp_ids::protocol::ReportRequest {
+        round: 0,
+        t: 0,
+        fo,
+        epsilon,
+        domain_size: domain,
+    };
+    let opened = call(encode_frame(&Frame::OpenRound {
+        corr: 4,
+        session,
+        request,
+    }));
+    assert!(matches!(opened, Frame::Ack { corr: 4, .. }), "{opened:?}");
+    assert_eq!(
+        call(submit_frame(5, session, 0, 0, &encoded(&honest[..4]))),
+        submitted(5, 1)
+    );
+    let id = SessionId::from_raw(session);
+    let records = service.wal_stats().unwrap().records;
+
+    // Bytes that are not a response list. Row 0 starts at byte 4: tag,
+    // round (8), report tag, len (4), word count (4), two words.
+    let rows = encoded(&honest[4..]);
+    let forge = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut forged = rows.clone();
+        edit(&mut forged);
+        forged
+    };
+    let mut huge_count = Vec::new();
+    put_u32(&mut huge_count, 1 << 24);
+    huge_count.extend_from_slice(&[0; 64]);
+    let undecodable: [(&str, Vec<u8>, &str); 7] = [
+        ("count past the bytes", huge_count, "response count"),
+        (
+            "honest rows under a forged count",
+            forge(&|b| b[..4].copy_from_slice(&10u32.to_le_bytes())),
+            "response count 10 exceeds",
+        ),
+        (
+            "OUE word count past the bytes",
+            forge(&|b| b[18..22].copy_from_slice(&u32::MAX.to_le_bytes())),
+            "OUE word count",
+        ),
+        (
+            "unknown response tag",
+            forge(&|b| b[4] = 7),
+            "unknown response tag 7",
+        ),
+        (
+            "unknown report tag",
+            forge(&|b| b[13] = 9),
+            "unknown report tag 9",
+        ),
+        (
+            "truncated last row",
+            forge(&|b| b.truncate(b.len() - 3)),
+            "exceeds the 13 bytes left",
+        ),
+        ("trailing bytes", forge(&|b| b.push(0)), "1 trailing bytes"),
+    ];
+    for (i, (what, forged, want)) in undecodable.iter().enumerate() {
+        let corr = 10 + i as u64;
+        match call(submit_frame(corr, session, 0, 1, forged)) {
+            Frame::Err {
+                corr: got,
+                error: WireError::BadFrame { detail },
+            } => {
+                assert_eq!(got, corr, "{what}");
+                assert!(detail.contains(want), "{what}: {detail}");
+            }
+            other => panic!("{what}: expected BadFrame, got {other:?}"),
+        }
+    }
+
+    // Response lists the session refuses.
+    let mut stale_inside = honest[4..].to_vec();
+    stale_inside[2] = UserResponse::Refused {
+        round: 4,
+        requested: 1.0,
+        available: 0.0,
+    };
+    let stale = |got| WireError::StaleRound { expected: 0, got };
+    assert_eq!(
+        call(submit_frame(20, session, 0, 1, &encoded(&stale_inside))),
+        err(20, stale(4))
+    );
+    assert_eq!(
+        call(submit_frame(21, session, 7, 1, &rows)),
+        err(21, stale(7)),
+        "the round the frame names is its first echo"
+    );
+    assert_eq!(
+        call(submit_frame(22, session, 0, 5, &rows)),
+        err(
+            22,
+            WireError::SequenceGap {
+                expected: 1,
+                got: 5
+            }
+        )
+    );
+    // A duplicate is acknowledged, whatever it names or carries.
+    assert_eq!(
+        call(submit_frame(23, session, 7, 0, &encoded(&stale_inside))),
+        submitted(23, 1)
+    );
+
+    // Nothing moved, nothing is held.
+    assert_eq!(service.next_seq(id).unwrap(), 1);
+    assert_eq!(service.wal_stats().unwrap().records, records);
+    let inflight = || {
+        let (_, samples) = scrape_stats(
+            &server.addr().to_string(),
+            Some("acme"),
+            Duration::from_secs(5),
+        )
+        .unwrap();
+        let gauge = samples.iter().find(|s| s.name == "ldp_inflight").unwrap();
+        gauge.value.clone()
+    };
+    // The slot is released just after the reply is queued: give the
+    // dispatcher that instant.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while inflight() != MetricValue::Gauge(0) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "slots held: {:?}",
+            inflight()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The stream is still in step and the budget still holds the honest
+    // rows: the round finishes, bit for bit.
+    assert_eq!(
+        call(submit_frame(30, session, 0, 1, &rows)),
+        submitted(30, 2)
+    );
+    let closed = call(encode_frame(&Frame::CloseRound {
+        corr: 31,
+        session,
+        round: 0,
+    }));
+    let Frame::Ack {
+        corr: 31,
+        body: AckBody::Closed { estimate },
+    } = closed
+    else {
+        panic!("expected the estimate, got {closed:?}");
+    };
+    assert_bit_identical(&estimate, &expected, "after the forgeries");
+    server.shutdown();
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A delta that names round 3 while round 0 is open is stale even when
+/// no response contradicts it — the parent's server logged an empty one
+/// under round 0.
+#[test]
+fn a_submit_naming_another_round_is_stale() {
+    let server = start_server(&["acme"]);
+    let mut client = NetClient::connect(server.addr().to_string(), "acme").unwrap();
+    client.open_round_with(0, FoKind::Grr, 1.0, 4).unwrap();
+    let session = client.session();
+    // A second connection resumes the session and speaks for itself.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(&encode_frame(&Frame::Hello {
+            corr: 1,
+            tenant: "acme".into(),
+            resume: Some(session),
+            token: None,
+        }))
+        .unwrap();
+    let hello = read_one_frame(&mut stream);
+    assert!(matches!(hello, Frame::Ack { corr: 1, .. }), "{hello:?}");
+    stream
+        .write_all(&encode_frame(&Frame::SubmitBatch {
+            corr: 2,
+            session,
+            round: 3,
+            seq: 0,
+            responses: Vec::new(),
+        }))
+        .unwrap();
+    assert_eq!(
+        read_one_frame(&mut stream),
+        Frame::Err {
+            corr: 2,
+            error: WireError::StaleRound {
+                expected: 0,
+                got: 3
+            }
+        }
+    );
+    // The session did not move: the client's own first delta is seq 0.
+    client.submit_batch(Vec::new()).unwrap();
+    assert_eq!(client.close_round().unwrap().reporters, 0);
+    server.shutdown();
 }
 
 /// Read exactly one frame off a raw socket (test helper).

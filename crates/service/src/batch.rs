@@ -466,6 +466,45 @@ mod tests {
                 }
             }
         }
+
+        /// The licence to log a delta as it was received: the row codec
+        /// is a bijection on what it accepts. Whatever bytes
+        /// `take_responses` reads to their end — honest, or forged and
+        /// still decodable — `put_responses` of the rows writes back
+        /// exactly, so the record `submit_encoded_at` appends is the one
+        /// `WalRecord::Reports { .. }.encode()` of the decoded rows is.
+        #[test]
+        fn put_responses_reproduces_every_accepted_byte_string(
+            kind in proptest::sample::select(&[FoKind::Grr, FoKind::Oue, FoKind::Olh]),
+            d in proptest::sample::select(&[5usize, 64, 100, 128, 1024]),
+            n in 0usize..24,
+            seed in any::<u64>(),
+        ) {
+            let mut honest = Vec::new();
+            put_responses(&mut honest, &mixed_stream(kind, d, n, seed));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let forgeries = (0..32).map(|_| {
+                let mut forged = honest.clone();
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = rng.gen_range(0..forged.len());
+                    forged[at] = if rng.gen() { rng.gen_range(0..4) } else { rng.gen() };
+                }
+                forged
+            });
+            let mut accepted = 0;
+            for bytes in std::iter::once(honest.clone()).chain(forgeries) {
+                let mut cur = Cursor::new(&bytes);
+                let Ok(rows) = take_responses(&mut cur).and_then(|rows| cur.finish().map(|()| rows))
+                else {
+                    continue;
+                };
+                let mut again = Vec::new();
+                put_responses(&mut again, &rows);
+                prop_assert_eq!(&again, &bytes);
+                accepted += 1;
+            }
+            prop_assert!(accepted >= 1, "the honest bytes are accepted");
+        }
     }
 
     /// A count the bytes cannot hold is refused before the columns are

@@ -278,7 +278,7 @@ const MIN_RESPONSE_BYTES: usize = 14;
 /// cannot hold is refused here, before anything is allocated for it: a
 /// checksum-valid frame cannot make its reader reserve more than the
 /// frame's own length.
-pub(crate) fn take_response_count(cur: &mut Cursor<'_>) -> Result<usize, String> {
+pub fn take_response_count(cur: &mut Cursor<'_>) -> Result<usize, String> {
     let n = cur.u32()? as usize;
     if n > cur.remaining() / MIN_RESPONSE_BYTES {
         return Err(format!(
@@ -319,6 +319,16 @@ pub fn take_estimate(cur: &mut Cursor<'_>) -> Result<RoundEstimate, String> {
 // CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: table `k`
 // maps a byte to its CRC contribution `k` bytes further down the
 // message, so eight input bytes fold in per step instead of one.
+//
+// A CRC is the message polynomial's remainder mod P, so appending `n`
+// bytes multiplies what was there by x^(8n): crc(a ++ b) is
+// crc(a)·x^(8·|b|) mod P, plus crc(b) (the init and final inversions
+// cancel). `crc32_combine` is that identity: whoever holds the CRCs of
+// two parts has the CRC of the whole — the same 32-bit value a pass over
+// the concatenation computes — without reading either part again.
+
+/// The IEEE polynomial, reflected: bit 31 is x^0.
+const CRC_POLY: u32 = 0xEDB8_8320;
 
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
@@ -328,7 +338,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
+                CRC_POLY ^ (c >> 1)
             } else {
                 c >> 1
             };
@@ -363,6 +373,94 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// `a · b mod P` over GF(2), both in the reflected representation.
+fn crc_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    for bit in (0..32).rev() {
+        if a >> bit & 1 != 0 {
+            product ^= b;
+        }
+        // b · x
+        b = if b & 1 != 0 {
+            CRC_POLY ^ (b >> 1)
+        } else {
+            b >> 1
+        };
+    }
+    product
+}
+
+/// `crc32(a ++ b)` from `crc32(a)`, `crc32(b)` and `b`'s length:
+/// `crc_a · x^(8·len_b) mod P`, the power by square-and-multiply over
+/// the bits of `len_b`, plus `crc_b`.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    let mut shift = 1 << 31; // x^0
+    let mut square = 1 << 23; // x^8: one byte
+    let mut n = len_b;
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = crc_mul(shift, square);
+        }
+        square = crc_mul(square, square);
+        n >>= 1;
+    }
+    crc_mul(crc_a, shift) ^ crc_b
+}
+
+/// The bytes [`put_responses`] wrote for one delta, with their CRC-32:
+/// what the wire hands the service and the service hands the WAL, so a
+/// delta is checksummed once between the socket and the disk. The
+/// fields are private: `crc` is `crc32(bytes)` however the value was
+/// made. That the bytes *decode* is not promised; whoever folds them
+/// finds out.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedResponses {
+    bytes: Vec<u8>,
+    crc: u32,
+}
+
+impl EncodedResponses {
+    /// `bytes`, checksummed here.
+    pub fn new(bytes: Vec<u8>) -> Self {
+        let crc = crc32(&bytes);
+        EncodedResponses { bytes, crc }
+    }
+
+    /// What [`put_responses`] writes for `responses`.
+    pub fn encode(responses: &[UserResponse]) -> Self {
+        let mut bytes = Vec::new();
+        put_responses(&mut bytes, responses);
+        EncodedResponses::new(bytes)
+    }
+
+    /// The `bytes` behind `head` in a payload whose CRC-32 is claimed to
+    /// be `payload_crc`: one pass over each part, and the claim holds
+    /// exactly when the parts' CRCs combine to it — the check
+    /// `crc32(head ++ bytes) == payload_crc` is, bit for bit. `Err` is the
+    /// CRC the payload actually has.
+    pub fn behind(head: &[u8], bytes: &[u8], payload_crc: u32) -> Result<Self, u32> {
+        let crc = crc32(bytes);
+        let got = crc32_combine(crc32(head), crc, bytes.len());
+        if got != payload_crc {
+            return Err(got);
+        }
+        Ok(EncodedResponses {
+            bytes: bytes.to_vec(),
+            crc,
+        })
+    }
+
+    /// The encoded responses.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// `crc32(self.bytes())`.
+    pub fn crc(&self) -> u32 {
+        self.crc
+    }
 }
 
 #[cfg(test)]
@@ -405,6 +503,36 @@ mod tests {
             let len = rng.gen_range(0..=64 * 1024);
             let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
             assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+        }
+    }
+
+    /// The CRCs of two parts give the CRC of the whole: every |a| in
+    /// 0..100 against every short |b| (both sides empty included), and a
+    /// frame head's worth of |a| against |b| up to a report delta's.
+    #[test]
+    fn crc32_combine_is_the_crc_of_the_concatenation() {
+        let mut rng = StdRng::seed_from_u64(0xc0b1);
+        let bytes: Vec<u8> = (0..100 + 40_000).map(|_| rng.gen()).collect();
+        let check = |len_a: usize, len_b: usize| {
+            let whole = &bytes[100 - len_a..100 + len_b];
+            let (a, b) = whole.split_at(len_a);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len()),
+                crc32(whole),
+                "|a| {len_a} |b| {len_b}"
+            );
+        };
+        for len_b in 0..70 {
+            (0..100).for_each(|len_a| check(len_a, len_b));
+        }
+        let long = [255, 256, 257, 4095, 4096, 34_820, 39_999, 40_000];
+        for len_b in long
+            .into_iter()
+            .chain((0..24).map(|_| rng.gen_range(70..40_000)))
+        {
+            [0, 1, 25, 34, 99]
+                .into_iter()
+                .for_each(|len_a| check(len_a, len_b));
         }
     }
 

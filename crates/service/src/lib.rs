@@ -25,7 +25,8 @@
 //! * [`session`] — the [`IngestService`]: the *live* driver of that
 //!   machine (lock → check → WAL append → apply → batches to the pool)
 //!   for any number of concurrent independent streams/queries over one
-//!   shared pool;
+//!   shared pool; a delta comes in as rows or, from the wire, as the
+//!   bytes of those rows, which go to columns and to the log as they are;
 //! * [`parallel`] — [`ParallelCollector`], a
 //!   [`RoundCollector`](ldp_ids::RoundCollector) implementation that
 //!   runs every existing mechanism (LBD/LBA/LPD/LPA/…) over the sharded
@@ -100,6 +101,6 @@ pub use parallel::{ParallelCollector, ServiceSink};
 pub use pool::WorkerPool;
 pub use recovery::RecoveryReport;
 pub use registry::{RateLimit, TenantLimits, TenantRegistry, TenantSpec};
-pub use session::{IngestService, SessionId, SessionStatus};
+pub use session::{EncodedSubmitError, IngestService, SessionId, SessionStatus};
 pub use shard::{ShardAccumulator, ShardArena, ShardTally};
 pub use wal::{Commit, GroupCommit, Wal, WalRecord, WalScan, WalStats, WalSync};

@@ -26,6 +26,22 @@
 //! ([`IngestService::new`]) runs the same sequence with the WAL step
 //! empty.
 //!
+//! A report delta has two inputs to that one shape. In-process callers
+//! hold structs: [`submit_batch_at`](IngestService::submit_batch_at)
+//! checks the rows' echoes, logs them as a [`WalRecord::Reports`] and
+//! transposes them into columns batch by batch. The wire holds bytes:
+//! [`submit_encoded_at`](IngestService::submit_encoded_at) is replay's
+//! `Reports` step plus the log — the bytes decode straight into the open
+//! round's columns (structure first, as a frame is decoded before it is
+//! sequenced), the columns say what was stale, and the WAL is handed the
+//! bytes as received, under the checksum they came with, behind the
+//! record head this module writes. Because the row codec writes back
+//! exactly what it accepts, that frame is the one the struct entry would
+//! have appended for the decoded rows. Everything around the two — the
+//! machine's `accept`, the counting, the kill points, the lock
+//! discipline of the dispatch, the snapshot cadence, the commit wait —
+//! is shared code.
+//!
 //! ## Durability
 //!
 //! [`IngestService::open`] runs the service *crash-safe*: every
@@ -66,9 +82,10 @@
 //! returns the original estimate bit for bit), and skipping a step is a
 //! typed [`CoreError::SequenceGap`].
 
-use crate::batch::{Batch, ServiceConfig};
+use crate::batch::{Batch, ColumnarBatch, ServiceConfig};
+use crate::codec::{Cursor, EncodedResponses};
 use crate::faults;
-use crate::machine::{stale_echo, AcceptStep, Closing, OpenRound, Opening, SessionTable};
+use crate::machine::{stale_echo, AcceptStep, Closing, OpenRound, Opening, Session, SessionTable};
 use crate::obs::ServiceMetrics;
 use crate::pool::WorkerPool;
 use crate::recovery::{self, RecoveryReport, Tallies};
@@ -115,20 +132,47 @@ pub struct IngestService {
     metrics: ServiceMetrics,
 }
 
+/// Why [`IngestService::submit_encoded_at`] refused a delta.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EncodedSubmitError {
+    /// The bytes are not a response list: a count the bytes cannot hold,
+    /// an unknown tag, a truncated row, bytes behind the last row. The
+    /// detail is the decoder's.
+    Undecodable(String),
+    /// They are, and the session's state refuses them — the error
+    /// [`IngestService::submit_batch_at`] gives for the same rows.
+    Rule(CoreError),
+}
+
+impl From<CoreError> for EncodedSubmitError {
+    fn from(e: CoreError) -> Self {
+        EncodedSubmitError::Rule(e)
+    }
+}
+
 /// The WAL step: append the record of a checked transition, before the
-/// transition is applied. On an in-memory service there is no log, the
-/// record is never built, and the commit is already as durable as it
+/// transition is applied. On an in-memory service there is no log,
+/// nothing is appended, and the commit is already as durable as it
 /// gets.
-fn log<R: Borrow<WalRecord>>(
+fn log_with(
     durable: &mut Option<DurableState>,
-    record: impl FnOnce() -> R,
+    append: impl FnOnce(&mut Wal) -> Result<Commit, CoreError>,
 ) -> Result<Commit, CoreError> {
     let Some(d) = durable else {
         return Ok(Commit::Durable);
     };
-    let commit = d.wal.append(record().borrow())?;
+    let commit = append(&mut d.wal)?;
     d.records_since_snapshot += 1;
     Ok(commit)
+}
+
+/// [`log_with`] for a record held as a struct, which is built only when
+/// there is a log.
+fn log<R: Borrow<WalRecord>>(
+    durable: &mut Option<DurableState>,
+    record: impl FnOnce() -> R,
+) -> Result<Commit, CoreError> {
+    log_with(durable, |wal| wal.append(record().borrow()))
 }
 
 impl IngestService {
@@ -484,6 +528,60 @@ impl IngestService {
         }
         let encode = |chunk| Batch::encode(key, &oracle, chunk);
         self.dispatch(guard, commit, batches.into_iter().map(encode))
+    }
+
+    /// [`submit_batch_at`](Self::submit_batch_at) for a delta that
+    /// arrives encoded — the bytes `put_responses` wrote for it, as a
+    /// `SubmitBatch` frame carries them — naming the `round` it was sent
+    /// for. Live ingest as replay runs it: the bytes decode straight into
+    /// the open round's columns, and the same bytes go to the WAL under
+    /// the checksum they came with, so no row is built and the delta is
+    /// neither re-encoded nor checksummed again. The log, the tallies and
+    /// the errors are those of `submit_batch_at` over the decoded rows
+    /// (with `round` checked like a response's echo, after the sequence
+    /// rules); with no round open, only the sequence and lifecycle rules
+    /// are there to refuse it. Returns the sequence number the session
+    /// expects next.
+    pub fn submit_encoded_at(
+        &self,
+        session: SessionId,
+        round: u64,
+        seq: u64,
+        encoded: &EncodedResponses,
+    ) -> Result<u64, EncodedSubmitError> {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        // Structure before lifecycle, as on the struct path, where a
+        // frame is decoded before anything looks at its sequence number.
+        let open = st.table.get(session).ok().and_then(Session::open);
+        let columns = open
+            .map(|open| {
+                let mut cur = Cursor::new(encoded.bytes());
+                let (kind, d) = (open.oracle.kind(), open.oracle.domain_size());
+                ColumnarBatch::decode(kind, d, open.key.round, &mut cur)
+                    .and_then(|columns| cur.finish().map(|()| columns))
+                    .map_err(EncodedSubmitError::Undecodable)
+            })
+            .transpose()?;
+        let first_stale = columns.as_ref().and_then(ColumnarBatch::first_stale);
+        let stale = |open| Some(round).filter(|round| *round != open).or(first_stale);
+        let Some(step) = st.table.accept(session, Some(seq), stale)? else {
+            // Already logged and applied; the ack was lost. Idempotent.
+            return Ok(st.table.get(session)?.status().next_seq);
+        };
+        let columns = columns.expect("accept found the open round the delta was decoded for");
+        let (round, seq) = (step.round(), step.seq());
+        let commit = log_with(&mut st.durable, |wal| {
+            wal.append_encoded_reports(session.raw(), round, seq, encoded)
+        })?;
+        let open = self.accepted(step, columns.responses() as usize);
+        let batch = (!columns.is_empty()).then(|| Batch {
+            key: open.key,
+            oracle: open.oracle.clone(),
+            columns,
+        });
+        self.dispatch(guard, commit, batch.into_iter())?;
+        Ok(seq + 1)
     }
 
     /// The sequence number the session expects from its next

@@ -44,8 +44,8 @@
 //! acknowledged record can survive *behind* a lost one).
 
 use crate::codec::{
-    crc32, put_enveloped, put_estimate, put_request, put_responses, put_u64, take_estimate,
-    take_request, take_responses, Cursor,
+    crc32, crc32_combine, put_enveloped, put_estimate, put_request, put_responses, put_u64,
+    take_estimate, take_request, take_responses, Cursor, EncodedResponses,
 };
 use crate::faults;
 use crate::obs::WalObs;
@@ -471,6 +471,45 @@ impl Wal {
         let start = Instant::now();
         self.frame.clear();
         put_enveloped(&mut self.frame, |out| record.encode_into(out));
+        self.write_frame(start, record.is_control())
+    }
+
+    /// Append the [`WalRecord::Reports`] whose responses are already
+    /// encoded. The frame is byte for byte the one
+    /// [`append`](Self::append) writes for the decoded record, and its
+    /// checksum comes from the delta's and the record head's by
+    /// [`crc32_combine`] — the delta's bytes are copied, not read again.
+    /// The caller has decoded `encoded` to its end: nothing here checks
+    /// that it is a response list.
+    pub fn append_encoded_reports(
+        &mut self,
+        session: u64,
+        round: u64,
+        seq: u64,
+        encoded: &EncodedResponses,
+    ) -> Result<Commit, CoreError> {
+        faults::hit("wal.before_append");
+        let start = Instant::now();
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; 8]);
+        frame.push(TAG_REPORTS);
+        put_u64(frame, session);
+        put_u64(frame, round);
+        put_u64(frame, seq);
+        let head_crc = crc32(&frame[8..]);
+        frame.extend_from_slice(encoded.bytes());
+        let len = u32::try_from(frame.len() - 8).expect("payload fits the u32 length prefix");
+        let crc = crc32_combine(head_crc, encoded.crc(), encoded.bytes().len());
+        debug_assert_eq!(crc, crc32(&frame[8..]));
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.write_frame(start, false)
+    }
+
+    /// Write `self.frame`, the envelope of one record, honoring the sync
+    /// level. `start` is when the append began.
+    fn write_frame(&mut self, start: Instant, control: bool) -> Result<Commit, CoreError> {
         if faults::check("wal.torn_append") {
             // Simulated crash mid-write: half the frame reaches the disk.
             let _ = self.file.write_all(&self.frame[..self.frame.len() / 2]);
@@ -492,7 +531,7 @@ impl Wal {
             }
             WalSync::None => Commit::Durable,
             WalSync::Batch => {
-                let sync_now = if record.is_control() {
+                let sync_now = if control {
                     true
                 } else {
                     self.unsynced_reports += 1;
@@ -815,6 +854,31 @@ mod tests {
         }
         drop(wal);
         assert_eq!(std::fs::read(&path).unwrap(), want);
+    }
+
+    /// The pinned `Reports` record, appended from its encoded responses:
+    /// the same file, checksum included, as appending the struct.
+    #[test]
+    fn an_encoded_delta_is_appended_as_the_record_of_its_rows() {
+        let record = sample_records().swap_remove(2);
+        let WalRecord::Reports {
+            session,
+            round,
+            seq,
+            responses,
+        } = &record
+        else {
+            panic!("the third sample is the delta");
+        };
+        let encoded = EncodedResponses::encode(responses);
+        let (rows, raw) = (tmp("delta_rows.log"), tmp("delta_encoded.log"));
+        let mut wal = Wal::create(&rows, WalSync::None).unwrap();
+        wal.append(&record).unwrap().wait().unwrap();
+        let mut wal = Wal::create(&raw, WalSync::None).unwrap();
+        let commit = wal.append_encoded_reports(*session, *round, *seq, &encoded);
+        commit.unwrap().wait().unwrap();
+        assert_eq!(std::fs::read(&raw).unwrap(), std::fs::read(&rows).unwrap());
+        assert_eq!(scan(&raw).unwrap().records, [record]);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //!
 //! Run with `cargo test -p ldp_service --features faults`.
 //!
+//! Every cell runs twice: with the script's report deltas submitted as
+//! rows (`submit_batch_at`) and as the bytes a `SubmitBatch` frame
+//! carries them in (`submit_encoded_at`) — the two entries share the
+//! log, the kill points and the recovery, and must recover alike.
+//!
 //! A "crash" is a panic with a [`FaultCrash`] payload thrown from inside
 //! the service (see [`ldp_service::faults`]); the driver catches it,
 //! drops the half-dead service (worker threads and all), reopens the
@@ -18,6 +23,7 @@
 use ldp_fo::{FoKind, Report};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::UserResponse;
+use ldp_service::codec::EncodedResponses;
 use ldp_service::faults::{self, FaultCrash};
 use ldp_service::{IngestService, ServiceConfig, ServiceMetrics, SessionId, WalSync};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,12 +48,38 @@ enum Step {
         t: u64,
     },
     Chunk {
+        round: u64,
         seq: u64,
         responses: Vec<UserResponse>,
     },
     Close {
         round: u64,
     },
+}
+
+/// Which of the service's two sequenced submit entries takes the deltas.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Rows,
+    Bytes,
+}
+
+const ENTRIES: [Entry; 2] = [Entry::Rows, Entry::Bytes];
+
+/// Submit `responses` as delta `seq` of `round` through `entry`.
+fn submit(svc: &IngestService, entry: Entry, round: u64, seq: u64, responses: &[UserResponse]) {
+    let session = SessionId::from_raw(0);
+    match entry {
+        Entry::Rows => svc
+            .submit_batch_at(session, seq, responses.to_vec())
+            .expect("submit delta"),
+        Entry::Bytes => {
+            let next = svc
+                .submit_encoded_at(session, round, seq, &EncodedResponses::encode(responses))
+                .expect("submit encoded delta");
+            assert!(next > seq, "acknowledged delta {seq}, next is {next}");
+        }
+    }
 }
 
 /// Deterministic mixed responses for `round` (reports + refusals).
@@ -78,24 +110,29 @@ fn script() -> Vec<Step> {
         Step::Create,
         Step::Open { round: 0, t: 0 },
         Step::Chunk {
+            round: 0,
             seq: 0,
             responses: chunk(0, 0, 50),
         },
         Step::Chunk {
+            round: 0,
             seq: 1,
             responses: chunk(0, 50, 64),
         },
         Step::Chunk {
+            round: 0,
             seq: 2,
             responses: chunk(0, 114, 37),
         },
         Step::Close { round: 0 },
         Step::Open { round: 1, t: 1 },
         Step::Chunk {
+            round: 1,
             seq: 3,
             responses: chunk(1, 0, 30),
         },
         Step::Chunk {
+            round: 1,
             seq: 4,
             responses: chunk(1, 30, 45),
         },
@@ -105,8 +142,8 @@ fn script() -> Vec<Step> {
 
 /// Apply one step, returning the estimate for closes. Idempotent under
 /// retry: `Create` probes whether the session already exists, the other
-/// steps go through the sequence-numbered `*_at` API.
-fn apply_step(svc: &IngestService, step: &Step) -> Option<RoundEstimate> {
+/// steps go through the sequence-numbered `*_at` API, deltas by `entry`.
+fn apply_step(svc: &IngestService, entry: Entry, step: &Step) -> Option<RoundEstimate> {
     let session = SessionId::from_raw(0);
     match step {
         Step::Create => {
@@ -121,9 +158,12 @@ fn apply_step(svc: &IngestService, step: &Step) -> Option<RoundEstimate> {
                 .expect("open round");
             None
         }
-        Step::Chunk { seq, responses } => {
-            svc.submit_batch_at(session, *seq, responses.clone())
-                .expect("submit delta");
+        Step::Chunk {
+            round,
+            seq,
+            responses,
+        } => {
+            submit(svc, entry, *round, *seq, responses);
             None
         }
         Step::Close { round } => Some(svc.close_round_at(session, *round).expect("close round")),
@@ -137,6 +177,7 @@ fn apply_step(svc: &IngestService, step: &Step) -> Option<RoundEstimate> {
 fn run_script(
     dir: &Path,
     config: ServiceConfig,
+    entry: Entry,
     arm: Option<(&'static str, u64)>,
 ) -> (Vec<RoundEstimate>, bool) {
     faults::reset();
@@ -154,7 +195,7 @@ fn run_script(
     let mut i = 0;
     while i < steps.len() {
         let counted = metrics.reports.get();
-        match catch_unwind(AssertUnwindSafe(|| apply_step(&svc, &steps[i]))) {
+        match catch_unwind(AssertUnwindSafe(|| apply_step(&svc, entry, &steps[i]))) {
             Ok(done) => {
                 estimates.extend(done);
                 i += 1;
@@ -228,25 +269,24 @@ fn every_kill_point_recovers_bit_identically() {
         let cfg = config(shards);
 
         let ref_dir = tmp_dir(&format!("ref_{shards}"));
-        let (reference, crashed) = run_script(&ref_dir, cfg, None);
+        let (reference, crashed) = run_script(&ref_dir, cfg, Entry::Rows, None);
         assert!(!crashed);
         assert_eq!(reference.len(), 2, "script closes two rounds");
         let _ = std::fs::remove_dir_all(&ref_dir);
 
-        for (point, nths) in cells {
-            for &nth in *nths {
-                let dir = tmp_dir(&format!("{}_{nth}_{shards}", point.replace('.', "_")));
-                let (estimates, crashed) = run_script(&dir, cfg, Some((point, nth)));
-                assert!(crashed, "{point} hit {nth} never fired at {shards} shards");
-                assert_eq!(estimates.len(), reference.len());
-                for (round, (got, want)) in estimates.iter().zip(&reference).enumerate() {
-                    assert_bit_identical(
-                        got,
-                        want,
-                        &format!("{point} hit {nth}, round {round}, {shards} shards"),
-                    );
+        for entry in ENTRIES {
+            for (point, nths) in cells {
+                for &nth in *nths {
+                    let dir = tmp_dir(&format!("{}_{nth}_{shards}", point.replace('.', "_")));
+                    let (estimates, crashed) = run_script(&dir, cfg, entry, Some((point, nth)));
+                    let what = format!("{point} hit {nth}, {shards} shards, {entry:?}");
+                    assert!(crashed, "{what}: never fired");
+                    assert_eq!(estimates.len(), reference.len());
+                    for (round, (got, want)) in estimates.iter().zip(&reference).enumerate() {
+                        assert_bit_identical(got, want, &format!("{what}, round {round}"));
+                    }
+                    let _ = std::fs::remove_dir_all(&dir);
                 }
-                let _ = std::fs::remove_dir_all(&dir);
             }
         }
     }
@@ -301,28 +341,34 @@ fn torn_append_surfaces_a_typed_corrupt_tail() {
 #[test]
 fn mid_batch_crash_neither_loses_nor_doubles_the_delta() {
     let _gate = faults::serialize_tests();
-    faults::reset();
-    let dir = tmp_dir("mid_batch_exact");
-    let cfg = config(2);
+    for entry in ENTRIES {
+        faults::reset();
+        let dir = tmp_dir("mid_batch_exact");
+        let cfg = config(2);
 
-    let svc = IngestService::open(cfg, &dir).unwrap();
-    let session = svc.create_session().unwrap();
-    svc.open_round_at(session, 0, 0, FoKind::Grr, EPSILON, DOMAIN)
-        .unwrap();
-    faults::arm("service.mid_batch", 1);
-    let crash = catch_unwind(AssertUnwindSafe(|| {
-        svc.submit_batch_at(session, 0, chunk(0, 0, 33))
-    }))
-    .unwrap_err();
-    assert!(crash.downcast_ref::<FaultCrash>().is_some());
-    faults::reset();
-    drop(svc);
+        let svc = IngestService::open(cfg, &dir).unwrap();
+        let session = svc.create_session().unwrap();
+        svc.open_round_at(session, 0, 0, FoKind::Grr, EPSILON, DOMAIN)
+            .unwrap();
+        faults::arm("service.mid_batch", 1);
+        let crash = catch_unwind(AssertUnwindSafe(|| {
+            submit(&svc, entry, 0, 0, &chunk(0, 0, 33))
+        }))
+        .unwrap_err();
+        assert!(crash.downcast_ref::<FaultCrash>().is_some(), "{entry:?}");
+        faults::reset();
+        drop(svc);
 
-    let svc = IngestService::open(cfg, &dir).unwrap();
-    // Retry of the unacknowledged delta: already on the WAL → no-op ack.
-    svc.submit_batch_at(session, 0, chunk(0, 0, 33)).unwrap();
-    let estimate = svc.close_round_at(session, 0).unwrap();
-    assert_eq!(estimate.reporters, 30, "33 responses minus 3 refusals");
-    faults::reset();
-    let _ = std::fs::remove_dir_all(&dir);
+        let svc = IngestService::open(cfg, &dir).unwrap();
+        // Retry of the unacknowledged delta: already on the WAL → no-op ack.
+        submit(&svc, entry, 0, 0, &chunk(0, 0, 33));
+        assert_eq!(svc.next_seq(session).unwrap(), 1, "{entry:?}");
+        let estimate = svc.close_round_at(session, 0).unwrap();
+        assert_eq!(
+            estimate.reporters, 30,
+            "{entry:?}: 33 responses minus 3 refusals"
+        );
+        faults::reset();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -3,16 +3,21 @@
 //! / `submit_batch` / `close_round` / `end_session` — including calls on
 //! ended sessions, stale rounds, and out-of-order sequence numbers —
 //! never panic and always yield the documented typed errors. The same
-//! interleaving is driven against three lanes — an in-memory service, a
-//! durable one, and a durable one that is dropped and reopened after
-//! *every* call — which must agree on every outcome and on the session
-//! status after it: replay drives the same state machine as live ingest,
-//! so a restart anywhere in a schedule is invisible.
+//! interleaving is driven against five lanes — an in-memory service, a
+//! durable one, a durable one that is dropped and reopened after *every*
+//! call, and those two durable lanes again with every delta submitted as
+//! the bytes a `SubmitBatch` frame carries (`submit_encoded_at`) — which
+//! must agree on every outcome and on the session status after it, and
+//! close every round to the bits of the sequential `AggregationServer`:
+//! replay drives the same state machine as live ingest, and the bytes
+//! entry the same one as the rows entry, so neither a restart anywhere
+//! in a schedule nor the form a delta arrives in is visible.
 
-use ldp_fo::{FoKind, Report};
-use ldp_ids::protocol::UserResponse;
+use ldp_fo::{build_oracle, FoKind, Report};
+use ldp_ids::protocol::{AggregationServer, UserResponse};
 use ldp_ids::CoreError;
-use ldp_service::{IngestService, ServiceConfig, SessionId, SessionStatus};
+use ldp_service::codec::EncodedResponses;
+use ldp_service::{EncodedSubmitError, IngestService, ServiceConfig, SessionId, SessionStatus};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,6 +76,39 @@ fn response(round: u64, i: usize, refuse: bool) -> UserResponse {
     }
 }
 
+/// How a lane hands the service its sequenced deltas.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// `submit_batch_at`, the rows as structs.
+    Rows,
+    /// `submit_encoded_at`, the rows as `put_responses` wrote them.
+    Bytes,
+}
+
+/// Submit `responses` as delta `seq` of `round` through `entry`.
+fn submit_delta(
+    svc: &IngestService,
+    entry: Entry,
+    session: SessionId,
+    round: u64,
+    seq: u64,
+    responses: Vec<UserResponse>,
+) -> Result<(), CoreError> {
+    match entry {
+        Entry::Rows => svc.submit_batch_at(session, seq, responses),
+        Entry::Bytes => {
+            let encoded = EncodedResponses::encode(&responses);
+            match svc.submit_encoded_at(session, round, seq, &encoded) {
+                Ok(_next_seq) => Ok(()),
+                Err(EncodedSubmitError::Rule(e)) => Err(e),
+                Err(EncodedSubmitError::Undecodable(detail)) => {
+                    panic!("put_responses wrote it: {detail}")
+                }
+            }
+        }
+    }
+}
+
 /// The flat outcome of one call, comparable across service flavours.
 #[derive(Debug, Clone, PartialEq)]
 enum Outcome {
@@ -95,15 +133,21 @@ fn durable_dir() -> PathBuf {
 type Trace = Vec<(Outcome, Option<SessionStatus>)>;
 
 /// Drive `ops` against `svc`, asserting each call's result against a
-/// tiny reference model of the session lifecycle, and return the trace.
-/// `between` gets the service after every call and hands back the one to
-/// continue with — itself, or the same directory reopened.
+/// tiny reference model of the session lifecycle and each estimate
+/// against the sequential server's, and return the trace. Deltas go in
+/// through `entry`. `between` gets the service after every call and hands
+/// back the one to continue with — itself, or the same directory
+/// reopened.
 fn drive(
     mut svc: IngestService,
+    entry: Entry,
     ops: &[Op],
     mut between: impl FnMut(IngestService) -> IngestService,
 ) -> Trace {
     let mut outcomes = Vec::with_capacity(ops.len());
+    // The sequential server the current session's rounds must close like.
+    let oracle = build_oracle(FoKind::Grr, 1.0, DOMAIN).expect("valid oracle");
+    let mut sequential = AggregationServer::new();
     // The model: which session is current, whether it still exists,
     // which round is open, and the next round/sequence numbers.
     let mut session = svc.create_session().expect("initial session");
@@ -118,6 +162,7 @@ fn drive(
             Op::Create => {
                 let id = svc.create_session().expect("create never fails in-process");
                 session = id;
+                sequential = AggregationServer::new();
                 alive = true;
                 open = None;
                 next_round = 0;
@@ -142,6 +187,7 @@ fn drive(
                     (true, None) => {
                         let request = result.expect("valid open");
                         assert_eq!(request.round, next_round);
+                        sequential.open_round(0, FoKind::Grr, 1.0, oracle.clone());
                         open = Some(next_round);
                         next_round += 1;
                         Outcome::Ok
@@ -150,7 +196,8 @@ fn drive(
             }
             Op::Submit { round_skew, refuse } => {
                 let round = open.unwrap_or(0) + round_skew;
-                let result = svc.submit(session, response(round, submitted, *refuse));
+                let response = response(round, submitted, *refuse);
+                let result = svc.submit(session, response.clone());
                 match (alive, open) {
                     (false, _) => Outcome::Err(result.expect_err("ended session must error")),
                     (true, None) => {
@@ -171,6 +218,7 @@ fn drive(
                     }
                     (true, Some(_)) => {
                         result.expect("valid submit");
+                        sequential.submit(&response).expect("sequential submit");
                         next_seq += 1;
                         submitted += 1;
                         Outcome::Ok
@@ -182,7 +230,7 @@ fn drive(
                 let round = open.unwrap_or(0);
                 let responses: Vec<UserResponse> =
                     (0..*n).map(|i| response(round, i, false)).collect();
-                let result = svc.submit_batch_at(session, seq, responses);
+                let result = submit_delta(&svc, entry, session, round, seq, responses.clone());
                 match (alive, open) {
                     (false, _) => Outcome::Err(result.expect_err("ended session must error")),
                     _ if seq < next_seq => {
@@ -208,6 +256,9 @@ fn drive(
                     }
                     (true, Some(_)) => {
                         result.expect("valid delta");
+                        for response in &responses {
+                            sequential.submit(response).expect("sequential submit");
+                        }
                         next_seq += 1;
                         submitted += n;
                         Outcome::Ok
@@ -225,11 +276,15 @@ fn drive(
                     }
                     (true, Some(_)) => {
                         let estimate = result.expect("valid close");
+                        let want = sequential.close_round().expect("sequential close");
                         open = None;
-                        Outcome::OkEstimate(
-                            estimate.frequencies.iter().map(|f| f.to_bits()).collect(),
-                            estimate.reporters,
-                        )
+                        let bits = |f: &[f64]| f.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            (bits(&estimate.frequencies), estimate.reporters),
+                            (bits(&want.frequencies), want.reporters),
+                            "the sequential server closes round differently"
+                        );
+                        Outcome::OkEstimate(bits(&estimate.frequencies), estimate.reporters)
                     }
                 }
             }
@@ -285,9 +340,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any interleaving yields typed errors (no panic), and the durable
-    /// service — restarted never, or after every single call — agrees
-    /// with the in-memory one on every outcome, estimate bits and
-    /// session status included.
+    /// service — restarted never, or after every single call; handed its
+    /// deltas as rows, or as bytes — agrees with the in-memory one on
+    /// every outcome, estimate bits and session status included.
     #[test]
     fn lifecycle_interleavings_never_panic_and_flavours_agree(
         ops in proptest::collection::vec(op_strategy(), 1..50),
@@ -298,23 +353,25 @@ proptest! {
             .with_batch_size(batch_size)
             .with_snapshot_every(7);
 
-        let memory_trace = drive(IngestService::new(config), &ops, |svc| svc);
+        let memory_trace = drive(IngestService::new(config), Entry::Rows, &ops, |svc| svc);
 
-        let dir = durable_dir();
-        let durable = IngestService::open(config, &dir).expect("open durable");
-        let durable_trace = drive(durable, &ops, |svc| svc);
-        let _ = std::fs::remove_dir_all(&dir);
+        for entry in [Entry::Rows, Entry::Bytes] {
+            let dir = durable_dir();
+            let durable = IngestService::open(config, &dir).expect("open durable");
+            let durable_trace = drive(durable, entry, &ops, |svc| svc);
+            let _ = std::fs::remove_dir_all(&dir);
 
-        let dir = durable_dir();
-        let restarted = IngestService::open(config, &dir).expect("open durable");
-        let restarted_trace = drive(restarted, &ops, |svc| {
-            drop(svc);
-            IngestService::open(config, &dir).expect("reopen between calls")
-        });
-        let _ = std::fs::remove_dir_all(&dir);
+            let dir = durable_dir();
+            let restarted = IngestService::open(config, &dir).expect("open durable");
+            let restarted_trace = drive(restarted, entry, &ops, |svc| {
+                drop(svc);
+                IngestService::open(config, &dir).expect("reopen between calls")
+            });
+            let _ = std::fs::remove_dir_all(&dir);
 
-        prop_assert_eq!(&memory_trace, &durable_trace);
-        prop_assert_eq!(&memory_trace, &restarted_trace);
+            prop_assert_eq!(&memory_trace, &durable_trace, "{:?}", entry);
+            prop_assert_eq!(&memory_trace, &restarted_trace, "{:?} restarted", entry);
+        }
     }
 
     /// Calls on a session that was never created are always
