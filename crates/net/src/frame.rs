@@ -77,7 +77,7 @@ pub enum Frame {
         request: ReportRequest,
     },
     /// Client → server: one sequenced report delta (the idempotent
-    /// [`submit_batch_at`](ldp_service::IngestService::submit_batch_at)).
+    /// [`submit_encoded_at`](ldp_service::IngestService::submit_encoded_at)).
     SubmitBatch {
         /// Correlation id echoed in the reply.
         corr: u64,

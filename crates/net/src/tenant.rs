@@ -4,7 +4,9 @@
 //! Every registered tenant gets one dispatcher thread fed by a bounded
 //! `sync_channel`. Connections decode frames — all but a `SubmitBatch`'s
 //! responses, which [`dispatch_submit`] hands the service still encoded —
-//! and `send` them here; a
+//! and `send` them here. There is no decoded submit route: a
+//! `SubmitBatch` that reaches [`dispatch`] as rows is encoded back into
+//! the bytes it came as and takes that same call. A
 //! full queue blocks the connection's reader, which stops draining its
 //! socket, which fills the kernel buffers, which back-pressures the
 //! client through TCP flow control — the same end-to-end backpressure
@@ -19,6 +21,7 @@
 use crate::admission::{Admission, AdmissionSnapshot, InflightGuard};
 use crate::frame::{AckBody, Frame, Request, SubmitBatchBytes, WireError, FRAME_KIND_NAMES};
 use ldp_obs::Histogram;
+use ldp_service::codec::EncodedResponses;
 use ldp_service::registry::TenantRegistry;
 use ldp_service::{EncodedSubmitError, IngestService, SessionId};
 use std::collections::HashMap;
@@ -152,17 +155,12 @@ impl Tenants {
 /// `Ack`/`Err` reply frame.
 pub fn dispatch(service: &Arc<IngestService>, frame: Frame) -> Frame {
     let corr = frame.corr();
-    match execute(service, frame) {
-        Ok(body) => Frame::Ack { corr, body },
-        Err(error) => Frame::Err { corr, error },
-    }
+    reply(corr, execute(service, frame))
 }
 
 /// [`dispatch`] for a `SubmitBatch` the reader left encoded: the bytes
 /// go to the service as they are, to be folded and logged without a row
-/// in between. Bytes that turn out not to be a response list are the
-/// sender's [`WireError::BadFrame`], under the request's own `corr` —
-/// the envelope and its checksum held, so the stream is still in step.
+/// in between.
 pub fn dispatch_submit(service: &Arc<IngestService>, submit: SubmitBatchBytes) -> Frame {
     let SubmitBatchBytes {
         corr,
@@ -171,19 +169,36 @@ pub fn dispatch_submit(service: &Arc<IngestService>, submit: SubmitBatchBytes) -
         seq,
         responses,
     } = submit;
+    reply(
+        corr,
+        submit_encoded(service, session, round, seq, &responses),
+    )
+}
+
+fn reply(corr: u64, outcome: Result<AckBody, WireError>) -> Frame {
+    match outcome {
+        Ok(body) => Frame::Ack { corr, body },
+        Err(error) => Frame::Err { corr, error },
+    }
+}
+
+/// The one way a delta reaches the service, whichever route its frame
+/// took: as bytes, under one lock. Bytes that turn out not to be a
+/// response list are the sender's [`WireError::BadFrame`], under the
+/// request's own `corr` — the envelope and its checksum held, so the
+/// stream is still in step.
+fn submit_encoded(
+    service: &IngestService,
+    session: u64,
+    round: u64,
+    seq: u64,
+    responses: &EncodedResponses,
+) -> Result<AckBody, WireError> {
     let session = SessionId::from_raw(session);
-    match service.submit_encoded_at(session, round, seq, &responses) {
-        Ok(next_seq) => Frame::Ack {
-            corr,
-            body: AckBody::Submitted { next_seq },
-        },
-        Err(e) => Frame::Err {
-            corr,
-            error: match e {
-                EncodedSubmitError::Undecodable(detail) => WireError::BadFrame { detail },
-                EncodedSubmitError::Rule(e) => WireError::from(&e),
-            },
-        },
+    match service.submit_encoded_at(session, round, seq, responses) {
+        Ok(next_seq) => Ok(AckBody::Submitted { next_seq }),
+        Err(EncodedSubmitError::Undecodable(detail)) => Err(WireError::BadFrame { detail }),
+        Err(EncodedSubmitError::Rule(e)) => Err(WireError::from(&e)),
     }
 }
 
@@ -225,24 +240,8 @@ fn execute(service: &Arc<IngestService>, frame: Frame) -> Result<AckBody, WireEr
             responses,
             ..
         } => {
-            let session = SessionId::from_raw(session);
-            // The round the delta was sent for is its first echo: checked
-            // where `accept` checks the responses', after the sequence
-            // rules, so a duplicate is acknowledged whatever it names.
-            let status = service.status(session).map_err(|e| WireError::from(&e))?;
-            if let Some(expected) = status.open_round {
-                if seq == status.next_seq && round != expected {
-                    return Err(WireError::StaleRound {
-                        expected,
-                        got: round,
-                    });
-                }
-            }
-            service
-                .submit_batch_at(session, seq, responses)
-                .map_err(|e| WireError::from(&e))?;
-            let next_seq = service.next_seq(session).map_err(|e| WireError::from(&e))?;
-            Ok(AckBody::Submitted { next_seq })
+            let encoded = EncodedResponses::encode(&responses);
+            submit_encoded(service, session, round, seq, &encoded)
         }
         Frame::CloseRound { session, round, .. } => {
             let session = SessionId::from_raw(session);
@@ -265,9 +264,9 @@ fn execute(service: &Arc<IngestService>, frame: Frame) -> Result<AckBody, WireEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::put_submit_batch;
     use ldp_fo::{FoKind, Report};
     use ldp_ids::protocol::{ReportRequest, UserResponse};
-    use ldp_service::codec::EncodedResponses;
     use ldp_service::{ServiceConfig, TenantSpec};
 
     fn registry() -> TenantRegistry {
@@ -348,7 +347,8 @@ mod tests {
     /// The round a `SubmitBatch` names is checked on both routes, the
     /// decoded frame's and the encoded one's — after the sequence rules,
     /// so a duplicate is acknowledged whatever it names — and bytes that
-    /// are not a response list come back under the request's own `corr`.
+    /// are not a response list come back under the request's own `corr`,
+    /// whether a round is open, or the session exists, or not.
     #[test]
     fn a_delta_for_another_round_is_stale_on_both_routes() {
         let registry = registry();
@@ -364,18 +364,18 @@ mod tests {
             }]
         };
         // The two routes for one frame: decoded, and left encoded.
-        let routes = |round, seq, responses: Vec<UserResponse>| {
+        let routes_of = |session, round, seq, responses: Vec<UserResponse>| {
             let encoded = EncodedResponses::encode(&responses);
             let decoded = Frame::SubmitBatch {
                 corr: 5,
-                session: session.raw(),
+                session,
                 round,
                 seq,
                 responses,
             };
             let encoded = SubmitBatchBytes {
                 corr: 5,
-                session: session.raw(),
+                session,
                 round,
                 seq,
                 responses: encoded,
@@ -385,6 +385,7 @@ mod tests {
                 dispatch_submit(&service, encoded),
             ]
         };
+        let routes = |round, seq, responses| routes_of(session.raw(), round, seq, responses);
         let stale = |got| Frame::Err {
             corr: 5,
             error: WireError::StaleRound { expected: 0, got },
@@ -413,6 +414,40 @@ mod tests {
         };
         assert_eq!(routes(7, 4, rows(7)), [gap.clone(), gap]);
         assert_eq!(service.close_round(session).unwrap().reporters, 1);
+
+        // No round open, or no such session: honest rows meet the
+        // lifecycle on both routes. Bytes that are no response list are
+        // refused before that on both: the bytes route answers
+        // `BadFrame`, and on the decoded route the frame decoder refuses
+        // them before there is a frame to dispatch.
+        let refused = |error| Frame::Err { corr: 5, error };
+        let idle = refused(WireError::NoOpenRound);
+        assert_eq!(routes(1, 1, rows(1)), [idle.clone(), idle]);
+        let ghost = refused(WireError::UnknownSession { session: 404 });
+        assert_eq!(routes_of(404, 1, 1, rows(1)), [ghost.clone(), ghost]);
+        let not_a_list = EncodedResponses::new(vec![1, 0, 0, 0]);
+        for target in [session.raw(), 404] {
+            let mut payload = Vec::new();
+            put_submit_batch(&mut payload, 6, target, 1, 1, &[]);
+            payload.truncate(payload.len() - 4);
+            payload.extend_from_slice(not_a_list.bytes());
+            assert!(Frame::decode_payload(&payload).is_err(), "{target}");
+            let bytes = SubmitBatchBytes {
+                corr: 6,
+                session: target,
+                round: 1,
+                seq: 1,
+                responses: not_a_list.clone(),
+            };
+            match dispatch_submit(&service, bytes) {
+                Frame::Err {
+                    corr: 6,
+                    error: WireError::BadFrame { detail },
+                } => assert!(detail.contains("response count 1 exceeds"), "{detail}"),
+                other => panic!("{target}: expected BadFrame, got {other:?}"),
+            }
+        }
+        assert_eq!(service.next_seq(session).unwrap(), 1);
 
         let forged = SubmitBatchBytes {
             corr: 6,

@@ -26,7 +26,8 @@
 //!   machine (lock → check → WAL append → apply → batches to the pool)
 //!   for any number of concurrent independent streams/queries over one
 //!   shared pool; a delta comes in as rows or, from the wire, as the
-//!   bytes of those rows, which go to columns and to the log as they are;
+//!   bytes of those rows, which go to columns and to the log as they are
+//!   through the one step replay takes for them too;
 //! * [`parallel`] — [`ParallelCollector`], a
 //!   [`RoundCollector`](ldp_ids::RoundCollector) implementation that
 //!   runs every existing mechanism (LBD/LBA/LPD/LPA/…) over the sharded
@@ -48,7 +49,7 @@
 //!   snapshotted session table through the logged transitions in one
 //!   streaming pass over the WAL (read and checksum of the next record
 //!   overlapped with the fold of this one), report deltas decoded
-//!   straight into columns for the same kernels, so
+//!   straight into columns by the live bytes entry's own step, so
 //!   sessions, open-round tallies, refusal counters, and budget
 //!   positions come back as they were and re-closed rounds estimate
 //!   **bit-identically** to an uninterrupted run;

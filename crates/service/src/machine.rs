@@ -22,8 +22,15 @@
 //! [`AcceptStep`], [`EndStep`]) that has changed nothing yet, and the
 //! step's `apply` performs it. Dropping a step instead leaves the table
 //! exactly as it was.
+//!
+//! A report delta held as bytes — a `SubmitBatch` frame's, a logged
+//! `Reports` record's — is checked by one transition,
+//! [`SessionTable::accept_encoded`], whichever driver holds it: whether
+//! its bytes are a response list is decided there too, before anything
+//! about the session.
 
-use crate::batch::RoundKey;
+use crate::batch::{ColumnarBatch, RoundKey};
+use crate::codec::{take_responses, Cursor};
 use ldp_fo::{build_oracle, FoKind, OracleHandle};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{ReportRequest, UserResponse};
@@ -228,6 +235,25 @@ impl EndStep<'_> {
     }
 }
 
+/// Why a report delta held as bytes was refused, live or on replay.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EncodedSubmitError {
+    /// The bytes are not a response list: a count the bytes cannot hold,
+    /// an unknown tag, a truncated row, bytes behind the last row. The
+    /// detail is the decoder's.
+    Undecodable(String),
+    /// They are, and the session's state refuses them — the error
+    /// [`IngestService::submit_batch_at`](crate::IngestService::submit_batch_at)
+    /// gives for the same rows.
+    Rule(CoreError),
+}
+
+impl From<CoreError> for EncodedSubmitError {
+    fn from(e: CoreError) -> Self {
+        EncodedSubmitError::Rule(e)
+    }
+}
+
 /// The first round `responses` echo that is not `open`, as a check for
 /// [`SessionTable::accept`].
 pub(crate) fn stale_echo(responses: &[UserResponse]) -> impl FnOnce(u64) -> Option<u64> + '_ {
@@ -336,7 +362,7 @@ impl SessionTable {
     /// from the future is [`SequenceGap`](CoreError::SequenceGap). Every
     /// response must echo the open round: `stale`, given that round,
     /// names the first echo that does not ([`stale_echo`] of the rows, or
-    /// what a batch decoded against that round already found).
+    /// what [`accept_encoded`](Self::accept_encoded) decoded).
     pub fn accept(
         &mut self,
         session: SessionId,
@@ -358,6 +384,40 @@ impl SessionTable {
             return Err(CoreError::StaleRound { expected, got });
         }
         Ok(Some(AcceptStep { session: s }))
+    }
+
+    /// [`accept`](Self::accept) for delta `seq` of `session` held as the
+    /// bytes `put_responses` wrote, sent for `round`. In order:
+    /// *structure* — with a round open the bytes decode into its columns,
+    /// without one they are only read through — then the *sequence*
+    /// rules, then the *echoes*: `round` is the delta's first, the
+    /// columns' own come after. The columns come back with the step, to
+    /// be folded once it is applied.
+    pub fn accept_encoded(
+        &mut self,
+        session: SessionId,
+        round: u64,
+        seq: u64,
+        bytes: &[u8],
+    ) -> Result<Option<(AcceptStep<'_>, ColumnarBatch)>, EncodedSubmitError> {
+        let mut cur = Cursor::new(bytes);
+        let columns = match self.sessions.get(&session).and_then(Session::open) {
+            Some(open) => {
+                let (kind, d) = (open.oracle.kind(), open.oracle.domain_size());
+                ColumnarBatch::decode(kind, d, open.key.round, &mut cur).map(Some)
+            }
+            None => take_responses(&mut cur).map(|_| None),
+        };
+        let columns = columns
+            .and_then(|columns| cur.finish().map(|()| columns))
+            .map_err(EncodedSubmitError::Undecodable)?;
+        let first_stale = columns.as_ref().and_then(ColumnarBatch::first_stale);
+        let stale = |open| Some(round).filter(|round| *round != open).or(first_stale);
+        let Some(step) = self.accept(session, Some(seq), stale)? else {
+            return Ok(None);
+        };
+        let columns = columns.expect("accept found the round the bytes decoded for");
+        Ok(Some((step, columns)))
     }
 
     /// Take `session`'s open round out for closing. `expect` is the
@@ -421,6 +481,7 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::put_responses;
     use ldp_fo::Report;
 
     fn report(round: u64) -> UserResponse {
@@ -590,6 +651,140 @@ mod tests {
         round.pending.push(report(0));
         assert_eq!(table.get(s).unwrap().status().next_seq, 2);
         assert_eq!(table.get(s).unwrap().open().unwrap().pending.len(), 1);
+    }
+
+    fn bytes(rows: &[UserResponse]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_responses(&mut out, rows);
+        out
+    }
+
+    /// Whether `bytes` are refused as not being a response list.
+    fn undecodable(table: &mut SessionTable, session: SessionId, bytes: &[u8]) -> bool {
+        matches!(
+            table.accept_encoded(session, 0, 0, bytes),
+            Err(EncodedSubmitError::Undecodable(_))
+        )
+    }
+
+    /// Structure before lifecycle, wherever the delta lands: bytes that
+    /// are not a response list are undecodable with a round open, with
+    /// none, and on a session that does not exist; honest bytes meet the
+    /// lifecycle's refusal. Nothing moves either way.
+    #[test]
+    fn accept_encoded_checks_structure_before_lifecycle() {
+        let mut table = SessionTable::default();
+        let s = table.create();
+        let ghost = SessionId(9);
+        let honest = bytes(&[report(0), report(0)]);
+        let truncated = honest[..honest.len() - 1].to_vec();
+        let mut trailing = honest.clone();
+        trailing.push(0);
+        let mut bad_tag = honest.clone();
+        bad_tag[4] = 7;
+        let forged_count = vec![1, 0, 0, 0];
+        let broken = [&truncated, &trailing, &bad_tag, &forged_count];
+
+        for forged in broken {
+            assert!(undecodable(&mut table, s, forged), "no round");
+            assert!(undecodable(&mut table, ghost, forged), "no session");
+        }
+        assert_eq!(
+            table.accept_encoded(s, 0, 0, &honest).err(),
+            Some(EncodedSubmitError::Rule(CoreError::NoOpenRound))
+        );
+        assert_eq!(
+            table.accept_encoded(ghost, 0, 0, &honest).err(),
+            Some(EncodedSubmitError::Rule(CoreError::UnknownSession {
+                session: 9
+            }))
+        );
+        open(&mut table, s, None);
+        let before = table.get(s).unwrap().status();
+        for forged in broken {
+            assert!(undecodable(&mut table, s, forged), "round open");
+        }
+        assert_eq!(table.get(s).unwrap().status(), before);
+    }
+
+    /// Then the sequence rules — a duplicate is `None` whatever it names
+    /// or carries, a gap is a gap — and only then the echoes: the head
+    /// round first, the rows' after it.
+    #[test]
+    fn accept_encoded_sequence_rules_then_echoes() {
+        let mut table = SessionTable::default();
+        let s = table.create();
+        open(&mut table, s, None);
+        let (step, _) = table
+            .accept_encoded(s, 0, 0, &bytes(&[report(0)]))
+            .unwrap()
+            .unwrap();
+        assert_eq!((step.round(), step.seq()), (0, 0));
+        step.apply();
+
+        for (head, rows) in [(0, [report(0)]), (7, [report(7)]), (0, [report(3)])] {
+            let duplicate = table.accept_encoded(s, head, 0, &bytes(&rows));
+            assert!(duplicate.unwrap().is_none(), "head {head}");
+        }
+        assert_eq!(
+            table.accept_encoded(s, 7, 4, &bytes(&[report(3)])).err(),
+            Some(EncodedSubmitError::Rule(CoreError::SequenceGap {
+                expected: 1,
+                got: 4
+            }))
+        );
+        let stale = |got| {
+            Some(EncodedSubmitError::Rule(CoreError::StaleRound {
+                expected: 0,
+                got,
+            }))
+        };
+        // A head naming another round is refused though no row
+        // contradicts it (an empty delta), every row agrees with it, or
+        // a row names a third round.
+        for rows in [vec![], vec![report(7)], vec![report(3)]] {
+            assert_eq!(table.accept_encoded(s, 7, 1, &bytes(&rows)).err(), stale(7));
+        }
+        let rows = [report(0), report(3), report(5)];
+        assert_eq!(table.accept_encoded(s, 0, 1, &bytes(&rows)).err(), stale(3));
+        assert_eq!(table.get(s).unwrap().status().next_seq, 1);
+    }
+
+    /// The columns handed back are `ColumnarBatch::encode` of the rows
+    /// the row decoder reads from the same bytes: column rows, leftovers
+    /// and refusals alike.
+    #[test]
+    fn accept_encoded_columns_are_encode_of_the_decoded_rows() {
+        let mut table = SessionTable::default();
+        let s = table.create();
+        let Opening::Fresh(step) = table.open_round(s, None, 0, FoKind::Oue, 1.0, 70).unwrap()
+        else {
+            panic!("fresh");
+        };
+        step.apply();
+        let oue = |bits: Vec<u64>, len| UserResponse::Report {
+            round: 0,
+            report: Report::Oue { bits, len },
+        };
+        let rows = [
+            oue(vec![0b1011, 0b10], 70),
+            oue(vec![u64::MAX; 3], 70),
+            oue(vec![1], 71),
+            report(0),
+            UserResponse::Refused {
+                round: 0,
+                requested: 1.0,
+                available: 0.5,
+            },
+        ];
+        let encoded = bytes(&rows);
+        let (step, columns) = table.accept_encoded(s, 0, 0, &encoded).unwrap().unwrap();
+        let decoded = take_responses(&mut Cursor::new(&encoded)).unwrap();
+        assert_eq!(columns, ColumnarBatch::encode(FoKind::Oue, 70, 0, decoded));
+        assert_eq!((columns.columns().len(), columns.leftovers().len()), (1, 3));
+        assert_eq!((columns.refusals(), columns.responses()), (1, 5));
+        step.apply();
+        assert_eq!(table.get(s).unwrap().status().next_seq, 1);
     }
 
     #[test]

@@ -22,12 +22,14 @@
 //! (`machine.rs`) the live service mutates — plus the shards' tally of
 //! each open round. A snapshot is that pair written out; recovery
 //! decodes it and then does to it what the live service did when it
-//! wrote each WAL record: the same transition, with the report deltas
-//! in the same columns ([`ColumnarBatch::decode`] is by definition
-//! [`ColumnarBatch::encode`] of the rows the bytes hold) and folded by
-//! the same [`ShardArena::ingest`] kernels the workers run. Nothing here
-//! decides what a session may do; a record the transitions refuse means
-//! the log contradicts itself and is a [`CoreError::RecoveryMismatch`].
+//! wrote each WAL record, by the same code: a control record goes through
+//! the transition its live call took, and a report delta — the bytes the
+//! live service was handed and logged as they came — through the step
+//! the live bytes entry takes, `accept_encoded`, into the columns the
+//! same [`ShardArena::ingest`] kernels fold as on the workers. Nothing
+//! here decides what a session may do; a record the transitions refuse
+//! means the log contradicts itself and is a
+//! [`CoreError::RecoveryMismatch`].
 //! What replay adds is *verification* of what the log claims:
 //!
 //! * deltas already covered by the snapshot are skipped by the
@@ -54,13 +56,13 @@
 //! structure before its place in the lifecycle, and nothing behind the
 //! first bad frame.
 
-use crate::batch::{Batch, ColumnarBatch, RoundKey};
+use crate::batch::{Batch, RoundKey};
 use crate::codec::{
     crc32, put_enveloped, put_estimate, put_f64, put_request, put_responses, put_u32, put_u64,
     take_estimate, take_request, take_responses, Cursor,
 };
 use crate::machine::{
-    stale_echo, AcceptStep, Closing, OpenRound, Opening, Session, SessionId, SessionStatus,
+    Closing, EncodedSubmitError, OpenRound, Opening, Session, SessionId, SessionStatus,
     SessionTable,
 };
 use crate::shard::{ShardArena, ShardTally};
@@ -358,31 +360,15 @@ fn mismatch(detail: String) -> CoreError {
     CoreError::RecoveryMismatch { detail }
 }
 
-/// Apply a checked delta the log files under `round`, which has to be
-/// the round it was checked against.
-fn apply_delta(
-    step: AcceptStep<'_>,
-    session: u64,
-    round: u64,
-) -> Result<&mut OpenRound, CoreError> {
-    if step.round() != round {
-        return Err(mismatch(format!(
-            "session {session} logs reports for round {round}; round {} is open",
-            step.round()
-        )));
-    }
-    Ok(step.apply())
-}
-
-/// Take `table` through the transition `record` logged, and `arena`
-/// through its effects — what the live service did when it wrote the
-/// record, with the log checked where the live service appended to it.
-/// Returns the responses it folded.
+/// Take `table` through the transition a control `record` logged, and
+/// `arena` through its effects — what the live service did when it wrote
+/// the record, with the log checked where the live service appended to
+/// it. Report deltas are [`replay_payload`]'s: they never become rows.
 fn replay(
     table: &mut SessionTable,
     arena: &mut ShardArena,
     record: WalRecord,
-) -> Result<u64, CoreError> {
+) -> Result<(), CoreError> {
     match record {
         WalRecord::CreateSession { session } => {
             let id = table.create();
@@ -411,24 +397,7 @@ fn replay(
                 }
             };
         }
-        // Where `replay_delta` sends the deltas it has no open round to
-        // decode for. One of them gets this far only to be refused, or
-        // skipped as a duplicate.
-        WalRecord::Reports {
-            session,
-            round,
-            seq,
-            responses,
-        } => {
-            let id = SessionId::from_raw(session);
-            // `None`: already folded into the snapshot this WAL follows.
-            if let Some(step) = table.accept(id, Some(seq), stale_echo(&responses))? {
-                let open = apply_delta(step, session, round)?;
-                let folded = responses.len() as u64;
-                arena.ingest(Batch::encode(open.key, &open.oracle, responses));
-                return Ok(folded);
-            }
-        }
+        WalRecord::Reports { .. } => unreachable!("replay_payload folds deltas from their bytes"),
         WalRecord::CloseRound {
             session,
             round,
@@ -467,69 +436,41 @@ fn replay(
         }
         WalRecord::EndSession { session } => table.end(SessionId::from_raw(session))?.apply(),
     }
-    Ok(0)
+    Ok(())
 }
 
-/// Why a checksum-valid payload was not replayed.
-enum Refused {
-    /// It is not a record: the log ends in front of it, as at a torn
-    /// frame. The detail is the decoder's.
-    Undecodable(String),
-    /// It is a record the state it is replayed onto contradicts.
-    Rule(CoreError),
-}
-
-/// [`replay`] for a `Reports` payload, without its rows: the delta goes
-/// from the log's bytes into the open round's columns, through the same
-/// `accept` and the same fold. `None` when `session` has no open round
-/// to say what the columns are; the caller then takes the row path,
-/// which ends in the lifecycle error (or the duplicate) this is.
-fn replay_delta(
+/// Replay one checksum-valid WAL payload; returns the responses folded.
+/// A report delta takes the step live ingest takes for the bytes it
+/// logged, `accept_encoded`, and is folded from the columns that hands
+/// back; any other record is decoded and [`replay`]ed. `Undecodable`:
+/// the payload is not a record, and the log ends in front of it.
+fn replay_payload(
     table: &mut SessionTable,
     arena: &mut ShardArena,
     payload: &[u8],
-) -> Result<Option<u64>, Refused> {
+) -> Result<u64, EncodedSubmitError> {
+    if payload.first() != Some(&wal::TAG_REPORTS) {
+        let record = WalRecord::decode(payload).map_err(EncodedSubmitError::Undecodable)?;
+        replay(table, arena, record)?;
+        return Ok(0);
+    }
     let mut cur = Cursor::new(&payload[1..]);
-    let mut header = || cur.u64().map_err(Refused::Undecodable);
+    let mut header = || cur.u64().map_err(EncodedSubmitError::Undecodable);
     let (session, round, seq) = (header()?, header()?, header()?);
+    let delta = &payload[payload.len() - cur.remaining()..];
     let id = SessionId::from_raw(session);
-    let Some(open) = table.get(id).ok().and_then(Session::open) else {
-        return Ok(None);
-    };
-    // Structure before lifecycle, as when a scan decoded every record
-    // before the first was replayed.
-    let (kind, d) = (open.oracle.kind(), open.oracle.domain_size());
-    let columns = ColumnarBatch::decode(kind, d, open.key.round, &mut cur)
-        .and_then(|columns| cur.finish().map(|()| columns))
-        .map_err(Refused::Undecodable)?;
-    let accept = table.accept(id, Some(seq), |_| columns.first_stale());
     // `None`: already folded into the snapshot this WAL follows.
-    let Some(step) = accept.map_err(Refused::Rule)? else {
-        return Ok(Some(0));
+    let Some((step, columns)) = table.accept_encoded(id, round, seq, delta)? else {
+        return Ok(0);
     };
-    let open = apply_delta(step, session, round).map_err(Refused::Rule)?;
+    let open = step.apply();
     let folded = columns.responses();
     arena.ingest(Batch {
         key: open.key,
         oracle: open.oracle.clone(),
         columns,
     });
-    Ok(Some(folded))
-}
-
-/// Replay one checksum-valid WAL payload; returns the responses folded.
-fn replay_payload(
-    table: &mut SessionTable,
-    arena: &mut ShardArena,
-    payload: &[u8],
-) -> Result<u64, Refused> {
-    if payload.first() == Some(&wal::TAG_REPORTS) {
-        if let Some(folded) = replay_delta(table, arena, payload)? {
-            return Ok(folded);
-        }
-    }
-    let record = WalRecord::decode(payload).map_err(Refused::Undecodable)?;
-    replay(table, arena, record).map_err(Refused::Rule)
+    Ok(folded)
 }
 
 /// Payloads the reader may hold verified ahead of the one being folded.
@@ -566,14 +507,14 @@ fn fold_verified(
     for (at, payload) in verified {
         match replay_payload(table, arena, &payload) {
             Ok(reports) => replayed.reports += reports,
-            Err(Refused::Undecodable(detail)) => {
+            Err(EncodedSubmitError::Undecodable(detail)) => {
                 let end = FramesEnd {
                     valid_len: at,
                     corrupt_tail: Some(wal::undecodable(path, at, &detail)),
                 };
                 return Ok((replayed, Some(end)));
             }
-            Err(Refused::Rule(e)) => return Err(contradiction(replayed.records, e)),
+            Err(EncodedSubmitError::Rule(e)) => return Err(contradiction(replayed.records, e)),
         }
         replayed.records += 1;
         let _ = recycle.send(payload);
@@ -667,6 +608,7 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::stale_echo;
     use ldp_fo::{build_oracle, FoKind};
     use ldp_ids::collector::RoundEstimate;
     use ldp_ids::protocol::UserResponse;
@@ -1031,15 +973,48 @@ mod tests {
         ))
     }
 
+    /// [`replay`], and a report delta as rows: `accept` of their echoes
+    /// behind the head round, then `Batch::encode` — the row path that
+    /// `accept_encoded` over the delta's bytes is held to.
+    fn replay_rows(
+        table: &mut SessionTable,
+        arena: &mut ShardArena,
+        record: WalRecord,
+    ) -> Result<u64, CoreError> {
+        let WalRecord::Reports {
+            session,
+            round,
+            seq,
+            responses,
+        } = record
+        else {
+            return replay(table, arena, record).map(|()| 0);
+        };
+        let echoes = stale_echo(&responses);
+        let stale = |open| {
+            Some(round)
+                .filter(|round| *round != open)
+                .or_else(|| echoes(open))
+        };
+        // `None`: already folded into the snapshot this WAL follows.
+        let Some(step) = table.accept(SessionId::from_raw(session), Some(seq), stale)? else {
+            return Ok(0);
+        };
+        let open = step.apply();
+        let folded = responses.len() as u64;
+        arena.ingest(Batch::encode(open.key, &open.oracle, responses));
+        Ok(folded)
+    }
+
     /// The two passes `recover` was before it streamed: `wal::scan` the
-    /// whole log into records, then `replay` them one by one.
+    /// whole log into records, then replay them one by one, as rows.
     fn scan_then_replay(dir: &Path) -> Outcome {
         let scan = wal::scan(&wal_path(dir, 0))?;
         let (mut table, mut arena) = (SessionTable::default(), ShardArena::new());
         let (records, mut reports) = (scan.records.len() as u64, 0);
         for (i, record) in scan.records.into_iter().enumerate() {
-            reports +=
-                replay(&mut table, &mut arena, record).map_err(|e| contradiction(i as u64, e))?;
+            reports += replay_rows(&mut table, &mut arena, record)
+                .map_err(|e| contradiction(i as u64, e))?;
         }
         let tallies: Tallies = open_rounds(&table)
             .into_iter()

@@ -26,19 +26,22 @@
 //! ([`IngestService::new`]) runs the same sequence with the WAL step
 //! empty.
 //!
-//! A report delta has two inputs to that one shape. In-process callers
-//! hold structs: [`submit_batch_at`](IngestService::submit_batch_at)
-//! checks the rows' echoes, logs them as a [`WalRecord::Reports`] and
-//! transposes them into columns batch by batch. The wire holds bytes:
-//! [`submit_encoded_at`](IngestService::submit_encoded_at) is replay's
-//! `Reports` step plus the log — the bytes decode straight into the open
-//! round's columns (structure first, as a frame is decoded before it is
-//! sequenced), the columns say what was stale, and the WAL is handed the
-//! bytes as received, under the checksum they came with, behind the
-//! record head this module writes. Because the row codec writes back
-//! exactly what it accepts, that frame is the one the struct entry would
-//! have appended for the decoded rows. Everything around the two — the
-//! machine's `accept`, the counting, the kill points, the lock
+//! A report delta comes in one of two shapes, rows or bytes. Rows are
+//! what in-process callers hold:
+//! [`submit_batch_at`](IngestService::submit_batch_at) checks their
+//! echoes, logs them as a [`WalRecord::Reports`] and transposes them into
+//! columns batch by batch. Bytes — what `put_responses` wrote — take one
+//! step wherever they come from, a `SubmitBatch` off the wire (left
+//! encoded by the reader, or re-encoded from a decoded frame) or a logged
+//! record on replay: the machine's `accept_encoded` decodes them straight
+//! into the open round's columns, structure first, then the sequence
+//! rules, then the echoes.
+//! [`submit_encoded_at`](IngestService::submit_encoded_at) is that step
+//! plus the log: the WAL is handed the bytes as received, under the
+//! checksum they came with, behind the record head this module writes.
+//! Because the row codec writes back exactly what it accepts, that frame
+//! is the one the struct entry would have appended for the decoded rows.
+//! Everything around the two — the counting, the kill points, the lock
 //! discipline of the dispatch, the snapshot cadence, the commit wait —
 //! is shared code.
 //!
@@ -82,10 +85,10 @@
 //! returns the original estimate bit for bit), and skipping a step is a
 //! typed [`CoreError::SequenceGap`].
 
-use crate::batch::{Batch, ColumnarBatch, ServiceConfig};
-use crate::codec::{Cursor, EncodedResponses};
+use crate::batch::{Batch, ServiceConfig};
+use crate::codec::EncodedResponses;
 use crate::faults;
-use crate::machine::{stale_echo, AcceptStep, Closing, OpenRound, Opening, Session, SessionTable};
+use crate::machine::{stale_echo, AcceptStep, Closing, OpenRound, Opening, SessionTable};
 use crate::obs::ServiceMetrics;
 use crate::pool::WorkerPool;
 use crate::recovery::{self, RecoveryReport, Tallies};
@@ -99,7 +102,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-pub use crate::machine::{SessionId, SessionStatus};
+pub use crate::machine::{EncodedSubmitError, SessionId, SessionStatus};
 
 /// WAL + snapshot bookkeeping of a durable service.
 #[derive(Debug)]
@@ -130,24 +133,6 @@ pub struct IngestService {
     state: Mutex<ServiceState>,
     recovery: Option<RecoveryReport>,
     metrics: ServiceMetrics,
-}
-
-/// Why [`IngestService::submit_encoded_at`] refused a delta.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EncodedSubmitError {
-    /// The bytes are not a response list: a count the bytes cannot hold,
-    /// an unknown tag, a truncated row, bytes behind the last row. The
-    /// detail is the decoder's.
-    Undecodable(String),
-    /// They are, and the session's state refuses them — the error
-    /// [`IngestService::submit_batch_at`] gives for the same rows.
-    Rule(CoreError),
-}
-
-impl From<CoreError> for EncodedSubmitError {
-    fn from(e: CoreError) -> Self {
-        EncodedSubmitError::Rule(e)
-    }
 }
 
 /// The WAL step: append the record of a checked transition, before the
@@ -231,9 +216,6 @@ impl IngestService {
             .replay_reports
             .add(recovered.report.reports_replayed);
         metrics.replay_bytes.add(recovered.report.wal_bytes_read);
-        ldp_obs::trace::event("service.replay", || {
-            format!("dir={} found={:?}", dir.display(), recovered.report)
-        });
 
         // An in-memory service that adopts what recovery hands back.
         let mut svc = IngestService::new_observed(config, metrics);
@@ -380,9 +362,6 @@ impl IngestService {
         open.pending.reserve(self.config.batch_size);
         let request = open.request.clone();
         self.metrics.rounds_opened.inc();
-        ldp_obs::trace::event("service.round_open", || {
-            format!("session={} round={}", session.raw(), request.round)
-        });
         self.ack(guard, commit)?;
         Ok(request)
     }
@@ -533,15 +512,14 @@ impl IngestService {
     /// [`submit_batch_at`](Self::submit_batch_at) for a delta that
     /// arrives encoded — the bytes `put_responses` wrote for it, as a
     /// `SubmitBatch` frame carries them — naming the `round` it was sent
-    /// for. Live ingest as replay runs it: the bytes decode straight into
-    /// the open round's columns, and the same bytes go to the WAL under
-    /// the checksum they came with, so no row is built and the delta is
-    /// neither re-encoded nor checksummed again. The log, the tallies and
-    /// the errors are those of `submit_batch_at` over the decoded rows
-    /// (with `round` checked like a response's echo, after the sequence
-    /// rules); with no round open, only the sequence and lifecycle rules
-    /// are there to refuse it. Returns the sequence number the session
-    /// expects next.
+    /// for. It takes the step replay takes for a logged delta
+    /// (`SessionTable::accept_encoded`: structure, then sequence, then
+    /// echoes, `round` the first of them), and the same bytes go to the
+    /// WAL under the checksum they came with, so no row is built and the
+    /// delta is neither re-encoded nor checksummed again. The log, the
+    /// tallies and the errors are those of `submit_batch_at` over the
+    /// decoded rows. Returns the sequence number the session expects
+    /// next.
     pub fn submit_encoded_at(
         &self,
         session: SessionId,
@@ -551,25 +529,13 @@ impl IngestService {
     ) -> Result<u64, EncodedSubmitError> {
         let mut guard = self.lock();
         let st = &mut *guard;
-        // Structure before lifecycle, as on the struct path, where a
-        // frame is decoded before anything looks at its sequence number.
-        let open = st.table.get(session).ok().and_then(Session::open);
-        let columns = open
-            .map(|open| {
-                let mut cur = Cursor::new(encoded.bytes());
-                let (kind, d) = (open.oracle.kind(), open.oracle.domain_size());
-                ColumnarBatch::decode(kind, d, open.key.round, &mut cur)
-                    .and_then(|columns| cur.finish().map(|()| columns))
-                    .map_err(EncodedSubmitError::Undecodable)
-            })
-            .transpose()?;
-        let first_stale = columns.as_ref().and_then(ColumnarBatch::first_stale);
-        let stale = |open| Some(round).filter(|round| *round != open).or(first_stale);
-        let Some(step) = st.table.accept(session, Some(seq), stale)? else {
+        let accepted = st
+            .table
+            .accept_encoded(session, round, seq, encoded.bytes());
+        let Some((step, columns)) = accepted? else {
             // Already logged and applied; the ack was lost. Idempotent.
             return Ok(st.table.get(session)?.status().next_seq);
         };
-        let columns = columns.expect("accept found the open round the delta was decoded for");
         let (round, seq) = (step.round(), step.seq());
         let commit = log_with(&mut st.durable, |wal| {
             wal.append_encoded_reports(session.raw(), round, seq, encoded)
@@ -651,14 +617,6 @@ impl IngestService {
         st.table
             .finish_close(session, key.round, tally.refusals, estimate.clone());
         self.metrics.rounds_closed.inc();
-        ldp_obs::trace::event("service.round_close", || {
-            format!(
-                "session={} round={} reporters={}",
-                session.raw(),
-                key.round,
-                estimate.reporters
-            )
-        });
         if durable {
             faults::hit("service.after_close");
         }
@@ -737,7 +695,6 @@ impl IngestService {
         self.metrics
             .snapshot_ns
             .record_duration(snapshot_start.elapsed());
-        ldp_obs::trace::event("service.snapshot", || format!("generation={next_gen}"));
         Ok(())
     }
 }

@@ -280,8 +280,10 @@ impl<'a> Untouched<'a> {
 }
 
 /// One forged input per way the decoder can be lied to. Each is refused
-/// as undecodable, or — where the bytes are a response list and only the
-/// session disagrees — with the rule the rows would have met through
+/// as undecodable — with a round open, with none, and on a session that
+/// does not exist: structure comes before the lifecycle, as on replay —
+/// or, where the bytes are a response list and only the session
+/// disagrees, with the rule the rows would have met through
 /// `submit_batch_at`; none moves `next_seq` or the WAL.
 #[test]
 fn forged_deltas_are_refused_before_the_session_or_the_log_moves() {
@@ -305,28 +307,6 @@ fn forged_deltas_are_refused_before_the_session_or_the_log_moves() {
         edit(&mut forged);
         EncodedResponses::new(forged)
     };
-
-    // No round open: the lifecycle has the only word.
-    let idle = Untouched::of(&svc, session);
-    assert_eq!(
-        svc.submit_encoded_at(session, 0, 0, &encoded(&honest)),
-        Err(EncodedSubmitError::Rule(CoreError::NoOpenRound))
-    );
-    assert_eq!(
-        svc.submit_encoded_at(SessionId::from_raw(9), 0, 0, &encoded(&honest)),
-        Err(EncodedSubmitError::Rule(CoreError::UnknownSession {
-            session: 9
-        }))
-    );
-    idle.check("no open round");
-
-    svc.open_round_at(session, 0, 0, FoKind::Oue, EPSILON, 128)
-        .unwrap();
-    assert_eq!(
-        svc.submit_encoded_at(session, 0, 0, &encoded(&honest)),
-        Ok(1)
-    );
-    let open = Untouched::of(&svc, session);
 
     // Row 0 starts at byte 4: tag, round (8), report tag, len (4), words (4).
     let undecodable: [(&str, EncodedResponses, &str); 7] = [
@@ -362,15 +342,45 @@ fn forged_deltas_are_refused_before_the_session_or_the_log_moves() {
             "payload truncated",
         ),
     ];
-    for (what, forged, detail) in &undecodable {
-        match svc.submit_encoded_at(session, 0, 1, forged) {
-            Err(EncodedSubmitError::Undecodable(got)) => {
-                assert!(got.contains(detail), "{what}: {got}")
+    let refuse_undecodable = |target, seq| {
+        for (what, forged, detail) in &undecodable {
+            match svc.submit_encoded_at(target, 0, seq, forged) {
+                Err(EncodedSubmitError::Undecodable(got)) => {
+                    assert!(got.contains(detail), "{what}: {got}")
+                }
+                other => panic!("{what}: expected Undecodable, got {other:?}"),
             }
-            other => panic!("{what}: expected Undecodable, got {other:?}"),
         }
-        open.check(what);
-    }
+    };
+
+    // No round open: structure first, then the lifecycle has the only
+    // word — whether the session exists or not.
+    let idle = Untouched::of(&svc, session);
+    let ghost = SessionId::from_raw(9);
+    refuse_undecodable(session, 0);
+    refuse_undecodable(ghost, 0);
+    idle.check("undecodable, no open round");
+    assert_eq!(
+        svc.submit_encoded_at(session, 0, 0, &encoded(&honest)),
+        Err(EncodedSubmitError::Rule(CoreError::NoOpenRound))
+    );
+    assert_eq!(
+        svc.submit_encoded_at(SessionId::from_raw(9), 0, 0, &encoded(&honest)),
+        Err(EncodedSubmitError::Rule(CoreError::UnknownSession {
+            session: 9
+        }))
+    );
+    idle.check("no open round");
+
+    svc.open_round_at(session, 0, 0, FoKind::Oue, EPSILON, 128)
+        .unwrap();
+    assert_eq!(
+        svc.submit_encoded_at(session, 0, 0, &encoded(&honest)),
+        Ok(1)
+    );
+    let open = Untouched::of(&svc, session);
+    refuse_undecodable(session, 1);
+    open.check("undecodable, round open");
 
     // A response list the session refuses: the rows' own errors.
     let mut stale_inside = honest.clone();
@@ -432,6 +442,9 @@ fn forged_deltas_are_refused_before_the_session_or_the_log_moves() {
         Ok(2)
     );
     assert_eq!(svc.close_round_at(session, 0).unwrap().reporters, 8);
+    let closed = Untouched::of(&svc, session);
+    refuse_undecodable(session, 2);
+    closed.check("undecodable, round closed");
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
 }
