@@ -51,18 +51,18 @@ impl ColumnarBatch {
         kind: FoKind,
         domain_size: usize,
         round: u64,
-        responses: Vec<UserResponse>,
+        responses: &[UserResponse],
     ) -> Self {
         let mut batch = ColumnarBatch::empty(kind, domain_size, round, responses.len());
         for response in responses {
             match response {
                 UserResponse::Report { round: r, report } => {
-                    if batch.echoes(r) && !batch.columns.try_push(&report, domain_size) {
-                        batch.leftovers.push(report);
+                    if batch.echoes(*r) && !batch.columns.try_push(report, domain_size) {
+                        batch.leftovers.push(report.clone());
                     }
                 }
                 UserResponse::Refused { round: r, .. } => {
-                    if batch.echoes(r) {
+                    if batch.echoes(*r) {
                         batch.refusals += 1;
                     }
                 }
@@ -74,7 +74,7 @@ impl ColumnarBatch {
     /// Decode the responses [`put_responses`] wrote — a `Reports`
     /// record's or a submit frame's — straight into columns: what
     /// `ColumnarBatch::encode(kind, domain_size, round,
-    /// take_responses(cur)?)` returns, without a [`UserResponse`] (or, for
+    /// &take_responses(cur)?)` returns, without a [`UserResponse`] (or, for
     /// OUE, a heap vector per report) in between. It reads what
     /// [`take_responses`] reads and refuses what it refuses: a forged
     /// count, a truncated row, an unknown tag.
@@ -265,7 +265,7 @@ impl Batch {
                 oracle.kind(),
                 oracle.domain_size(),
                 key.round,
-                responses,
+                &responses,
             ),
         }
     }
@@ -276,7 +276,9 @@ impl Batch {
 pub struct ServiceConfig {
     /// Worker threads (shards). At least 1.
     pub threads: usize,
-    /// Responses per dispatched batch. Larger batches amortize channel
+    /// Responses per delta a [`ServiceSink`](crate::ServiceSink) hands
+    /// the service, which dispatches each accepted delta as one batch and
+    /// re-chunks nothing. Larger deltas amortize locking and channel
     /// overhead; smaller ones spread a short round across more shards.
     pub batch_size: usize,
     /// Bound of each worker's inbox, in batches. When every inbox is
@@ -404,7 +406,7 @@ mod tests {
         let mut cur = Cursor::new(bytes);
         let rows = take_responses(&mut cur)?;
         cur.finish()?;
-        Ok(ColumnarBatch::encode(kind, d, ROUND, rows))
+        Ok(ColumnarBatch::encode(kind, d, ROUND, &rows))
     }
 
     fn decode(kind: FoKind, d: usize, bytes: &[u8]) -> Result<ColumnarBatch, String> {
@@ -428,7 +430,7 @@ mod tests {
             let responses = mixed_stream(kind, d, n, seed);
             let mut bytes = Vec::new();
             put_responses(&mut bytes, &responses);
-            let want = ColumnarBatch::encode(kind, d, ROUND, responses);
+            let want = ColumnarBatch::encode(kind, d, ROUND, &responses);
             prop_assert_eq!(decode(kind, d, &bytes), Ok(want));
             for cut in 0..bytes.len() {
                 let (rows, columns) = (
@@ -569,7 +571,7 @@ mod tests {
                 report: Report::Olh { seed: 1, bucket: 0 },
             },
         ];
-        let batch = ColumnarBatch::encode(FoKind::Grr, 4, 3, responses);
+        let batch = ColumnarBatch::encode(FoKind::Grr, 4, 3, &responses);
         assert_eq!(batch.round(), 3);
         assert_eq!(batch.reports(), 2);
         assert_eq!(batch.columns().len(), 1);
@@ -578,6 +580,6 @@ mod tests {
         assert_eq!(batch.stale(), 2);
         assert_eq!(batch.responses(), 5);
         assert!(!batch.is_empty());
-        assert!(ColumnarBatch::encode(FoKind::Grr, 4, 3, Vec::new()).is_empty());
+        assert!(ColumnarBatch::encode(FoKind::Grr, 4, 3, &[]).is_empty());
     }
 }

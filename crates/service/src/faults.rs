@@ -2,12 +2,12 @@
 //!
 //! The ingestion service is instrumented with named *kill points* —
 //! places where a process death is interesting: before/after a WAL
-//! append, between dispatches of one batch, around the round-close
-//! record, mid-snapshot. Under the `faults` cargo feature, a test can
-//! arm one point to "crash" (panic with a [`FaultCrash`] payload,
-//! caught by the test harness) on its *n*-th hit; without the feature
-//! every hook compiles to a no-op, so production builds carry zero
-//! overhead.
+//! append, between a delta's log and its dispatch, around the
+//! round-close record, mid-snapshot. Under the `faults` cargo feature, a
+//! test can arm one point to "crash" (panic with a [`FaultCrash`]
+//! payload, caught by the test harness) on its *n*-th hit; without the
+//! feature every hook compiles to a no-op, so production builds carry
+//! zero overhead.
 //!
 //! A simulated crash is a panic, not a real `abort`, so the test can
 //! catch it, drop the half-dead service, and reopen the durability
@@ -26,7 +26,7 @@
 /// | `wal.before_append`      | before a record reaches the WAL (op never logged, never acked) |
 /// | `wal.after_append`       | record durable, in-memory state not yet mutated / op not acked |
 /// | `wal.torn_append`        | mid-write: half a frame reaches the disk |
-/// | `service.mid_batch`      | between shard dispatches of one accepted delta |
+/// | `service.mid_batch`      | before the one shard dispatch of an accepted delta |
 /// | `service.before_close`   | round tallied, close record not yet logged |
 /// | `service.after_close`    | close record durable, estimate never acked |
 /// | `snapshot.before_rename` | snapshot tmp written, not yet visible |

@@ -13,8 +13,8 @@
 //!   addition on round close — which is why the parallel estimate is
 //!   bit-identical to the sequential one, independent of how responses
 //!   were partitioned or interleaved;
-//! * [`batch`] — response batching (configurable size) so per-message
-//!   channel overhead amortizes across many reports;
+//! * [`batch`] — columnar batches, one per accepted delta, so
+//!   per-message channel overhead amortizes across many reports;
 //! * [`pool`] — an `std::thread` worker pool fed by bounded channels:
 //!   dispatch blocks when every worker queue is full, giving natural
 //!   backpressure against unbounded arrival;
@@ -23,11 +23,11 @@
 //!   (open → ingest → close, sequence numbers, idempotent retries) and
 //!   every counter lives there, and both drivers below call it;
 //! * [`session`] — the [`IngestService`]: the *live* driver of that
-//!   machine (lock → check → WAL append → apply → batches to the pool)
-//!   for any number of concurrent independent streams/queries over one
-//!   shared pool; a delta comes in as rows or, from the wire, as the
-//!   bytes of those rows, which go to columns and to the log as they are
-//!   through the one step replay takes for them too;
+//!   machine (lock → check → WAL append → apply → the delta's batch to
+//!   the pool) for any number of concurrent independent streams/queries
+//!   over one shared pool; a delta comes in as rows or, from the wire,
+//!   as the bytes of those rows, and either takes the one step, whose
+//!   check replay takes for logged bytes too;
 //! * [`parallel`] — [`ParallelCollector`], a
 //!   [`RoundCollector`](ldp_ids::RoundCollector) implementation that
 //!   runs every existing mechanism (LBD/LBA/LPD/LPA/…) over the sharded

@@ -23,14 +23,16 @@
 //! step's `apply` performs it. Dropping a step instead leaves the table
 //! exactly as it was.
 //!
-//! A report delta held as bytes — a `SubmitBatch` frame's, a logged
-//! `Reports` record's — is checked by one transition,
-//! [`SessionTable::accept_encoded`], whichever driver holds it: whether
-//! its bytes are a response list is decided there too, before anything
-//! about the session.
+//! A report delta is checked by one transition,
+//! [`SessionTable::accept_delta`], whichever driver holds it and in
+//! whichever shape: rows from an in-process caller, or bytes — a
+//! `SubmitBatch` frame's, a logged `Reports` record's. The shapes differ
+//! only in how they become the open round's columns (a transpose, or a
+//! decode that also decides whether the bytes are a response list at
+//! all); the rules after that are the same code.
 
 use crate::batch::{ColumnarBatch, RoundKey};
-use crate::codec::{take_responses, Cursor};
+use crate::codec::{take_responses, Cursor, EncodedResponses};
 use ldp_fo::{build_oracle, FoKind, OracleHandle};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{ReportRequest, UserResponse};
@@ -83,19 +85,13 @@ pub(crate) struct OpenRound {
     pub key: RoundKey,
     pub request: ReportRequest,
     pub oracle: OracleHandle,
-    /// Accepted responses not yet handed to a shard.
-    pub pending: Vec<UserResponse>,
 }
 
 impl OpenRound {
     /// The round oracle is built from the request alone — the same
     /// deterministic construction clients use, which is what lets a
     /// replayed round re-estimate bit-identically.
-    pub fn new(
-        session: SessionId,
-        request: ReportRequest,
-        pending: Vec<UserResponse>,
-    ) -> Result<Self, CoreError> {
+    pub fn new(session: SessionId, request: ReportRequest) -> Result<Self, CoreError> {
         Ok(OpenRound {
             key: RoundKey {
                 session,
@@ -103,7 +99,6 @@ impl OpenRound {
             },
             oracle: build_oracle(request.fo, request.epsilon, request.domain_size)?,
             request,
-            pending,
         })
     }
 
@@ -193,24 +188,27 @@ impl<'a> OpenStep<'a> {
 }
 
 /// A checked report delta: log it under [`round`](Self::round) and
-/// [`seq`](Self::seq), then [`apply`](Self::apply) and feed the
-/// responses to the round handed back.
+/// [`seq`](Self::seq), then [`apply`](Self::apply) and fold the columns
+/// that came with it into the round handed back.
 pub(crate) struct AcceptStep<'a> {
     session: &'a mut Session,
 }
 
 impl<'a> AcceptStep<'a> {
     pub fn round(&self) -> u64 {
-        self.session.status.open_round.expect("checked by accept")
+        self.session
+            .status
+            .open_round
+            .expect("checked by accept_delta")
     }
 
     pub fn seq(&self) -> u64 {
         self.session.status.next_seq
     }
 
-    pub fn apply(self) -> &'a mut OpenRound {
+    pub fn apply(self) -> &'a OpenRound {
         self.session.status.next_seq += 1;
-        self.session.open.as_mut().expect("checked by accept")
+        self.session.open.as_ref().expect("checked by accept_delta")
     }
 }
 
@@ -235,12 +233,64 @@ impl EndStep<'_> {
     }
 }
 
-/// Why a report delta held as bytes was refused, live or on replay.
+/// A report delta, in the shape it reached the service in: the rows an
+/// in-process caller holds, or the bytes `put_responses` wrote for them.
+/// Live bytes come as [`EncodedResponses`], whose checksum the WAL
+/// reuses; the checks read only the bytes, which is all a replayed
+/// record has (`Delta<'_, [u8]>`).
+#[derive(Debug)]
+pub(crate) enum Delta<'a, Bytes: ?Sized = EncodedResponses> {
+    Rows(&'a [UserResponse]),
+    Bytes(&'a Bytes),
+}
+
+impl<'a> Delta<'a> {
+    /// The same delta, its bytes as a plain slice.
+    pub fn as_slice(&self) -> Delta<'a, [u8]> {
+        match *self {
+            Delta::Rows(rows) => Delta::Rows(rows),
+            Delta::Bytes(encoded) => Delta::Bytes(encoded.bytes()),
+        }
+    }
+}
+
+impl Delta<'_, [u8]> {
+    /// The delta as `open`'s columns — rows transposed, bytes decoded.
+    /// With no round open there are no columns to make, and bytes are
+    /// only read through; `Err` when they are not a response list.
+    fn columns(&self, open: Option<&OpenRound>) -> Result<Option<ColumnarBatch>, String> {
+        let shape = open.map(|open| {
+            (
+                open.oracle.kind(),
+                open.oracle.domain_size(),
+                open.key.round,
+            )
+        });
+        match *self {
+            Delta::Rows(rows) => {
+                Ok(shape.map(|(kind, d, round)| ColumnarBatch::encode(kind, d, round, rows)))
+            }
+            Delta::Bytes(bytes) => {
+                let mut cur = Cursor::new(bytes);
+                let columns = match shape {
+                    Some((kind, d, round)) => {
+                        ColumnarBatch::decode(kind, d, round, &mut cur).map(Some)?
+                    }
+                    None => take_responses(&mut cur).map(|_| None)?,
+                };
+                cur.finish()?;
+                Ok(columns)
+            }
+        }
+    }
+}
+
+/// Why a report delta was refused, live or on replay.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EncodedSubmitError {
     /// The bytes are not a response list: a count the bytes cannot hold,
     /// an unknown tag, a truncated row, bytes behind the last row. The
-    /// detail is the decoder's.
+    /// detail is the decoder's. Rows are never undecodable.
     Undecodable(String),
     /// They are, and the session's state refuses them — the error
     /// [`IngestService::submit_batch_at`](crate::IngestService::submit_batch_at)
@@ -251,19 +301,6 @@ pub enum EncodedSubmitError {
 impl From<CoreError> for EncodedSubmitError {
     fn from(e: CoreError) -> Self {
         EncodedSubmitError::Rule(e)
-    }
-}
-
-/// The first round `responses` echo that is not `open`, as a check for
-/// [`SessionTable::accept`].
-pub(crate) fn stale_echo(responses: &[UserResponse]) -> impl FnOnce(u64) -> Option<u64> + '_ {
-    move |open| {
-        let mut echoed = responses.iter().map(|response| {
-            let (UserResponse::Report { round, .. } | UserResponse::Refused { round, .. }) =
-                response;
-            *round
-        });
-        echoed.find(|round| *round != open)
     }
 }
 
@@ -351,73 +388,49 @@ impl SessionTable {
             domain_size,
         };
         Ok(Opening::Fresh(OpenStep {
-            round: OpenRound::new(session, request, Vec::new())?,
+            round: OpenRound::new(session, request)?,
             session: s,
         }))
     }
 
-    /// Check a delta of responses for `session`'s open round. `expect`
-    /// is the sequence number a retrying client names: a delta the
-    /// session already has is `None` (acknowledge, apply nothing), one
-    /// from the future is [`SequenceGap`](CoreError::SequenceGap). Every
-    /// response must echo the open round: `stale`, given that round,
-    /// names the first echo that does not ([`stale_echo`] of the rows, or
-    /// what [`accept_encoded`](Self::accept_encoded) decoded).
-    pub fn accept(
+    /// Check report delta `seq` of `session`, sent for `round`. In
+    /// order: *structure* — with a round open the delta becomes its
+    /// columns, without one bytes are only read through — then the
+    /// *sequence* rules, then the *echoes*. `seq` is the number a
+    /// retrying client names: a delta the session already has is `None`
+    /// (acknowledge, apply nothing), one from the future is
+    /// [`SequenceGap`](CoreError::SequenceGap); `None` is the next one.
+    /// Every echo must name the open round: `round` first, the columns'
+    /// own after it. The columns come back with the step, to be folded
+    /// once it is applied.
+    pub fn accept_delta(
         &mut self,
         session: SessionId,
-        expect: Option<u64>,
-        stale: impl FnOnce(u64) -> Option<u64>,
-    ) -> Result<Option<AcceptStep<'_>>, CoreError> {
+        round: Option<u64>,
+        seq: Option<u64>,
+        delta: Delta<'_, [u8]>,
+    ) -> Result<Option<(AcceptStep<'_>, ColumnarBatch)>, EncodedSubmitError> {
+        let open = self.sessions.get(&session).and_then(Session::open);
+        let columns = delta
+            .columns(open)
+            .map_err(EncodedSubmitError::Undecodable)?;
         let s = self.get_mut(session)?;
-        if let Some(got) = expect {
+        if let Some(got) = seq {
             let expected = s.status.next_seq;
             if got < expected {
                 return Ok(None);
             }
             if got > expected {
-                return Err(CoreError::SequenceGap { expected, got });
+                return Err(CoreError::SequenceGap { expected, got }.into());
             }
         }
         let expected = s.status.open_round.ok_or(CoreError::NoOpenRound)?;
-        if let Some(got) = stale(expected) {
-            return Err(CoreError::StaleRound { expected, got });
+        let columns = columns.expect("the round is open, so the delta became its columns");
+        let stale = round.filter(|round| *round != expected);
+        if let Some(got) = stale.or(columns.first_stale()) {
+            return Err(CoreError::StaleRound { expected, got }.into());
         }
-        Ok(Some(AcceptStep { session: s }))
-    }
-
-    /// [`accept`](Self::accept) for delta `seq` of `session` held as the
-    /// bytes `put_responses` wrote, sent for `round`. In order:
-    /// *structure* — with a round open the bytes decode into its columns,
-    /// without one they are only read through — then the *sequence*
-    /// rules, then the *echoes*: `round` is the delta's first, the
-    /// columns' own come after. The columns come back with the step, to
-    /// be folded once it is applied.
-    pub fn accept_encoded(
-        &mut self,
-        session: SessionId,
-        round: u64,
-        seq: u64,
-        bytes: &[u8],
-    ) -> Result<Option<(AcceptStep<'_>, ColumnarBatch)>, EncodedSubmitError> {
-        let mut cur = Cursor::new(bytes);
-        let columns = match self.sessions.get(&session).and_then(Session::open) {
-            Some(open) => {
-                let (kind, d) = (open.oracle.kind(), open.oracle.domain_size());
-                ColumnarBatch::decode(kind, d, open.key.round, &mut cur).map(Some)
-            }
-            None => take_responses(&mut cur).map(|_| None),
-        };
-        let columns = columns
-            .and_then(|columns| cur.finish().map(|()| columns))
-            .map_err(EncodedSubmitError::Undecodable)?;
-        let first_stale = columns.as_ref().and_then(ColumnarBatch::first_stale);
-        let stale = |open| Some(round).filter(|round| *round != open).or(first_stale);
-        let Some(step) = self.accept(session, Some(seq), stale)? else {
-            return Ok(None);
-        };
-        let columns = columns.expect("accept found the round the bytes decoded for");
-        Ok(Some((step, columns)))
+        Ok(Some((AcceptStep { session: s }, columns)))
     }
 
     /// Take `session`'s open round out for closing. `expect` is the
@@ -542,8 +555,8 @@ mod tests {
         open(&mut table, s, None);
         let before = table.get(s).unwrap().status();
         {
-            let step = table
-                .accept(s, None, stale_echo(&[report(0)]))
+            let (step, _) = table
+                .accept_delta(s, None, None, Delta::Rows(&[report(0)]))
                 .unwrap()
                 .unwrap();
             assert_eq!((step.round(), step.seq()), (0, 0));
@@ -600,69 +613,97 @@ mod tests {
         assert_eq!((status.next_round, status.open_round), (1, Some(0)));
     }
 
-    #[test]
-    fn accept_rules() {
-        let mut table = SessionTable::default();
-        let s = table.create();
-        assert_eq!(
-            table
-                .accept(s, None, stale_echo(&[report(0)]))
-                .err()
-                .unwrap(),
-            CoreError::NoOpenRound
-        );
-        open(&mut table, s, None);
-        assert_eq!(
-            table
-                .accept(s, None, stale_echo(&[report(0), report(4)]))
-                .err()
-                .unwrap(),
-            CoreError::StaleRound {
-                expected: 0,
-                got: 4
-            }
-        );
-        table
-            .accept(s, Some(0), stale_echo(&[report(0)]))
-            .unwrap()
-            .unwrap()
-            .apply();
-        // Sequence rules come before round rules: a duplicate is
-        // acknowledged whatever it carries, a gap is a gap.
-        assert!(table
-            .accept(s, Some(0), stale_echo(&[report(4)]))
-            .unwrap()
-            .is_none());
-        assert_eq!(
-            table
-                .accept(s, Some(2), stale_echo(&[report(0)]))
-                .err()
-                .unwrap(),
-            CoreError::SequenceGap {
-                expected: 1,
-                got: 2
-            }
-        );
-        let round = table
-            .accept(s, Some(1), stale_echo(&[]))
-            .unwrap()
-            .unwrap()
-            .apply();
-        round.pending.push(report(0));
-        assert_eq!(table.get(s).unwrap().status().next_seq, 2);
-        assert_eq!(table.get(s).unwrap().open().unwrap().pending.len(), 1);
-    }
-
     fn bytes(rows: &[UserResponse]) -> Vec<u8> {
         let mut out = Vec::new();
         put_responses(&mut out, rows);
         out
     }
 
+    /// What `accept_delta` decided: the step's round and sequence number
+    /// and the columns, `None` for a duplicate, or the refusal.
+    type Outcome = Result<Option<(u64, u64, ColumnarBatch)>, EncodedSubmitError>;
+
+    fn accept(
+        table: &mut SessionTable,
+        session: SessionId,
+        round: Option<u64>,
+        seq: Option<u64>,
+        delta: Delta<'_, [u8]>,
+    ) -> Outcome {
+        let accepted = table.accept_delta(session, round, seq, delta)?;
+        Ok(accepted.map(|(step, columns)| (step.round(), step.seq(), columns)))
+    }
+
+    /// [`accept`] of `rows` as rows and as their bytes, which must agree.
+    fn accept_both(
+        table: &mut SessionTable,
+        session: SessionId,
+        round: Option<u64>,
+        seq: Option<u64>,
+        rows: &[UserResponse],
+    ) -> Outcome {
+        let as_rows = accept(table, session, round, seq, Delta::Rows(rows));
+        let as_bytes = accept(table, session, round, seq, Delta::Bytes(&bytes(rows)));
+        assert_eq!(as_rows, as_bytes, "{round:?}/{seq:?}: {rows:?}");
+        as_rows
+    }
+
+    fn rule(e: CoreError) -> Outcome {
+        Err(EncodedSubmitError::Rule(e))
+    }
+
+    /// Every lifecycle rule, in both shapes.
+    #[test]
+    fn accept_rules() {
+        let mut table = SessionTable::default();
+        let s = table.create();
+        let ghost = SessionId(9);
+        let one = [report(0)];
+        assert_eq!(
+            accept_both(&mut table, s, None, None, &one),
+            rule(CoreError::NoOpenRound)
+        );
+        assert_eq!(
+            accept_both(&mut table, ghost, Some(0), Some(0), &one),
+            rule(CoreError::UnknownSession { session: 9 })
+        );
+        open(&mut table, s, None);
+        let stale = |got| rule(CoreError::StaleRound { expected: 0, got });
+        // An inner echo of another round; a head round naming one.
+        let inner = [report(0), report(4)];
+        assert_eq!(accept_both(&mut table, s, None, None, &inner), stale(4));
+        assert_eq!(accept_both(&mut table, s, Some(7), None, &one), stale(7));
+        let accepted = accept_both(&mut table, s, Some(0), Some(0), &one);
+        let (round, seq, columns) = accepted.unwrap().unwrap();
+        assert_eq!((round, seq, columns.responses()), (0, 0, 1));
+        let step = table.accept_delta(s, None, Some(0), Delta::Rows(&one));
+        step.unwrap().unwrap().0.apply();
+        // Sequence rules come before round rules: a duplicate is
+        // acknowledged whatever it carries, a gap is a gap.
+        assert_eq!(
+            accept_both(&mut table, s, Some(7), Some(0), &inner),
+            Ok(None)
+        );
+        assert_eq!(
+            accept_both(&mut table, s, None, Some(2), &one),
+            rule(CoreError::SequenceGap {
+                expected: 1,
+                got: 2
+            })
+        );
+        // Unsequenced is the next delta; an empty one has empty columns.
+        let (_, seq, columns) = accept_both(&mut table, s, None, None, &[])
+            .unwrap()
+            .unwrap();
+        assert_eq!(seq, 1);
+        assert!(columns.is_empty());
+        assert_eq!(table.get(s).unwrap().status().next_seq, 1);
+    }
+
     /// Whether `bytes` are refused as not being a response list.
     fn undecodable(table: &mut SessionTable, session: SessionId, bytes: &[u8]) -> bool {
         matches!(
-            table.accept_encoded(session, 0, 0, bytes),
+            accept(table, session, Some(0), Some(0), Delta::Bytes(bytes)),
             Err(EncodedSubmitError::Undecodable(_))
         )
     }
@@ -690,14 +731,12 @@ mod tests {
             assert!(undecodable(&mut table, ghost, forged), "no session");
         }
         assert_eq!(
-            table.accept_encoded(s, 0, 0, &honest).err(),
-            Some(EncodedSubmitError::Rule(CoreError::NoOpenRound))
+            accept(&mut table, s, Some(0), Some(0), Delta::Bytes(&honest)),
+            rule(CoreError::NoOpenRound)
         );
         assert_eq!(
-            table.accept_encoded(ghost, 0, 0, &honest).err(),
-            Some(EncodedSubmitError::Rule(CoreError::UnknownSession {
-                session: 9
-            }))
+            accept(&mut table, ghost, Some(0), Some(0), Delta::Bytes(&honest)),
+            rule(CoreError::UnknownSession { session: 9 })
         );
         open(&mut table, s, None);
         let before = table.get(s).unwrap().status();
@@ -709,44 +748,45 @@ mod tests {
 
     /// Then the sequence rules — a duplicate is `None` whatever it names
     /// or carries, a gap is a gap — and only then the echoes: the head
-    /// round first, the rows' after it.
+    /// round first, the rows' after it. In both shapes.
     #[test]
     fn accept_encoded_sequence_rules_then_echoes() {
         let mut table = SessionTable::default();
         let s = table.create();
         open(&mut table, s, None);
         let (step, _) = table
-            .accept_encoded(s, 0, 0, &bytes(&[report(0)]))
+            .accept_delta(s, Some(0), Some(0), Delta::Bytes(&bytes(&[report(0)])))
             .unwrap()
             .unwrap();
         assert_eq!((step.round(), step.seq()), (0, 0));
         step.apply();
 
         for (head, rows) in [(0, [report(0)]), (7, [report(7)]), (0, [report(3)])] {
-            let duplicate = table.accept_encoded(s, head, 0, &bytes(&rows));
-            assert!(duplicate.unwrap().is_none(), "head {head}");
+            let duplicate = accept_both(&mut table, s, Some(head), Some(0), &rows);
+            assert_eq!(duplicate, Ok(None), "head {head}");
         }
         assert_eq!(
-            table.accept_encoded(s, 7, 4, &bytes(&[report(3)])).err(),
-            Some(EncodedSubmitError::Rule(CoreError::SequenceGap {
+            accept_both(&mut table, s, Some(7), Some(4), &[report(3)]),
+            rule(CoreError::SequenceGap {
                 expected: 1,
                 got: 4
-            }))
+            })
         );
-        let stale = |got| {
-            Some(EncodedSubmitError::Rule(CoreError::StaleRound {
-                expected: 0,
-                got,
-            }))
-        };
+        let stale = |got| rule(CoreError::StaleRound { expected: 0, got });
         // A head naming another round is refused though no row
         // contradicts it (an empty delta), every row agrees with it, or
         // a row names a third round.
         for rows in [vec![], vec![report(7)], vec![report(3)]] {
-            assert_eq!(table.accept_encoded(s, 7, 1, &bytes(&rows)).err(), stale(7));
+            assert_eq!(
+                accept_both(&mut table, s, Some(7), Some(1), &rows),
+                stale(7)
+            );
         }
         let rows = [report(0), report(3), report(5)];
-        assert_eq!(table.accept_encoded(s, 0, 1, &bytes(&rows)).err(), stale(3));
+        assert_eq!(
+            accept_both(&mut table, s, Some(0), Some(1), &rows),
+            stale(3)
+        );
         assert_eq!(table.get(s).unwrap().status().next_seq, 1);
     }
 
@@ -778,9 +818,12 @@ mod tests {
             },
         ];
         let encoded = bytes(&rows);
-        let (step, columns) = table.accept_encoded(s, 0, 0, &encoded).unwrap().unwrap();
+        let (step, columns) = table
+            .accept_delta(s, Some(0), Some(0), Delta::Bytes(&encoded))
+            .unwrap()
+            .unwrap();
         let decoded = take_responses(&mut Cursor::new(&encoded)).unwrap();
-        assert_eq!(columns, ColumnarBatch::encode(FoKind::Oue, 70, 0, decoded));
+        assert_eq!(columns, ColumnarBatch::encode(FoKind::Oue, 70, 0, &decoded));
         assert_eq!((columns.columns().len(), columns.leftovers().len()), (1, 3));
         assert_eq!((columns.refusals(), columns.responses()), (1, 5));
         step.apply();

@@ -24,11 +24,13 @@
 //! service [`batch_size`](crate::ServiceConfig::batch_size) at a time.
 //! [`ServiceSink::submit`] only buffers, and the buffer goes to
 //! [`IngestService::submit_batch`] when it fills and before the round
-//! closes — one lock, one lifecycle check and (durably) one WAL record
-//! per batch rather than per response. Batch boundaries are invisible in
-//! the tallies, so the equivalence guarantee is unaffected. A refusal is
-//! buffered like any response: the service counts it when the driver's
-//! error path closes the round.
+//! closes — one lock, one lifecycle check, one pool dispatch and
+//! (durably) one WAL record per delta rather than per response: the
+//! service folds each delta as one batch, so the sink's buffer is the
+//! batch the shards see. Batch boundaries are invisible in the tallies,
+//! so the equivalence guarantee is unaffected. A refusal is buffered
+//! like any response: the service counts it when the driver's error
+//! path closes the round.
 
 use crate::session::{IngestService, SessionId};
 use ldp_fo::{FoKind, OracleHandle};

@@ -23,10 +23,10 @@
 //! each open round. A snapshot is that pair written out; recovery
 //! decodes it and then does to it what the live service did when it
 //! wrote each WAL record, by the same code: a control record goes through
-//! the transition its live call took, and a report delta — the bytes the
-//! live service was handed and logged as they came — through the step
-//! the live bytes entry takes, `accept_encoded`, into the columns the
-//! same [`ShardArena::ingest`] kernels fold as on the workers. Nothing
+//! the transition its live call took, and a report delta — logged as the
+//! bytes of its rows, whichever shape it came in — through the check
+//! every live delta takes, `accept_delta`, into the columns the same
+//! [`ShardArena::ingest`] kernels fold as on the workers. Nothing
 //! here decides what a session may do; a record the transitions refuse
 //! means the log contradicts itself and is a
 //! [`CoreError::RecoveryMismatch`].
@@ -56,16 +56,16 @@
 //! structure before its place in the lifecycle, and nothing behind the
 //! first bad frame.
 
-use crate::batch::{Batch, RoundKey};
+use crate::batch::{Batch, ColumnarBatch, RoundKey};
 use crate::codec::{
-    crc32, put_enveloped, put_estimate, put_f64, put_request, put_responses, put_u32, put_u64,
-    take_estimate, take_request, take_responses, Cursor,
+    crc32, put_enveloped, put_estimate, put_f64, put_request, put_u32, put_u64, take_estimate,
+    take_request, Cursor,
 };
 use crate::machine::{
-    Closing, EncodedSubmitError, OpenRound, Opening, Session, SessionId, SessionStatus,
+    Closing, Delta, EncodedSubmitError, OpenRound, Opening, Session, SessionId, SessionStatus,
     SessionTable,
 };
-use crate::shard::{ShardArena, ShardTally};
+use crate::shard::{ShardAccumulator, ShardArena, ShardTally};
 use crate::wal::{self, wal_err, FrameReader, FramesEnd, WalRecord};
 use ldp_fo::OracleHandle;
 use ldp_ids::protocol::ReportRequest;
@@ -179,7 +179,9 @@ fn put_state(out: &mut Vec<u8>, table: &SessionTable, tallies: &Tallies) {
             put_u64(out, tally.reporters);
             put_u64(out, tally.refusals);
             put_u64(out, tally.stale);
-            put_responses(out, &open.pending);
+            // The format's list of responses no shard has seen yet: the
+            // service folds every accepted delta, so it is always empty.
+            put_u32(out, 0);
         }
     }
 }
@@ -224,10 +226,15 @@ fn decode_state(payload: &[u8]) -> Result<(SessionTable, Tallies), String> {
                 refusals: cur.u64()?,
                 stale: cur.u64()?,
             };
-            let pending = take_responses(&mut cur)?;
-            let open = OpenRound::new(id, request, pending)
+            let open = OpenRound::new(id, request)
                 .map_err(|e| format!("round parameters no longer build an oracle: {e}"))?;
-            tallies.insert(open.key, tally);
+            // A snapshot written while the service kept responses back
+            // for a fuller batch lists them here; they join the tally.
+            let (kind, d) = (open.oracle.kind(), open.oracle.domain_size());
+            let held = ColumnarBatch::decode(kind, d, open.key.round, &mut cur)?;
+            let mut shard = ShardAccumulator::with_tally(open.key, open.oracle.clone(), tally);
+            shard.fold_columns(&held);
+            tallies.insert(open.key, shard.into_tally());
             Some(open)
         } else {
             None
@@ -406,13 +413,11 @@ fn replay(
         } => {
             let id = SessionId::from_raw(session);
             let closing = table.begin_close(id, Some(round))?;
-            let Closing::Begun(mut open) = closing else {
+            let Closing::Begun(open) = closing else {
                 return Err(mismatch(format!(
                     "session {session} closes round {round} twice"
                 )));
             };
-            let tail = std::mem::take(&mut open.pending);
-            arena.ingest(Batch::encode(open.key, &open.oracle, tail));
             let tally = arena.close(open.key, open.request.domain_size);
             // End-to-end integrity check: the estimate recomputed from
             // the fully replayed tally must be bit-identical to the one
@@ -440,9 +445,9 @@ fn replay(
 }
 
 /// Replay one checksum-valid WAL payload; returns the responses folded.
-/// A report delta takes the step live ingest takes for the bytes it
-/// logged, `accept_encoded`, and is folded from the columns that hands
-/// back; any other record is decoded and [`replay`]ed. `Undecodable`:
+/// A report delta takes the check live ingest takes, `accept_delta` of
+/// the bytes it logged, and is folded from the columns that hands back;
+/// any other record is decoded and [`replay`]ed. `Undecodable`:
 /// the payload is not a record, and the log ends in front of it.
 fn replay_payload(
     table: &mut SessionTable,
@@ -460,7 +465,8 @@ fn replay_payload(
     let delta = &payload[payload.len() - cur.remaining()..];
     let id = SessionId::from_raw(session);
     // `None`: already folded into the snapshot this WAL follows.
-    let Some((step, columns)) = table.accept_encoded(id, round, seq, delta)? else {
+    let accepted = table.accept_delta(id, Some(round), Some(seq), Delta::Bytes(delta));
+    let Some((step, columns)) = accepted? else {
         return Ok(0);
     };
     let open = step.apply();
@@ -570,8 +576,6 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, CoreError> {
         None => (0, Default::default()),
     };
     // Tallies live where the live service keeps them: in a shard arena.
-    // Responses a snapshot caught pending stay pending in the table, as
-    // they were; the close that follows flushes them, replayed or live.
     let mut arena = ShardArena::new();
     seed_each(&table, tallies, |key, oracle, tally| {
         arena.seed(key, oracle, tally)
@@ -608,7 +612,7 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::stale_echo;
+    use crate::codec::put_responses;
     use ldp_fo::{build_oracle, FoKind};
     use ldp_ids::collector::RoundEstimate;
     use ldp_ids::protocol::UserResponse;
@@ -647,10 +651,6 @@ mod tests {
             epsilon: 2.0,
             domain_size: 3,
         };
-        let pending = vec![UserResponse::Report {
-            round: 0,
-            report: ldp_fo::Report::Grr(1),
-        }];
         let open = Session::restore(
             SessionStatus {
                 next_round: 1,
@@ -658,7 +658,7 @@ mod tests {
                 ..SessionStatus::default()
             },
             None,
-            Some(OpenRound::new(SessionId::from_raw(2), request, pending).unwrap()),
+            Some(OpenRound::new(SessionId::from_raw(2), request).unwrap()),
         );
         let tally = ShardTally {
             support: vec![5, 6, 7],
@@ -678,9 +678,12 @@ mod tests {
         (SessionTable::restore(3, sessions), tallies)
     }
 
-    /// The payload of `sample_state()`, captured from the commit before
-    /// this pin existed (PR 11, where it was `SnapshotState::encode`):
-    /// the `LDPSNP01` payload layout is pinned, not assumed.
+    /// The payload written for `sample_state()` when session 2's open
+    /// round also held one response no shard had seen, a `Grr(1)` —
+    /// captured from the commit before this pin existed (PR 11, where it
+    /// was `SnapshotState::encode`). The *read* pin: the `LDPSNP01`
+    /// payload layout is pinned, not assumed, and a snapshot holding such
+    /// a list still loads.
     const SAMPLE_STATE_HEX: &str = "\
         0300000000000000020000000000000000000000020000000000000009000000\
         000000000400000000000000000000000000f83f010100000000000000640000\
@@ -691,19 +694,57 @@ mod tests {
         0000001200000000000000000000000000000000000000000000000100000000\
         00000000000000000001000000";
 
+    /// `put_state` of `sample_state()` with nothing held back, captured
+    /// from the commit before the service stopped holding responses back:
+    /// the *write* pin. The read pin's bytes, with an empty list.
+    const SAMPLE_STATE_WRITTEN_HEX: &str = "\
+        0300000000000000020000000000000000000000020000000000000009000000\
+        000000000400000000000000000000000000f83f010100000000000000640000\
+        0000000000000000000000e83f02000000000000000000d03f000000000000e8\
+        3f02000000000000000100000000000000030000000000000000000000000000\
+        0000000000000000000200000000000000000500000000000000000000000000\
+        0000400300000003000000050000000000000006000000000000000700000000\
+        00000012000000000000000000000000000000000000000000000000000000";
+
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    fn encode_state(table: &SessionTable, tallies: &Tallies) -> Vec<u8> {
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits = |i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap();
+        (0..hex.len()).step_by(2).map(digits).collect()
+    }
+
+    /// What `put_state` writes.
+    fn state_payload(table: &SessionTable, tallies: &Tallies) -> Vec<u8> {
         let mut out = Vec::new();
         put_state(&mut out, table, tallies);
+        out
+    }
+
+    /// What a writer that held responses back wrote for `table` and
+    /// `tallies` with the read pin's `Grr(1)` held back for the open round
+    /// that ends the payload: `put_state`'s bytes, that row in the list.
+    fn encode_state(table: &SessionTable, tallies: &Tallies) -> Vec<u8> {
+        let mut out = state_payload(table, tallies);
+        let list = out.len() - 4;
+        assert_eq!(out[list..], 0u32.to_le_bytes(), "ends in an empty list");
+        out.truncate(list);
+        let held = UserResponse::Report {
+            round: 0,
+            report: ldp_fo::Report::Grr(1),
+        };
+        put_responses(&mut out, &[held]);
         out
     }
 
     #[test]
     fn snapshot_encoding_is_byte_stable() {
         let (table, tallies) = sample_state();
+        assert_eq!(
+            hex(&state_payload(&table, &tallies)),
+            SAMPLE_STATE_WRITTEN_HEX
+        );
         assert_eq!(hex(&encode_state(&table, &tallies)), SAMPLE_STATE_HEX);
     }
 
@@ -715,27 +756,43 @@ mod tests {
         let dir = tmp_dir("file_bytes");
         let (table, tallies) = sample_state();
         write_snapshot(&dir, 7, &table, &tallies).unwrap();
-        let payload = encode_state(&table, &tallies);
+        let payload = state_payload(&table, &tallies);
         let mut want = SNAP_MAGIC.to_vec();
         want.extend_from_slice(&7u64.to_le_bytes());
         want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         want.extend_from_slice(&crc32(&payload).to_le_bytes());
         want.extend_from_slice(&payload);
-        assert_eq!(hex(&payload), SAMPLE_STATE_HEX);
+        assert_eq!(hex(&payload), SAMPLE_STATE_WRITTEN_HEX);
         assert_eq!(std::fs::read(snap_path(&dir, 7)).unwrap(), want);
     }
 
     #[test]
     fn snapshot_state_roundtrips() {
         let (table, tallies) = sample_state();
-        let bytes = encode_state(&table, &tallies);
+        let bytes = state_payload(&table, &tallies);
         let (decoded, decoded_tallies) = decode_state(&bytes).unwrap();
         assert_eq!(decoded_tallies, tallies);
         assert_eq!(decoded.next_id(), SessionId::from_raw(3));
         let open = decoded.get(SessionId::from_raw(2)).unwrap();
         assert_eq!(open.status().open_round, Some(0));
-        assert_eq!(open.open().unwrap().pending.len(), 1);
-        assert_eq!(encode_state(&decoded, &decoded_tallies), bytes);
+        assert_eq!(state_payload(&decoded, &decoded_tallies), bytes);
+    }
+
+    /// The read pin loads with its held-back `Grr(1)` folded into the
+    /// open round's tally, and writes back as that state with nothing
+    /// held back.
+    #[test]
+    fn a_held_back_list_joins_the_tally_at_load() {
+        let (table, mut tallies) = sample_state();
+        let (decoded, decoded_tallies) = decode_state(&unhex(SAMPLE_STATE_HEX)).unwrap();
+        let tally = tallies.values_mut().next().unwrap();
+        assert_eq!((&tally.support, tally.reporters), (&vec![5, 6, 7], 18));
+        (tally.support[1], tally.reporters) = (7, 19);
+        assert_eq!(decoded_tallies, tallies);
+        assert_eq!(
+            state_payload(&decoded, &decoded_tallies),
+            state_payload(&table, &tallies)
+        );
     }
 
     /// A snapshot claiming more pending responses than its bytes can
@@ -761,8 +818,8 @@ mod tests {
         write_snapshot(&dir, 7, &table, &tallies).unwrap();
         let (read, read_tallies) = read_snapshot(&snap_path(&dir, 7)).unwrap();
         assert_eq!(
-            encode_state(&read, &read_tallies),
-            encode_state(&table, &tallies)
+            state_payload(&read, &read_tallies),
+            state_payload(&table, &tallies)
         );
         assert_eq!(latest_snapshot_gen(&dir).unwrap(), Some(7));
     }
@@ -783,11 +840,15 @@ mod tests {
         ));
     }
 
+    /// A snapshot holding a list of held-back responses (the read pin)
+    /// recovers with them in the tally, and its WAL tail on top.
     #[test]
-    fn recover_from_snapshot_keeps_pending_and_replays_tail() {
+    fn recover_from_snapshot_folds_pending_and_replays_tail() {
         let dir = tmp_dir("snap_plus_tail");
-        let (table, tallies) = sample_state();
-        write_snapshot(&dir, 4, &table, &tallies).unwrap();
+        let mut file = SNAP_MAGIC.to_vec();
+        put_u64(&mut file, 4);
+        put_enveloped(&mut file, |out| out.extend(unhex(SAMPLE_STATE_HEX)));
+        std::fs::write(snap_path(&dir, 4), file).unwrap();
         let mut wal = wal::Wal::create(&wal_path(&dir, 4), crate::wal::WalSync::None).unwrap();
         // A duplicate of an already-snapshotted delta (seq 1 < the
         // snapshot's next_seq 3: skipped on replay) followed by a
@@ -828,13 +889,11 @@ mod tests {
 
         let s2 = rec.table.get(SessionId::from_raw(2)).unwrap();
         assert_eq!(s2.status().next_seq, 4);
-        // Snapshot tally [5,6,7]/18 reporters plus the new Grr(0) delta;
-        // the duplicate Grr(2) must not be folded twice, and the
-        // snapshotted pending Grr(1) is still pending, as it was.
+        // Snapshot tally [5,6,7]/18 reporters, its held-back Grr(1), and
+        // the new Grr(0) delta; the duplicate Grr(2) must not be folded.
         let tally = rec.tallies.values().next().unwrap();
-        assert_eq!(tally.support, vec![6, 6, 7]);
-        assert_eq!(tally.reporters, 19);
-        assert_eq!(s2.open().unwrap().pending.len(), 1);
+        assert_eq!(tally.support, vec![6, 7, 7]);
+        assert_eq!(tally.reporters, 20);
 
         let s0 = rec.table.get(SessionId::from_raw(0)).unwrap();
         assert!(s0.open().is_none());
@@ -969,13 +1028,13 @@ mod tests {
             report.reports_replayed,
             report.wal_bytes_read,
             report.corrupt_tail,
-            encode_state(&rec.table, &rec.tallies),
+            state_payload(&rec.table, &rec.tallies),
         ))
     }
 
-    /// [`replay`], and a report delta as rows: `accept` of their echoes
+    /// [`replay`], and a report delta as rows: `accept_delta` of the rows
     /// behind the head round, then `Batch::encode` — the row path that
-    /// `accept_encoded` over the delta's bytes is held to.
+    /// replay of the delta's bytes is held to.
     fn replay_rows(
         table: &mut SessionTable,
         arena: &mut ShardArena,
@@ -990,14 +1049,16 @@ mod tests {
         else {
             return replay(table, arena, record).map(|()| 0);
         };
-        let echoes = stale_echo(&responses);
-        let stale = |open| {
-            Some(round)
-                .filter(|round| *round != open)
-                .or_else(|| echoes(open))
-        };
+        let id = SessionId::from_raw(session);
+        let accepted = table.accept_delta(id, Some(round), Some(seq), Delta::Rows(&responses));
         // `None`: already folded into the snapshot this WAL follows.
-        let Some(step) = table.accept(SessionId::from_raw(session), Some(seq), stale)? else {
+        let Some((step, _)) = accepted.map_err(|e| match e {
+            EncodedSubmitError::Rule(e) => e,
+            EncodedSubmitError::Undecodable(detail) => {
+                unreachable!("rows are not decoded: {detail}")
+            }
+        })?
+        else {
             return Ok(0);
         };
         let open = step.apply();
@@ -1020,7 +1081,7 @@ mod tests {
             .into_iter()
             .map(|open| (open.key, arena.close(open.key, open.request.domain_size)))
             .collect();
-        let state = encode_state(&table, &tallies);
+        let state = state_payload(&table, &tallies);
         Ok((records, reports, scan.valid_len, scan.corrupt_tail, state))
     }
 

@@ -27,23 +27,21 @@
 //! empty.
 //!
 //! A report delta comes in one of two shapes, rows or bytes. Rows are
-//! what in-process callers hold:
-//! [`submit_batch_at`](IngestService::submit_batch_at) checks their
-//! echoes, logs them as a [`WalRecord::Reports`] and transposes them into
-//! columns batch by batch. Bytes — what `put_responses` wrote — take one
-//! step wherever they come from, a `SubmitBatch` off the wire (left
-//! encoded by the reader, or re-encoded from a decoded frame) or a logged
-//! record on replay: the machine's `accept_encoded` decodes them straight
-//! into the open round's columns, structure first, then the sequence
-//! rules, then the echoes.
-//! [`submit_encoded_at`](IngestService::submit_encoded_at) is that step
-//! plus the log: the WAL is handed the bytes as received, under the
-//! checksum they came with, behind the record head this module writes.
-//! Because the row codec writes back exactly what it accepts, that frame
-//! is the one the struct entry would have appended for the decoded rows.
-//! Everything around the two — the counting, the kill points, the lock
-//! discipline of the dispatch, the snapshot cadence, the commit wait —
-//! is shared code.
+//! what in-process callers hold ([`submit`](IngestService::submit),
+//! [`submit_batch`](IngestService::submit_batch),
+//! [`submit_batch_at`](IngestService::submit_batch_at)); bytes — what
+//! `put_responses` wrote — are what a `SubmitBatch` carries off the wire
+//! ([`submit_encoded_at`](IngestService::submit_encoded_at)) and what a
+//! logged record holds on replay. Every entry is a wrapper of one step,
+//! and the shapes differ in two places only: the machine's
+//! `accept_delta` transposes rows into the open round's columns where it
+//! decodes bytes into them (structure first, then the sequence rules,
+//! then the echoes, for both), and the WAL encodes rows into the record
+//! where it copies bytes behind the record head under the checksum they
+//! came with. The frame is the same either way. Everything else — the
+//! counting, the kill points, the one batch an accepted delta becomes,
+//! the lock discipline of its dispatch, the snapshot cadence, the commit
+//! wait — is the same code.
 //!
 //! ## Durability
 //!
@@ -88,7 +86,7 @@
 use crate::batch::{Batch, ServiceConfig};
 use crate::codec::EncodedResponses;
 use crate::faults;
-use crate::machine::{stale_echo, AcceptStep, Closing, OpenRound, Opening, SessionTable};
+use crate::machine::{Closing, Delta, Opening, SessionTable};
 use crate::obs::ServiceMetrics;
 use crate::pool::WorkerPool;
 use crate::recovery::{self, RecoveryReport, Tallies};
@@ -97,7 +95,6 @@ use ldp_fo::FoKind;
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{ReportRequest, UserResponse};
 use ldp_ids::CoreError;
-use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -151,13 +148,13 @@ fn log_with(
     Ok(commit)
 }
 
-/// [`log_with`] for a record held as a struct, which is built only when
-/// there is a log.
-fn log<R: Borrow<WalRecord>>(
+/// [`log_with`] for a control record, which is built only when there is
+/// a log.
+fn log(
     durable: &mut Option<DurableState>,
-    record: impl FnOnce() -> R,
+    record: impl FnOnce() -> WalRecord,
 ) -> Result<Commit, CoreError> {
-    log_with(durable, |wal| wal.append(record().borrow()))
+    log_with(durable, |wal| wal.append(&record()))
 }
 
 impl IngestService {
@@ -358,93 +355,98 @@ impl IngestService {
             session: session.raw(),
             request: step.request().clone(),
         })?;
-        let open = step.apply();
-        open.pending.reserve(self.config.batch_size);
-        let request = open.request.clone();
+        let request = step.apply().request.clone();
         self.metrics.rounds_opened.inc();
         self.ack(guard, commit)?;
         Ok(request)
     }
 
-    /// The accept step [`submit`](Self::submit) and
-    /// [`submit_batch`](Self::submit_batch) share, once the delta is on
-    /// the WAL: bump the sequence and count the responses — only now, so
-    /// a delta whose append failed is never counted.
-    fn accepted<'a>(&self, step: AcceptStep<'a>, responses: usize) -> &'a mut OpenRound {
-        self.metrics.reports.add(responses as u64);
-        step.apply()
-    }
-
-    /// Hand an accepted delta's full batches to the pool and acknowledge
-    /// it. Durable: dispatch under the state lock, so a snapshot's
-    /// checkpoint barrier sees every batch that made it to the WAL.
-    /// In-memory: outside it, so the columnar encode (the one copy pass
-    /// per batch) and a saturated pool hold up only this submitter, not
-    /// every session.
-    fn dispatch(
+    /// The one step of every report delta, rows or bytes: lock, check,
+    /// log, count, hand the delta to the pool as one batch (an empty
+    /// delta as none), acknowledge. Returns the sequence number the
+    /// session expects next.
+    fn submit_delta(
         &self,
-        guard: Locked<'_>,
-        commit: Commit,
-        batches: impl Iterator<Item = Batch>,
-    ) -> Result<(), CoreError> {
-        if guard.durable.is_some() {
+        session: SessionId,
+        round: Option<u64>,
+        seq: Option<u64>,
+        delta: Delta<'_>,
+    ) -> Result<u64, EncodedSubmitError> {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let accepted = st.table.accept_delta(session, round, seq, delta.as_slice());
+        let Some((step, columns)) = accepted? else {
+            // Already logged and applied; the ack was lost. Idempotent.
+            return Ok(st.table.get(session)?.status().next_seq);
+        };
+        let (round, seq) = (step.round(), step.seq());
+        let commit = log_with(&mut st.durable, |wal| {
+            wal.append_delta(session.raw(), round, seq, delta)
+        })?;
+        // Counted only now, so a delta whose append failed never is.
+        self.metrics.reports.add(columns.responses());
+        let open = step.apply();
+        let batch = (!columns.is_empty()).then(|| Batch {
+            key: open.key,
+            oracle: open.oracle.clone(),
+            columns,
+        });
+        // Durable: dispatch under the state lock, so a snapshot's
+        // checkpoint barrier sees every batch that made it to the WAL.
+        // In-memory: outside it, so a saturated pool holds up only this
+        // submitter, not every session.
+        let held = guard.durable.is_some().then_some(guard);
+        if held.is_some() {
             faults::hit("service.mid_batch");
-            batches.for_each(|batch| self.pool.dispatch(batch));
-            return self.ack(guard, commit);
         }
-        drop(guard);
-        batches.for_each(|batch| self.pool.dispatch(batch));
-        Ok(())
+        if let Some(batch) = batch {
+            self.pool.dispatch(batch);
+        }
+        if let Some(guard) = held {
+            self.ack(guard, commit)?;
+        }
+        Ok(seq + 1)
     }
 
-    /// Submit one response to `session`'s open round.
-    ///
-    /// Buffered into the current batch; every `batch_size` responses one
-    /// batch is dispatched to the pool (blocking if the pool is
-    /// saturated — backpressure). On a durable service the response is
+    /// [`submit_delta`](Self::submit_delta) of rows, which only the
+    /// lifecycle can refuse.
+    fn submit_rows(
+        &self,
+        session: SessionId,
+        seq: Option<u64>,
+        rows: &[UserResponse],
+    ) -> Result<(), CoreError> {
+        match self.submit_delta(session, None, seq, Delta::Rows(rows)) {
+            Ok(_) => Ok(()),
+            Err(EncodedSubmitError::Rule(e)) => Err(e),
+            Err(EncodedSubmitError::Undecodable(detail)) => {
+                unreachable!("rows are not decoded: {detail}")
+            }
+        }
+    }
+
+    /// Submit one response to `session`'s open round: a delta of one
+    /// row, so one lock, one lifecycle check, one WAL record and one
+    /// pool dispatch per response. On a durable service the response is
     /// on the WAL before this returns.
     ///
-    /// One lock, one lifecycle check and one WAL record per response:
-    /// about four times the per-report cost of
-    /// [`submit_batch`](Self::submit_batch). Nothing in the workspace
-    /// calls it on a hot path any more (the
+    /// Nothing in the workspace calls it on a hot path (the
     /// [`ServiceSink`](crate::ServiceSink) buffers and submits batches);
     /// it remains for callers that hold one response at a time and for
     /// the benchmark ladder, which times it.
     pub fn submit(&self, session: SessionId, response: UserResponse) -> Result<(), CoreError> {
-        let mut guard = self.lock();
-        let st = &mut *guard;
-        let delta = std::slice::from_ref(&response);
-        let Some(step) = st.table.accept(session, None, stale_echo(delta))? else {
-            return Ok(());
-        };
-        let commit = log(&mut st.durable, || WalRecord::Reports {
-            session: session.raw(),
-            round: step.round(),
-            seq: step.seq(),
-            responses: delta.to_vec(),
-        })?;
-        let open = self.accepted(step, 1);
-        open.pending.push(response);
-        if open.pending.len() < self.config.batch_size {
-            return self.ack(guard, commit);
-        }
-        let full = std::mem::replace(
-            &mut open.pending,
-            Vec::with_capacity(self.config.batch_size),
-        );
-        let batch = Batch::encode(open.key, &open.oracle, full);
-        self.dispatch(guard, commit, std::iter::once(batch))
+        self.submit_rows(session, None, std::slice::from_ref(&response))
     }
 
-    /// Submit many responses at once (amortizes session locking and —
-    /// durably — writes one WAL record for the whole delta).
+    /// Submit many responses at once: one lock, one lifecycle check, one
+    /// batch for the pool and — durably — one WAL record for the whole
+    /// delta.
     pub fn submit_batch(
         &self,
         session: SessionId,
         responses: Vec<UserResponse>,
     ) -> Result<(), CoreError> {
-        self.submit_batch_inner(session, None, responses)
+        self.submit_rows(session, None, &responses)
     }
 
     /// [`submit_batch`](Self::submit_batch) for clients that may retry
@@ -459,67 +461,19 @@ impl IngestService {
         seq: u64,
         responses: Vec<UserResponse>,
     ) -> Result<(), CoreError> {
-        self.submit_batch_inner(session, Some(seq), responses)
-    }
-
-    fn submit_batch_inner(
-        &self,
-        session: SessionId,
-        expect: Option<u64>,
-        responses: Vec<UserResponse>,
-    ) -> Result<(), CoreError> {
-        let mut guard = self.lock();
-        let st = &mut *guard;
-        let Some(step) = st.table.accept(session, expect, stale_echo(&responses))? else {
-            // Already logged and applied; the ack was lost. Idempotent.
-            return Ok(());
-        };
-        // Move the responses through the record and back: one WAL frame
-        // for the whole delta, no clone of the payload.
-        let record = WalRecord::Reports {
-            session: session.raw(),
-            round: step.round(),
-            seq: step.seq(),
-            responses,
-        };
-        let commit = log(&mut st.durable, || &record)?;
-        let WalRecord::Reports { mut responses, .. } = record else {
-            unreachable!()
-        };
-        let open = self.accepted(step, responses.len());
-        let (key, oracle) = (open.key, open.oracle.clone());
-        if !open.pending.is_empty() {
-            open.pending.append(&mut responses);
-            responses = std::mem::take(&mut open.pending);
-        }
-        // Chunk by draining the iterator — one move per element (a
-        // split_off loop would re-copy the remainder per batch).
-        let batch_size = self.config.batch_size;
-        let mut batches = Vec::with_capacity(responses.len() / batch_size + 1);
-        let mut rest = responses.into_iter();
-        loop {
-            let chunk: Vec<UserResponse> = rest.by_ref().take(batch_size).collect();
-            if chunk.len() < batch_size {
-                open.pending = chunk;
-                break;
-            }
-            batches.push(chunk);
-        }
-        let encode = |chunk| Batch::encode(key, &oracle, chunk);
-        self.dispatch(guard, commit, batches.into_iter().map(encode))
+        self.submit_rows(session, Some(seq), &responses)
     }
 
     /// [`submit_batch_at`](Self::submit_batch_at) for a delta that
     /// arrives encoded — the bytes `put_responses` wrote for it, as a
     /// `SubmitBatch` frame carries them — naming the `round` it was sent
-    /// for. It takes the step replay takes for a logged delta
-    /// (`SessionTable::accept_encoded`: structure, then sequence, then
-    /// echoes, `round` the first of them), and the same bytes go to the
-    /// WAL under the checksum they came with, so no row is built and the
-    /// delta is neither re-encoded nor checksummed again. The log, the
-    /// tallies and the errors are those of `submit_batch_at` over the
-    /// decoded rows. Returns the sequence number the session expects
-    /// next.
+    /// for. The bytes are decoded straight into the round's columns, by
+    /// the check replay runs on a logged delta, and go to the WAL under
+    /// the checksum they came with: no row is built, and the delta is
+    /// neither re-encoded nor checksummed again. The log, the tallies and
+    /// the errors are those of `submit_batch_at` over the decoded rows,
+    /// with `round` their first echo. Returns the sequence number the
+    /// session expects next.
     pub fn submit_encoded_at(
         &self,
         session: SessionId,
@@ -527,27 +481,7 @@ impl IngestService {
         seq: u64,
         encoded: &EncodedResponses,
     ) -> Result<u64, EncodedSubmitError> {
-        let mut guard = self.lock();
-        let st = &mut *guard;
-        let accepted = st
-            .table
-            .accept_encoded(session, round, seq, encoded.bytes());
-        let Some((step, columns)) = accepted? else {
-            // Already logged and applied; the ack was lost. Idempotent.
-            return Ok(st.table.get(session)?.status().next_seq);
-        };
-        let (round, seq) = (step.round(), step.seq());
-        let commit = log_with(&mut st.durable, |wal| {
-            wal.append_encoded_reports(session.raw(), round, seq, encoded)
-        })?;
-        let open = self.accepted(step, columns.responses() as usize);
-        let batch = (!columns.is_empty()).then(|| Batch {
-            key: open.key,
-            oracle: open.oracle.clone(),
-            columns,
-        });
-        self.dispatch(guard, commit, batch.into_iter())?;
-        Ok(seq + 1)
+        self.submit_delta(session, Some(round), Some(seq), Delta::Bytes(encoded))
     }
 
     /// The sequence number the session expects from its next
@@ -556,10 +490,10 @@ impl IngestService {
         Ok(self.status(session)?.next_seq)
     }
 
-    /// Close `session`'s open round: flush the tail batch, gather every
-    /// shard's tally, merge, and estimate. On a durable service the
-    /// estimate itself is on the WAL before this returns, so a client
-    /// that loses the ack can re-close and receive it bit-identically.
+    /// Close `session`'s open round: gather every shard's tally, merge,
+    /// and estimate. On a durable service the estimate itself is on the
+    /// WAL before this returns, so a client that loses the ack can
+    /// re-close and receive it bit-identically.
     pub fn close_round(&self, session: SessionId) -> Result<RoundEstimate, CoreError> {
         self.close_round_inner(session, None)
     }
@@ -582,23 +516,18 @@ impl IngestService {
         expect: Option<u64>,
     ) -> Result<RoundEstimate, CoreError> {
         let mut guard = self.lock();
-        let mut open = match guard.table.begin_close(session, expect)? {
+        let open = match guard.table.begin_close(session, expect)? {
             // Retry of an acknowledged (or logged-then-lost) close.
             Closing::Replayed(estimate) => return Ok(estimate),
             Closing::Begun(open) => open,
         };
         let key = open.key;
-        // Durable: the whole close happens under the state lock — flush,
-        // gather (workers never take this lock, so no deadlock), log the
-        // outcome, book it — and a crash anywhere in between replays to
-        // the same estimate from the WAL. In-memory: flush and gather
-        // with the lock released.
+        // Durable: the whole close happens under the state lock — gather
+        // (workers never take this lock, so no deadlock), log the outcome,
+        // book it — and a crash anywhere in between replays to the same
+        // estimate from the WAL. In-memory: gather with the lock released.
         let durable = guard.durable.is_some();
         let held = durable.then_some(guard);
-        if !open.pending.is_empty() {
-            let tail = std::mem::take(&mut open.pending);
-            self.pool.dispatch(Batch::encode(key, &open.oracle, tail));
-        }
         if durable {
             faults::hit("service.before_close");
         }

@@ -207,7 +207,7 @@ mod tests {
             oracle.kind(),
             oracle.domain_size(),
             3,
-            responses.to_vec(),
+            responses,
         ));
         shard.into_tally()
     }
@@ -348,7 +348,7 @@ mod tests {
         ];
         // The batch self-validates against round 9; the shard owns
         // round 3, so everything the batch carries counts as stale.
-        let batch = ColumnarBatch::encode(FoKind::Grr, 3, 9, responses);
+        let batch = ColumnarBatch::encode(FoKind::Grr, 3, 9, &responses);
         let mut shard = ShardAccumulator::new(key(), oracle);
         shard.fold_columns(&batch);
         let tally = shard.into_tally();

@@ -45,9 +45,10 @@
 
 use crate::codec::{
     crc32, crc32_combine, put_enveloped, put_estimate, put_request, put_responses, put_u64,
-    take_estimate, take_request, take_responses, Cursor, EncodedResponses,
+    take_estimate, take_request, take_responses, Cursor,
 };
 use crate::faults;
+use crate::machine::Delta;
 use crate::obs::WalObs;
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{ReportRequest, UserResponse};
@@ -179,10 +180,7 @@ impl WalRecord {
                 seq,
                 responses,
             } => {
-                out.push(TAG_REPORTS);
-                put_u64(out, *session);
-                put_u64(out, *round);
-                put_u64(out, *seq);
+                put_reports_head(out, *session, *round, *seq);
                 put_responses(out, responses);
             }
             WalRecord::CloseRound {
@@ -235,6 +233,14 @@ impl WalRecord {
         cur.finish()?;
         Ok(record)
     }
+}
+
+/// What a [`WalRecord::Reports`] payload holds in front of its responses.
+fn put_reports_head(out: &mut Vec<u8>, session: u64, round: u64, seq: u64) {
+    out.push(TAG_REPORTS);
+    put_u64(out, session);
+    put_u64(out, round);
+    put_u64(out, seq);
 }
 
 /// WAL write/sync counters, exposed for durability benchmarks via
@@ -474,36 +480,43 @@ impl Wal {
         self.write_frame(start, record.is_control())
     }
 
-    /// Append the [`WalRecord::Reports`] whose responses are already
-    /// encoded. The frame is byte for byte the one
-    /// [`append`](Self::append) writes for the decoded record, and its
-    /// checksum comes from the delta's and the record head's by
-    /// [`crc32_combine`] — the delta's bytes are copied, not read again.
-    /// The caller has decoded `encoded` to its end: nothing here checks
-    /// that it is a response list.
-    pub fn append_encoded_reports(
+    /// Append the [`WalRecord::Reports`] of delta `seq` of `session`'s
+    /// `round`, in the shape it arrived in, without building the record:
+    /// rows are encoded in place, bytes are copied behind the record head
+    /// under a checksum combined from the head's and theirs by
+    /// [`crc32_combine`] — not read again. Either way the frame is byte
+    /// for byte the one [`append`](Self::append) writes for the record.
+    /// The caller has checked the delta: nothing here checks that bytes
+    /// are a response list.
+    pub(crate) fn append_delta(
         &mut self,
         session: u64,
         round: u64,
         seq: u64,
-        encoded: &EncodedResponses,
+        delta: Delta<'_>,
     ) -> Result<Commit, CoreError> {
         faults::hit("wal.before_append");
         let start = Instant::now();
         let frame = &mut self.frame;
         frame.clear();
-        frame.extend_from_slice(&[0; 8]);
-        frame.push(TAG_REPORTS);
-        put_u64(frame, session);
-        put_u64(frame, round);
-        put_u64(frame, seq);
-        let head_crc = crc32(&frame[8..]);
-        frame.extend_from_slice(encoded.bytes());
-        let len = u32::try_from(frame.len() - 8).expect("payload fits the u32 length prefix");
-        let crc = crc32_combine(head_crc, encoded.crc(), encoded.bytes().len());
-        debug_assert_eq!(crc, crc32(&frame[8..]));
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        match delta {
+            Delta::Rows(rows) => put_enveloped(frame, |out| {
+                put_reports_head(out, session, round, seq);
+                put_responses(out, rows);
+            }),
+            Delta::Bytes(encoded) => {
+                frame.extend_from_slice(&[0; 8]);
+                put_reports_head(frame, session, round, seq);
+                let head_crc = crc32(&frame[8..]);
+                frame.extend_from_slice(encoded.bytes());
+                let len =
+                    u32::try_from(frame.len() - 8).expect("payload fits the u32 length prefix");
+                let crc = crc32_combine(head_crc, encoded.crc(), encoded.bytes().len());
+                debug_assert_eq!(crc, crc32(&frame[8..]));
+                frame[..4].copy_from_slice(&len.to_le_bytes());
+                frame[4..8].copy_from_slice(&crc.to_le_bytes());
+            }
+        }
         self.write_frame(start, false)
     }
 
@@ -753,6 +766,7 @@ pub fn scan(path: &Path) -> Result<WalScan, CoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::EncodedResponses;
     use ldp_fo::{FoKind, Report};
 
     fn tmp(name: &str) -> PathBuf {
@@ -856,8 +870,9 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), want);
     }
 
-    /// The pinned `Reports` record, appended from its encoded responses:
-    /// the same file, checksum included, as appending the struct.
+    /// The pinned `Reports` record, appended from its rows and from its
+    /// encoded responses: the same file, checksum included, as appending
+    /// the struct.
     #[test]
     fn an_encoded_delta_is_appended_as_the_record_of_its_rows() {
         let record = sample_records().swap_remove(2);
@@ -871,14 +886,24 @@ mod tests {
             panic!("the third sample is the delta");
         };
         let encoded = EncodedResponses::encode(responses);
-        let (rows, raw) = (tmp("delta_rows.log"), tmp("delta_encoded.log"));
-        let mut wal = Wal::create(&rows, WalSync::None).unwrap();
+        let pinned = tmp("delta_record.log");
+        let mut wal = Wal::create(&pinned, WalSync::None).unwrap();
         wal.append(&record).unwrap().wait().unwrap();
-        let mut wal = Wal::create(&raw, WalSync::None).unwrap();
-        let commit = wal.append_encoded_reports(*session, *round, *seq, &encoded);
-        commit.unwrap().wait().unwrap();
-        assert_eq!(std::fs::read(&raw).unwrap(), std::fs::read(&rows).unwrap());
-        assert_eq!(scan(&raw).unwrap().records, [record]);
+        let shapes = [
+            ("delta_rows.log", Delta::Rows(responses)),
+            ("delta_encoded.log", Delta::Bytes(&encoded)),
+        ];
+        for (name, delta) in shapes {
+            let path = tmp(name);
+            let mut wal = Wal::create(&path, WalSync::None).unwrap();
+            let commit = wal.append_delta(*session, *round, *seq, delta);
+            commit.unwrap().wait().unwrap();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                std::fs::read(&pinned).unwrap()
+            );
+            assert_eq!(scan(&path).unwrap().records, std::slice::from_ref(&record));
+        }
     }
 
     #[test]

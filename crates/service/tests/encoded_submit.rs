@@ -448,3 +448,65 @@ fn forged_deltas_are_refused_before_the_session_or_the_log_moves() {
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A snapshot taken mid-round, after deltas smaller than a batch: both
+/// entries hand each accepted delta to the shards whole, so the snapshot
+/// holds every response in the round's tally and nothing held back for
+/// a fuller batch. The directories are the same, and reopen to the same
+/// close as a service that never stopped.
+#[test]
+fn a_mid_round_checkpoint_after_small_deltas_leaves_the_same_files() {
+    let cases = [(FoKind::Grr, 5), (FoKind::Oue, 128), (FoKind::Olh, 1024)];
+    for (case, (kind, d)) in cases.into_iter().enumerate() {
+        let what = format!("{kind:?} d={d}");
+        let deltas = deltas(kind, d, 0xc4e0 + case as u64);
+        // Every delta is smaller than a batch.
+        let config = ServiceConfig::with_threads(2)
+            .with_batch_size(64)
+            .with_snapshot_every(0)
+            .with_sync(WalSync::None);
+
+        let memory = IngestService::new(config);
+        let session = memory.create_session().unwrap();
+        memory.open_round(session, 0, kind, EPSILON, d).unwrap();
+        for delta in &deltas {
+            memory.submit_batch(session, delta.clone()).unwrap();
+        }
+        let reference = memory.close_round(session).unwrap();
+
+        let dirs = [
+            tmp_dir(&format!("checkpoint_rows_{case}")),
+            tmp_dir(&format!("checkpoint_bytes_{case}")),
+        ];
+        for (dir, as_bytes) in dirs.iter().zip([false, true]) {
+            let svc = IngestService::open(config, dir).unwrap();
+            let session = svc.create_session().unwrap();
+            svc.open_round_at(session, 0, 3, kind, EPSILON, d).unwrap();
+            for (seq, delta) in deltas.iter().enumerate() {
+                let seq = seq as u64;
+                if seq == 2 {
+                    svc.checkpoint().unwrap();
+                }
+                if as_bytes {
+                    let next = svc.submit_encoded_at(session, 0, seq, &encoded(delta));
+                    assert_eq!(next, Ok(seq + 1), "{what}");
+                } else {
+                    svc.submit_batch_at(session, seq, delta.clone()).unwrap();
+                }
+            }
+            // The crash: the round is open, nothing was shut down.
+        }
+        assert_eq!(files(&dirs[0]), files(&dirs[1]), "{what}: files differ");
+
+        for dir in &dirs {
+            let svc = IngestService::open(config, dir).unwrap();
+            let report = svc.recovery_report().unwrap();
+            assert_eq!(report.corrupt_tail, None, "{what}");
+            assert_eq!(report.wal_records_replayed, 2, "{what}");
+            let closed = svc.close_round_at(SessionId::from_raw(0), 0).unwrap();
+            assert_eq!(bits(&closed), bits(&reference), "{what}");
+            drop(svc);
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}

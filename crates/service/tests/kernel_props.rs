@@ -106,7 +106,7 @@ proptest! {
 
         let mut shard = ShardAccumulator::new(key(), oracle.clone());
         for chunk in responses.chunks(batch_size) {
-            let batch = ColumnarBatch::encode(kind, d, ROUND, chunk.to_vec());
+            let batch = ColumnarBatch::encode(kind, d, ROUND, chunk);
             shard.fold_columns(&batch);
         }
 

@@ -330,8 +330,8 @@ fn malformed_reports(kind: FoKind, d: usize) -> Vec<Report> {
 
 /// Whatever the live service accepts, replay must accept: the lenient
 /// column path takes wrong-kind and malformed reports in stride, and a
-/// service reopened over a WAL that holds them — in dispatched batches,
-/// in the pending tail, and in single-response records — closes to the
+/// service reopened over a WAL that holds them — in a 50-response delta
+/// and in single-response records — closes to the
 /// never-crashed close field for field instead of tripping the scalar
 /// oracle's debug assertions on the way up.
 #[test]
@@ -456,10 +456,12 @@ fn overlong_oue_report_keeps_the_wal_behind_it() {
 
 /// Format stability, end to end: `fixtures/pr11_dir` is a durability
 /// directory written by the commit before the session state machine
-/// (PR 11) — one closed round, one open round (37 responses, 5 of them
-/// still pending, in the snapshot; a 23-response delta and three
-/// single-response records in the WAL tail) and one snapshot generation.
-/// The numbers below are what that commit itself reopened it to.
+/// (PR 11) — one closed round, one open round (37 responses in the
+/// snapshot, 5 of them in its list of responses held back from the
+/// shards, which now joins the tally at load; a 23-response delta and
+/// three single-response records in the WAL tail) and one snapshot
+/// generation. The numbers below are what that commit itself reopened
+/// it to.
 #[test]
 fn directory_written_by_pr11_reopens_bit_identically() {
     let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pr11_dir");

@@ -106,7 +106,7 @@ proptest! {
         // one batch.
         let key = RoundKey { session: SessionId::from_raw(0), round: 0 };
         let mut whole = ShardAccumulator::new(key, oracle.clone());
-        whole.fold_columns(&ColumnarBatch::encode(oracle.kind(), domain, 0, responses.clone()));
+        whole.fold_columns(&ColumnarBatch::encode(oracle.kind(), domain, 0, &responses));
         let reference = whole.into_tally();
         prop_assert_eq!(
             oracle.estimate(&reference.support, reference.reporters).iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
@@ -123,7 +123,7 @@ proptest! {
             let mut merged = ShardTally::empty(domain);
             for partition in partitions {
                 let mut accumulator = ShardAccumulator::new(key, oracle.clone());
-                accumulator.fold_columns(&ColumnarBatch::encode(oracle.kind(), domain, 0, partition));
+                accumulator.fold_columns(&ColumnarBatch::encode(oracle.kind(), domain, 0, &partition));
                 merged.merge(&accumulator.into_tally());
             }
             prop_assert_eq!(&merged.support, &reference.support, "support counts at {} shards", shards);
