@@ -3,9 +3,9 @@
 //! Where [`crate::AggregateCollector`] samples the mathematics, this
 //! driver runs the machinery: every collection round is a broadcast of
 //! [`crate::protocol::ReportRequest`]s, one perturbation per selected
-//! [`UserClient`], and a tally at the receiving end. Group selection for
-//! `Fresh` rounds is a uniformly random draw from a pool of user ids
-//! that recycles exactly `w` timestamps after use (Alg. 3/4 line
+//! device of a [`DeviceTable`], and a tally at the receiving end. Group
+//! selection for `Fresh` rounds is a uniformly random draw from a pool of
+//! user ids that recycles exactly `w` timestamps after use (Alg. 3/4 line
 //! "Recycling Users").
 //!
 //! The *receiving end* is abstract: a [`ReportSink`] consumes the
@@ -14,7 +14,9 @@
 //! [`ClientCollector`] the alias wiring it in); `ldp_service`'s sharded
 //! worker pool is a parallel one — mechanisms run over either unchanged,
 //! and both produce identical estimates for the same seeded clients
-//! because support-count folding is commutative.
+//! because support-count folding is commutative. A sink that offers
+//! [`ReportSink::lanes`] also lets a large round's devices answer on
+//! several threads at once.
 //!
 //! The cost is O(reporters) per round, so this collector suits the
 //! paper's smaller configurations, the examples, and the fidelity tests
@@ -23,7 +25,7 @@
 use crate::collector::{CollectorStats, ReportScope, RoundCollector, RoundEstimate};
 use crate::config::MechanismConfig;
 use crate::error::CoreError;
-use crate::protocol::client::UserClient;
+use crate::protocol::client::{DeviceRows, DeviceTable};
 use crate::protocol::messages::{ReportRequest, UserResponse};
 use crate::protocol::server::AggregationServer;
 use ldp_fo::{build_oracle, FoKind, OracleHandle};
@@ -58,6 +60,38 @@ pub trait ReportSink {
 
     /// Refusals observed so far across all rounds.
     fn refusals(&self) -> u64;
+
+    /// Lanes for a round too large for one batch, if this sink can take
+    /// one round's responses from several threads at once. `None` (the
+    /// default) keeps every round on the driving thread, one
+    /// [`submit`](Self::submit) per response.
+    fn lanes(&mut self) -> Option<RoundLanes<'_>> {
+        None
+    }
+}
+
+/// A sink's shared submit for a round split across threads.
+pub trait ReportLanes: Sync {
+    /// Threads a round may be split across.
+    fn lanes(&self) -> usize;
+
+    /// Responses a lane gathers before it submits them; only a round
+    /// with more reporters than this is split.
+    fn batch_size(&self) -> usize;
+
+    /// Tally `rows` into the open round. Every lane calls this, at the
+    /// same time as the others.
+    fn submit_rows(&self, rows: &[UserResponse]) -> Result<(), CoreError>;
+}
+
+/// What [`ReportSink::lanes`] lends a split round.
+pub struct RoundLanes<'a> {
+    /// The submit every lane shares.
+    pub handle: &'a dyn ReportLanes,
+    /// The sink's own response buffer, empty outside a flush: the lane
+    /// on the driving thread gathers into it, so splitting a round costs
+    /// the sink no buffer of its own.
+    pub buffer: &'a mut Vec<UserResponse>,
 }
 
 impl ReportSink for AggregationServer {
@@ -91,8 +125,15 @@ pub struct GenericClientCollector<S: ReportSink> {
     fo: FoKind,
     w: usize,
     population: u64,
-    clients: Vec<UserClient>,
+    devices: DeviceTable,
+    /// Whether every device has started the current timestamp. A step
+    /// starts its devices at its first collect, or — if it has none — at
+    /// the next `begin_step`.
+    observed: bool,
     sink: S,
+    /// Response buffers of the lanes after the first, each moved into
+    /// its lane's thread for the round.
+    lane_buffers: Vec<Vec<UserResponse>>,
     rng: StdRng,
     /// Ids currently outside every active window.
     available: Vec<u32>,
@@ -119,14 +160,152 @@ impl ClientCollector {
     }
 }
 
+/// A user's refusal that aborts a round, at `position` in round order.
+struct Refusal {
+    position: usize,
+    user: usize,
+    response: UserResponse,
+}
+
+/// What one lane of a split round did.
+#[derive(Default)]
+struct LaneOutcome {
+    reports: u64,
+    bytes: u64,
+    refusal: Option<Refusal>,
+    error: Option<CoreError>,
+}
+
+impl LaneOutcome {
+    fn stopped(&self) -> bool {
+        self.refusal.is_some() || self.error.is_some()
+    }
+
+    /// Fold in the outcome of a later lane: the earliest refusal in
+    /// round order and the first lane's error are kept.
+    fn merge(&mut self, later: LaneOutcome) {
+        self.reports += later.reports;
+        self.bytes += later.bytes;
+        self.error = self.error.take().or(later.error);
+        if let Some(refusal) = later.refusal {
+            if self
+                .refusal
+                .as_ref()
+                .is_none_or(|r| refusal.position < r.position)
+            {
+                self.refusal = Some(refusal);
+            }
+        }
+    }
+}
+
+/// What every lane of one split round shares.
+#[derive(Clone, Copy)]
+struct SplitRound<'a> {
+    request: &'a ReportRequest,
+    oracle: &'a OracleHandle,
+    lanes: &'a dyn ReportLanes,
+    /// `lanes.batch_size()`.
+    batch: usize,
+    /// The round's ids in round order; `None` asks every device.
+    ids: Option<&'a [u32]>,
+    /// Whether the lanes start the timestamp on their devices.
+    observe: bool,
+}
+
+/// One lane of a split round: its rows of the device table, their true
+/// values, and the buffer it gathers responses into.
+struct Lane<'a, 'b> {
+    rows: DeviceRows<'a>,
+    values: &'a [u16],
+    buffer: &'b mut Vec<UserResponse>,
+    outcome: LaneOutcome,
+}
+
+impl SplitRound<'_> {
+    /// Answer the round on the lane's rows in round order, submitting
+    /// its buffer every batch. The lane stops answering at its first
+    /// refusal or submit error, but still starts the timestamp on every
+    /// row if it is to.
+    fn run(&self, mut lane: Lane<'_, '_>) -> LaneOutcome {
+        lane.buffer.reserve(self.batch);
+        match self.ids {
+            None => {
+                for row in 0..lane.rows.len() {
+                    if self.observe {
+                        lane.rows.advance(row);
+                    }
+                    if !lane.outcome.stopped() {
+                        let position = lane.rows.first() + row;
+                        self.answer(&mut lane, position, row);
+                    } else if !self.observe {
+                        break;
+                    }
+                }
+            }
+            Some(ids) => {
+                for (position, &id) in ids.iter().enumerate() {
+                    if lane.outcome.stopped() {
+                        break;
+                    }
+                    if let Some(row) = lane.rows.row_of(id as usize) {
+                        self.answer(&mut lane, position, row);
+                    }
+                }
+            }
+        }
+        if !lane.buffer.is_empty() {
+            if lane.outcome.error.is_none() {
+                lane.outcome.error = self.lanes.submit_rows(lane.buffer).err();
+            }
+            lane.buffer.clear();
+        }
+        lane.outcome
+    }
+
+    /// Row `row`, at `position` in round order, answers the request.
+    fn answer(&self, lane: &mut Lane<'_, '_>, position: usize, row: usize) {
+        let value = usize::from(lane.values[row]);
+        let response = lane.rows.handle(row, value, self.request, self.oracle);
+        if !response.is_report() {
+            lane.outcome.refusal = Some(Refusal {
+                position,
+                user: lane.rows.first() + row,
+                response,
+            });
+            return;
+        }
+        lane.outcome.reports += 1;
+        lane.outcome.bytes += response.wire_size() as u64;
+        lane.buffer.push(response);
+        if lane.buffer.len() == self.batch {
+            lane.outcome.error = self.lanes.submit_rows(lane.buffer).err();
+            lane.buffer.clear();
+        }
+    }
+}
+
 impl<S: ReportSink> GenericClientCollector<S> {
     /// A collector over `source` for `config`, with every device's
     /// randomness derived from `seed`, tallying into `sink`.
     ///
     /// Two sinks driven from the same `(source, config, seed)` receive
-    /// the identical response sequence: client perturbation happens here,
-    /// on the driving thread, so the sink only ever sees — and cannot
-    /// influence — already-perturbed traffic.
+    /// the same responses, device for device: each device draws from its
+    /// own seeded stream and answers each request in the order the
+    /// driver's own draws fix, whichever thread it answers on. A sink
+    /// that offers [`lanes`](ReportSink::lanes) gets a round with more
+    /// reporters than its batch size as that many contiguous id ranges of
+    /// the device table, each answered on its own thread in round order
+    /// (the first on the driving thread); any other round is answered on
+    /// the driving thread, one response at a time. The sink only ever
+    /// sees — and cannot influence — already-perturbed traffic.
+    ///
+    /// A refusal aborts its round: the earliest one in round order is
+    /// tallied and returned as [`CoreError::ClientRefused`]. In a split
+    /// round the other lanes' reports, those after it in round order
+    /// included, are tallied into that aborted round too, whose estimate
+    /// nobody sees; their devices' ledgers are debited for them, as they
+    /// would be for any answer sent.
     pub fn with_sink(
         source: Box<dyn StreamSource>,
         config: &MechanismConfig,
@@ -134,17 +313,17 @@ impl<S: ReportSink> GenericClientCollector<S> {
         sink: S,
     ) -> Self {
         let population = source.population();
-        let clients = (0..population)
-            .map(|id| UserClient::new(config.epsilon, config.w, child_seed(seed, id)))
-            .collect();
+        let seeds = (0..population).map(|id| child_seed(seed, id));
         let snapshot = Snapshot::new(Vec::new(), source.domain().size());
         GenericClientCollector {
             source,
             fo: config.fo,
             w: config.w,
             population,
-            clients,
+            devices: DeviceTable::new(config.epsilon, config.w, seeds),
+            observed: true,
             sink,
+            lane_buffers: Vec::new(),
             rng: StdRng::seed_from_u64(child_seed(seed, u64::MAX)),
             available: (0..population as u32).collect(),
             used_window: RingWindow::new(config.w.max(2) - 1),
@@ -170,11 +349,16 @@ impl<S: ReportSink> GenericClientCollector<S> {
     /// The largest active-window spend any device's own ledger holds at
     /// the current timestamp — the w-event invariant says it never
     /// exceeds ε (plus the ledger's rounding tolerance).
-    pub fn max_window_spend(&self) -> f64 {
-        self.clients
-            .iter()
-            .map(UserClient::window_spend)
-            .fold(0.0, f64::max)
+    pub fn max_window_spend(&mut self) -> f64 {
+        self.observe();
+        self.devices.max_window_spend()
+    }
+
+    /// Start the current timestamp on every device, unless it has been.
+    fn observe(&mut self) {
+        if !std::mem::replace(&mut self.observed, true) {
+            self.devices.observe_all();
+        }
     }
 
     fn oracle(&mut self, epsilon: f64) -> Result<OracleHandle, CoreError> {
@@ -188,35 +372,109 @@ impl<S: ReportSink> GenericClientCollector<S> {
         Ok(oracle)
     }
 
-    /// Run one round over the clients with the given ids.
-    fn run_round(
-        &mut self,
-        ids: impl ExactSizeIterator<Item = u32>,
-        epsilon: f64,
-    ) -> Result<RoundEstimate, CoreError> {
+    /// Run one round over the devices `ids` names in round order (every
+    /// device, by id, if `None`).
+    fn run_round(&mut self, ids: Option<&[u32]>, epsilon: f64) -> Result<RoundEstimate, CoreError> {
         let oracle = self.oracle(epsilon)?;
         let request =
             self.sink
                 .open_round(self.t.saturating_sub(1), self.fo, epsilon, oracle.clone());
-        self.stats.downlink_requests += ids.len() as u64;
-        for id in ids {
-            let response = self.clients[id as usize].handle(&request, &oracle);
-            if let UserResponse::Refused {
-                requested,
-                available,
-                ..
-            } = response
-            {
-                // Tally it sink-side for observability, then abort the
-                // round: a refusal means the request schedule is broken.
-                let submitted = self.sink.submit(&response);
-                self.sink.close_round()?;
-                submitted?;
-                return Err(CoreError::ClientRefused {
-                    user: id as u64,
-                    requested,
-                    available,
-                });
+        let reporters = ids.map_or(self.devices.len(), <[u32]>::len);
+        self.stats.downlink_requests += reporters as u64;
+        let split = self
+            .sink
+            .lanes()
+            .filter(|l| l.handle.lanes() > 1 && reporters > l.handle.batch_size());
+        let Some(lanes) = split else {
+            self.observe();
+            return self.run_sequential(ids, &request, &oracle);
+        };
+        // A split All round starts the timestamp inside its lanes, in the
+        // pass that answers it; any other round needs it started first.
+        let observing = !std::mem::replace(&mut self.observed, true);
+        if observing && ids.is_some() {
+            self.devices.observe_all();
+        }
+        let round = SplitRound {
+            request: &request,
+            oracle: &oracle,
+            lanes: lanes.handle,
+            batch: lanes.handle.batch_size(),
+            ids,
+            observe: observing && ids.is_none(),
+        };
+        let rows = if round.observe {
+            self.devices.observe()
+        } else {
+            self.devices.rows()
+        };
+        let chunk = rows.len().div_ceil(round.lanes.lanes());
+        let values = self.snapshot.values();
+        let buffers = &mut self.lane_buffers;
+        let outcome = std::thread::scope(|scope| {
+            let (head, mut rest) = rows.split_at(chunk);
+            let (head_values, mut rest_values) = values.split_at(chunk);
+            let mut spawned = Vec::new();
+            while !rest.is_empty() {
+                let len = chunk.min(rest.len());
+                let (lane, tail) = rest.split_at(len);
+                let (lane_values, tail_values) = rest_values.split_at(lane.len());
+                if buffers.len() == spawned.len() {
+                    buffers.push(Vec::new());
+                }
+                let mut buffer = std::mem::take(&mut buffers[spawned.len()]);
+                spawned.push(scope.spawn(move || {
+                    let outcome = round.run(Lane {
+                        rows: lane,
+                        values: lane_values,
+                        buffer: &mut buffer,
+                        outcome: LaneOutcome::default(),
+                    });
+                    (outcome, buffer)
+                }));
+                (rest, rest_values) = (tail, tail_values);
+            }
+            let mut outcome = round.run(Lane {
+                rows: head,
+                values: head_values,
+                buffer: lanes.buffer,
+                outcome: LaneOutcome::default(),
+            });
+            for (slot, lane) in buffers.iter_mut().zip(spawned) {
+                let (later, buffer) = lane
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                *slot = buffer;
+                outcome.merge(later);
+            }
+            outcome
+        });
+        self.stats.uplink_reports += outcome.reports;
+        self.stats.uplink_bytes += outcome.bytes;
+        if let Some(e) = outcome.error {
+            self.sink.close_round()?;
+            return Err(e);
+        }
+        match outcome.refusal {
+            Some(refusal) => self.refuse(refusal.user, &refusal.response),
+            None => self.sink.close_round(),
+        }
+    }
+
+    /// Answer the round on the driving thread, one submit per response.
+    fn run_sequential(
+        &mut self,
+        ids: Option<&[u32]>,
+        request: &ReportRequest,
+        oracle: &OracleHandle,
+    ) -> Result<RoundEstimate, CoreError> {
+        let mut rows = self.devices.rows();
+        let values = self.snapshot.values();
+        for position in 0..ids.map_or(rows.len(), <[u32]>::len) {
+            let id = ids.map_or(position, |ids| ids[position] as usize);
+            let response = rows.handle(id, usize::from(values[id]), request, oracle);
+            if !response.is_report() {
+                return self.refuse(id, &response);
             }
             self.stats.uplink_reports += 1;
             self.stats.uplink_bytes += response.wire_size() as u64;
@@ -231,6 +489,28 @@ impl<S: ReportSink> GenericClientCollector<S> {
         }
         self.sink.close_round()
     }
+
+    /// Abort the open round on `user`'s refusal: tally it sink-side for
+    /// observability, close the round — a refusal means the request
+    /// schedule is broken — and return it as the round's error.
+    fn refuse(&mut self, user: usize, response: &UserResponse) -> Result<RoundEstimate, CoreError> {
+        let &UserResponse::Refused {
+            requested,
+            available,
+            ..
+        } = response
+        else {
+            unreachable!("only a refusal aborts a round");
+        };
+        let submitted = self.sink.submit(response);
+        self.sink.close_round()?;
+        submitted?;
+        Err(CoreError::ClientRefused {
+            user: user as u64,
+            requested,
+            available,
+        })
+    }
 }
 
 impl<S: ReportSink> RoundCollector for GenericClientCollector<S> {
@@ -244,6 +524,9 @@ impl<S: ReportSink> RoundCollector for GenericClientCollector<S> {
 
     fn begin_step(&mut self) -> Result<(), CoreError> {
         if self.started {
+            // A previous step that took no collect starts its devices
+            // now, so every device closes every timestamp.
+            self.observe();
             // Close the previous step: its used ids start their w-step
             // cool-down (none needed when w = 1).
             if self.w > 1 {
@@ -266,9 +549,7 @@ impl<S: ReportSink> RoundCollector for GenericClientCollector<S> {
             });
         }
         self.snapshot.refill(&hist, &mut self.rng);
-        for (client, &value) in self.clients.iter_mut().zip(self.snapshot.values()) {
-            client.observe(value as usize);
-        }
+        self.observed = false;
         self.t += 1;
         self.stats.steps += 1;
         Ok(())
@@ -277,7 +558,7 @@ impl<S: ReportSink> RoundCollector for GenericClientCollector<S> {
     fn collect(&mut self, scope: ReportScope, epsilon: f64) -> Result<RoundEstimate, CoreError> {
         assert!(self.started, "collect called before begin_step");
         match scope {
-            ReportScope::All => self.run_round(0..self.population as u32, epsilon),
+            ReportScope::All => self.run_round(None, epsilon),
             ReportScope::Fresh(k) => {
                 let k_usize = k as usize;
                 if k_usize > self.available.len() {
@@ -295,7 +576,7 @@ impl<S: ReportSink> RoundCollector for GenericClientCollector<S> {
                 let mut used = std::mem::take(&mut self.used_this_step);
                 let first = used.len();
                 used.extend(self.available.drain(..k_usize));
-                let result = self.run_round(used[first..].iter().copied(), epsilon);
+                let result = self.run_round(Some(&used[first..]), epsilon);
                 self.used_this_step = used;
                 result
             }

@@ -6,10 +6,10 @@
 //!
 //! * the server broadcasts a [`ReportRequest`] naming the round's oracle
 //!   parameters ([`messages`]);
-//! * each selected [`UserClient`] perturbs its current true value locally
-//!   and answers with a wire-format [`ldp_fo::Report`] — or *refuses*, if
-//!   its own w-event ledger says the request would over-spend its budget
-//!   ([`client`]);
+//! * each selected device of a [`DeviceTable`] perturbs its current true
+//!   value locally and answers with a wire-format [`ldp_fo::Report`] — or
+//!   *refuses*, if its own w-event ledger says the request would
+//!   over-spend its budget ([`client`]);
 //! * the [`AggregationServer`] tallies reports into support counts and
 //!   produces the unbiased estimate ([`server`]);
 //! * [`ClientCollector`] glues the three into a [`crate::RoundCollector`]
@@ -26,7 +26,7 @@ pub mod driver;
 pub mod messages;
 pub mod server;
 
-pub use client::{ClientLedger, UserClient};
-pub use driver::{ClientCollector, GenericClientCollector, ReportSink};
+pub use client::{DeviceRows, DeviceTable};
+pub use driver::{ClientCollector, GenericClientCollector, ReportLanes, ReportSink, RoundLanes};
 pub use messages::{ReportRequest, UserResponse};
 pub use server::AggregationServer;

@@ -9,42 +9,79 @@
 //! [`RoundCollector`](ldp_ids::RoundCollector) while its rounds
 //! aggregate across the pool's shards.
 //!
+//! ## Lanes
+//!
+//! The sink offers the driver [`threads`](crate::ServiceConfig::threads)
+//! lanes ([`ReportSink::lanes`]), so a round with more reporters than
+//! [`batch_size`](crate::ServiceConfig::batch_size) is answered on that
+//! many threads: each perturbs a contiguous id range of the device table
+//! in round order and submits its own deltas, and a round that is the
+//! first of its timestamp to ask every device also starts the timestamp
+//! on each device in the same pass. Smaller rounds stay on the driving
+//! thread.
+//!
 //! ## Equivalence guarantee
 //!
 //! For the same `(source, config, seed)`, `ParallelCollector` produces
 //! **bit-identical** support counts and estimates to the sequential
 //! [`ClientCollector`](ldp_ids::protocol::ClientCollector), at any shard
-//! count: perturbation stays on the driving thread (same RNG streams),
-//! and shard tallies merge by commutative integer addition before the
-//! one floating-point estimation step runs on the merged counts.
+//! count and on any thread: every device draws from its own seeded
+//! stream, so it perturbs the same values into the same reports whichever
+//! lane answers it; sampling stays on the driving thread (the same
+//! draws); and shard tallies merge by commutative integer addition before
+//! the one floating-point estimation step runs on the merged counts.
 //!
 //! ## Batching
 //!
-//! The driver hands the sink one response at a time; the sink hands the
-//! service [`batch_size`](crate::ServiceConfig::batch_size) at a time.
-//! [`ServiceSink::submit`] only buffers, and the buffer goes to
-//! [`IngestService::submit_batch`] when it fills and before the round
-//! closes — one lock, one lifecycle check, one pool dispatch and
-//! (durably) one WAL record per delta rather than per response: the
-//! service folds each delta as one batch, so the sink's buffer is the
-//! batch the shards see. Batch boundaries are invisible in the tallies,
-//! so the equivalence guarantee is unaffected. A refusal is buffered
-//! like any response: the service counts it when the driver's error
-//! path closes the round.
+//! The driver hands the sink one response at a time, or each lane its
+//! own responses; the service gets
+//! [`batch_size`](crate::ServiceConfig::batch_size) at a time.
+//! [`ServiceSink::submit`] only buffers, and the buffer goes to the
+//! service when it fills and before the round closes; a lane gathers and
+//! submits the same way, the driving thread's lane into the sink's own
+//! buffer. Each delta is one lock, one lifecycle check, one pool dispatch
+//! and (durably) one WAL record rather than one per response: the
+//! service folds each delta as one batch, so a buffer is the batch the
+//! shards see. Batch boundaries are invisible in the tallies, so the
+//! equivalence guarantee is unaffected. A refusal is buffered like any
+//! response: the service counts it when the driver's error path closes
+//! the round.
 
 use crate::session::{IngestService, SessionId};
 use ldp_fo::{FoKind, OracleHandle};
 use ldp_ids::collector::{CollectorStats, ReportScope, RoundCollector, RoundEstimate};
-use ldp_ids::protocol::{GenericClientCollector, ReportRequest, ReportSink, UserResponse};
+use ldp_ids::protocol::{
+    GenericClientCollector, ReportLanes, ReportRequest, ReportSink, RoundLanes, UserResponse,
+};
 use ldp_ids::{CoreError, MechanismConfig};
 use ldp_stream::StreamSource;
 use std::sync::Arc;
 
+/// One session of a service: the sink's lanes submit into it.
+#[derive(Debug)]
+struct Session {
+    service: Arc<IngestService>,
+    id: SessionId,
+}
+
+impl ReportLanes for Session {
+    fn lanes(&self) -> usize {
+        self.service.config().threads
+    }
+
+    fn batch_size(&self) -> usize {
+        self.service.config().batch_size
+    }
+
+    fn submit_rows(&self, rows: &[UserResponse]) -> Result<(), CoreError> {
+        self.service.submit_rows(self.id, None, rows)
+    }
+}
+
 /// A [`ReportSink`] that tallies into one [`IngestService`] session.
 #[derive(Debug)]
 pub struct ServiceSink {
-    service: Arc<IngestService>,
-    session: SessionId,
+    session: Session,
     /// Responses of the open round not yet handed to the service.
     buffer: Vec<UserResponse>,
 }
@@ -52,39 +89,35 @@ pub struct ServiceSink {
 impl ServiceSink {
     /// A sink over a fresh session of `service`.
     pub fn new(service: Arc<IngestService>) -> Self {
-        let session = service
+        let id = service
             .create_session()
             .expect("session creation only fails when the WAL device does");
         let buffer = Vec::with_capacity(service.config().batch_size);
         ServiceSink {
-            service,
-            session,
+            session: Session { service, id },
             buffer,
         }
     }
 
     /// The session this sink tallies into.
     pub fn session(&self) -> SessionId {
-        self.session
+        self.session.id
     }
 
     /// Hand the buffered responses to the service as one delta.
-    /// `submit_batch` takes its delta by value, so what is reused across
-    /// flushes is the buffer's size, not its storage: one allocation per
-    /// `batch_size` responses.
     fn flush(&mut self) -> Result<(), CoreError> {
         if self.buffer.is_empty() {
             return Ok(());
         }
-        let capacity = self.service.config().batch_size;
-        let delta = std::mem::replace(&mut self.buffer, Vec::with_capacity(capacity));
-        self.service.submit_batch(self.session, delta)
+        let submitted = self.session.submit_rows(&self.buffer);
+        self.buffer.clear();
+        submitted
     }
 }
 
 impl Drop for ServiceSink {
     fn drop(&mut self) {
-        let _ = self.service.end_session(self.session);
+        let _ = self.session.service.end_session(self.session.id);
     }
 }
 
@@ -99,14 +132,15 @@ impl ReportSink for ServiceSink {
         // The service rebuilds the oracle from `(fo, epsilon, d)` —
         // deterministically the same construction as `oracle` — so the
         // round's parameters are fully described by its WAL record.
-        self.service
-            .open_round(self.session, t, fo, epsilon, oracle.domain_size())
+        self.session
+            .service
+            .open_round(self.session.id, t, fo, epsilon, oracle.domain_size())
             .expect("session round lifecycle")
     }
 
     fn submit(&mut self, response: &UserResponse) -> Result<(), CoreError> {
         self.buffer.push(response.clone());
-        if self.buffer.len() < self.service.config().batch_size {
+        if self.buffer.len() < self.session.batch_size() {
             return Ok(());
         }
         self.flush()
@@ -116,12 +150,19 @@ impl ReportSink for ServiceSink {
         // A failed flush must not leave the round open (the driver's
         // error path relies on close_round closing it).
         let flushed = self.flush();
-        let estimate = self.service.close_round(self.session);
+        let estimate = self.session.service.close_round(self.session.id);
         flushed.and(estimate)
     }
 
     fn refusals(&self) -> u64 {
-        self.service.refusals(self.session).unwrap_or(0)
+        self.session.service.refusals(self.session.id).unwrap_or(0)
+    }
+
+    fn lanes(&mut self) -> Option<RoundLanes<'_>> {
+        Some(RoundLanes {
+            handle: &self.session,
+            buffer: &mut self.buffer,
+        })
     }
 }
 
@@ -153,7 +194,7 @@ impl ParallelCollector {
 
     /// The largest active-window spend any device's ledger holds (see
     /// [`GenericClientCollector::max_window_spend`]).
-    pub fn max_window_spend(&self) -> f64 {
+    pub fn max_window_spend(&mut self) -> f64 {
         self.inner.max_window_spend()
     }
 }

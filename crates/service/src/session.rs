@@ -410,7 +410,7 @@ impl IngestService {
 
     /// [`submit_delta`](Self::submit_delta) of rows, which only the
     /// lifecycle can refuse.
-    fn submit_rows(
+    pub(crate) fn submit_rows(
         &self,
         session: SessionId,
         seq: Option<u64>,

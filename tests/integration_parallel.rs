@@ -1,19 +1,22 @@
 //! Shard/sequential equivalence: the parallel ingestion service must be
 //! a drop-in replacement for the in-process `AggregationServer`.
 //!
-//! Support-count folding is commutative integer addition and client
-//! perturbation stays on the driving thread, so the sharded service is
-//! required to produce **bit-identical** support counts and estimates to
-//! the sequential path — at any shard count, any batch size, and any
-//! partition of the response stream. These property tests pin that
-//! guarantee at three levels: raw shard accumulators, the ingestion
-//! service, and a full protocol collector.
+//! Support-count folding is commutative integer addition and every
+//! device perturbs from its own seeded stream, whichever thread answers
+//! for it, so the sharded service is required to produce
+//! **bit-identical** support counts and estimates to the sequential path
+//! — at any shard count, any batch size, and any partition of the
+//! response stream. These property tests pin that guarantee at three
+//! levels: raw shard accumulators, the ingestion service, and a full
+//! protocol collector, whose rounds larger than one batch are answered in
+//! lanes.
 //!
 //! The deterministic tests after them run the paper's adaptive
 //! mechanisms through the batching [`ParallelCollector`] and check what
-//! must survive batching: the devices' w-event invariant, refusal
-//! accounting, and — durably — one WAL record per batch and a closed
-//! round that survives a crash bit for bit.
+//! must survive batching and lanes: the devices' w-event invariant,
+//! refusal accounting — a refusal in the last lane or in lane 0, a step
+//! with no collect — and, durably, at most one partial WAL record per
+//! lane and a closed round that survives a crash bit for bit.
 
 use ldp_fo::{build_oracle, FoKind, OracleHandle};
 use ldp_ids::collector::{ReportScope, RoundCollector, RoundEstimate};
@@ -314,16 +317,17 @@ fn buffered_refusal_is_counted_and_the_round_closed() {
 }
 
 /// On a durable service the sink's batching is what reaches the disk:
-/// ⌈reports ÷ batch_size⌉ `Reports` records per round, not one per
-/// response — and a round the collector closed is recoverable from that
-/// log bit for bit after a crash.
+/// `Reports` records of at most `batch_size` responses, at most one
+/// partial record per lane, not one record per response — and a round
+/// the collector closed is recoverable from that log bit for bit after a
+/// crash.
 #[test]
 fn durable_collector_logs_one_record_per_batch_and_survives_a_crash() {
     let root = std::env::temp_dir().join(format!("ldp_parallel_it_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let (live, image) = (root.join("live"), root.join("image"));
-    let batch_size = 64;
-    let sizing = ServiceConfig::with_threads(2)
+    let (batch_size, lanes) = (64, 2);
+    let sizing = ServiceConfig::with_threads(lanes)
         .with_batch_size(batch_size)
         .with_snapshot_every(0);
     let config = MechanismConfig::new(1.0, 2, 2, 1_000);
@@ -355,11 +359,13 @@ fn durable_collector_logs_one_record_per_batch_and_survives_a_crash() {
             })
             .collect();
         assert_eq!(deltas.iter().sum::<usize>() as u64, estimate.reporters);
-        assert_eq!(
-            deltas.len(),
-            (estimate.reporters as usize).div_ceil(batch_size)
+        assert!(deltas.iter().all(|&n| n <= batch_size), "{deltas:?}");
+        // At most ⌈reporters ÷ batch_size⌉ + lanes − 1: one partial tail
+        // per lane.
+        assert!(
+            deltas.len() < (estimate.reporters as usize).div_ceil(batch_size) + lanes,
+            "round {round}: {deltas:?}"
         );
-        assert!(deltas.iter().all(|&n| n <= batch_size));
     }
 
     // The crash: what is on disk now, mid-stream, with no destructor run
@@ -377,4 +383,146 @@ fn durable_collector_logs_one_record_per_batch_and_survives_a_crash() {
 
     drop(collector);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Rounds of `population` devices split into two lanes of half each.
+const LANES: usize = 2;
+
+fn lane_service(threads: usize) -> Arc<IngestService> {
+    Arc::new(IngestService::new(
+        ServiceConfig::with_threads(threads).with_batch_size(64),
+    ))
+}
+
+/// A refusal that only the last lane meets aborts the round exactly as
+/// on the sequential collector: every lane before it answered in full,
+/// and the last one stopped at the refusing device, so the error, the
+/// refusal count, the traffic and every device's state — hence the next
+/// step's estimate — are the sequential collector's.
+#[test]
+fn refusal_in_the_last_lane_matches_the_sequential_collector() {
+    let (population, w) = (1_000u64, 2);
+    let config = MechanismConfig::new(1.0, w, 2, population);
+    let source = || Box::new(ConstantSource::new(TrueHistogram::new(vec![600, 400])));
+    let last_lane = (population as usize).div_ceil(LANES) as u64;
+    // A step's first round spends 0.8 on three sampled devices, so the
+    // full round after it is refused first by the lowest of them: pick
+    // the first seed whose three all sit in the last lane.
+    let step = |collector: &mut dyn RoundCollector| {
+        collector.begin_step().unwrap();
+        collector.collect(ReportScope::Fresh(3), 0.8).unwrap();
+        collector.collect(ReportScope::All, 0.5).unwrap_err()
+    };
+    let (seed, mut sequential, expected) = (0u64..)
+        .find_map(|seed| {
+            let mut sequential = ClientCollector::new(source(), &config, seed);
+            let err = step(&mut sequential);
+            let CoreError::ClientRefused { user, .. } = err else {
+                panic!("seed {seed}: {err}");
+            };
+            (user >= last_lane).then_some((seed, sequential, err))
+        })
+        .unwrap();
+
+    let mut parallel = ParallelCollector::new(source(), &config, seed, lane_service(LANES));
+    assert_eq!(step(&mut parallel), expected, "seed {seed}");
+    assert_eq!(parallel.refusals(), sequential.refusals());
+    assert_eq!(parallel.refusals(), 1);
+    assert_eq!(parallel.stats(), sequential.stats());
+
+    // The window holds 0.8 or 0.5 of everyone's ε = 1: 0.2 fits.
+    let next = |collector: &mut dyn RoundCollector| {
+        collector.begin_step().unwrap();
+        collector.collect(ReportScope::All, 0.2).unwrap()
+    };
+    let want = next(&mut sequential);
+    assert_bit_identical(&next(&mut parallel), &want, "the step after the refusal");
+    assert_eq!(parallel.stats(), sequential.stats());
+}
+
+/// A full round that is the first of its step starts the timestamp on
+/// every device inside its lanes. When lane 0's first device refuses it,
+/// lane 0 answers nothing more but still starts the timestamp on the
+/// rest of its devices, as every other lane does on its own: the next
+/// step's full round is the sequential collector's, bit for bit.
+#[test]
+fn refusal_in_lane_zero_still_observes_every_device() {
+    let (population, w) = (1_000u64, 2);
+    let config = MechanismConfig::new(1.0, w, 2, population);
+    let source = || Box::new(ConstantSource::new(TrueHistogram::new(vec![300, 700])));
+    let drive = |collector: &mut dyn RoundCollector| {
+        collector.begin_step().unwrap();
+        collector.collect(ReportScope::All, 0.8).unwrap();
+        // 0.8 is still in every window: device 0 refuses first.
+        collector.begin_step().unwrap();
+        let err = collector.collect(ReportScope::All, 0.5).unwrap_err();
+        assert!(
+            matches!(err, CoreError::ClientRefused { user: 0, .. }),
+            "{err}"
+        );
+        // Only the refused step is in the window now, and it spent nothing.
+        collector.begin_step().unwrap();
+        collector.collect(ReportScope::All, 1.0).unwrap()
+    };
+    let mut sequential = ClientCollector::new(source(), &config, 3);
+    let want = drive(&mut sequential);
+    for threads in SHARD_COUNTS {
+        let mut parallel = ParallelCollector::new(source(), &config, 3, lane_service(threads));
+        let got = drive(&mut parallel);
+        assert_bit_identical(
+            &got,
+            &want,
+            &format!("after the refusal at {threads} lanes"),
+        );
+        assert_eq!(parallel.stats(), sequential.stats());
+        assert_eq!(parallel.refusals(), sequential.refusals());
+        assert_eq!(
+            parallel.max_window_spend().to_bits(),
+            sequential.max_window_spend().to_bits()
+        );
+    }
+}
+
+/// A step that takes no collect still closes on every device: two
+/// `begin_step`s in a row, then a full round that only fits if the
+/// skipped step was closed. The round and the devices' window spends —
+/// read before that round as well as after it — are the sequential
+/// collector's.
+#[test]
+fn a_step_without_collect_is_observed() {
+    let (population, w) = (1_000u64, 2);
+    let config = MechanismConfig::new(1.0, w, 2, population);
+    let source = || Box::new(ConstantSource::new(TrueHistogram::new(vec![450, 550])));
+    let skip_a_step = |collector: &mut dyn RoundCollector| {
+        collector.begin_step().unwrap();
+        collector.collect(ReportScope::All, 0.8).unwrap();
+        collector.begin_step().unwrap();
+        collector.begin_step().unwrap();
+    };
+    let mut sequential = ClientCollector::new(source(), &config, 11);
+    skip_a_step(&mut sequential);
+    let want_before = sequential.max_window_spend();
+    let want = sequential.collect(ReportScope::All, 1.0).unwrap();
+    let want_after = sequential.max_window_spend();
+    assert_eq!((want_before, want_after), (0.0, 1.0));
+
+    for threads in SHARD_COUNTS {
+        for read_before in [false, true] {
+            let what = format!("{threads} lanes, spend read before the round: {read_before}");
+            let mut parallel = ParallelCollector::new(source(), &config, 11, lane_service(threads));
+            skip_a_step(&mut parallel);
+            if read_before {
+                let before = parallel.max_window_spend();
+                assert_eq!(before.to_bits(), want_before.to_bits(), "{what}");
+            }
+            let got = parallel.collect(ReportScope::All, 1.0).unwrap();
+            assert_bit_identical(&got, &want, &what);
+            assert_eq!(
+                parallel.max_window_spend().to_bits(),
+                want_after.to_bits(),
+                "{what}"
+            );
+            assert_eq!(parallel.stats(), sequential.stats(), "{what}");
+        }
+    }
 }

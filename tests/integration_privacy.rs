@@ -10,12 +10,29 @@
 //! * the *clients'* ledgers in the protocol driver (refuse over-budget
 //!   requests) — the device-side guarantee that holds even against a
 //!   buggy server.
+//!
+//! The client lanes run on the sequential `ClientCollector` and on a
+//! `ParallelCollector` whose rounds outgrow one batch, so the devices'
+//! ledgers are also checked while lane threads answer.
 
-use ldp_ids::runner::{run_on_source, CollectorMode};
+use ldp_ids::runner::{run_on_source, run_with_collector, CollectorMode};
 use ldp_ids::{MechanismConfig, MechanismKind};
+use ldp_service::{IngestService, ParallelCollector, ServiceConfig};
 use ldp_stream::source::ReplaySource;
-use ldp_stream::TrueHistogram;
+use ldp_stream::{StreamSource, TrueHistogram};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// A `ParallelCollector` on two lanes, with batches small enough that a
+/// round of the 600-user populations below is split across them.
+fn laned_collector(
+    source: Box<dyn StreamSource>,
+    config: &MechanismConfig,
+    seed: u64,
+) -> ParallelCollector {
+    let service = IngestService::new(ServiceConfig::with_threads(2).with_batch_size(64));
+    ParallelCollector::new(source, config, seed, Arc::new(service))
+}
 
 /// A random stream of `len` histograms over `d` cells, each row an
 /// arbitrary composition of `population`.
@@ -71,7 +88,8 @@ proptest! {
     }
 
     /// The same through real clients: every device's own ledger accepts
-    /// every request the mechanisms make — zero refusals.
+    /// every request the mechanisms make — zero refusals — on the
+    /// sequential collector and across lanes.
     #[test]
     fn clients_never_refuse_correct_mechanisms(
         seq in arb_stream(600, 2, 24),
@@ -83,7 +101,7 @@ proptest! {
         let kind = MechanismKind::ALL[kind_idx];
         let config = MechanismConfig::new(eps, w, 2, 600);
         let mut mech = kind.build(&config).unwrap();
-        let source = ReplaySource::new("prop", seq);
+        let source = ReplaySource::new("prop", seq.clone());
         let result = run_on_source(
             mech.as_mut(),
             Box::new(source),
@@ -92,6 +110,13 @@ proptest! {
             seed,
         );
         prop_assert!(result.is_ok(), "client run failed: {:?}", result.err());
+
+        let mut mech = kind.build(&config).unwrap();
+        let source = Box::new(ReplaySource::new("prop", seq));
+        let mut laned = laned_collector(source, &config, seed);
+        let result = run_with_collector(mech.as_mut(), &mut laned, 24);
+        prop_assert!(result.is_ok(), "laned run failed: {:?}", result.err());
+        prop_assert_eq!(laned.refusals(), 0);
     }
 
     /// Population-division communication stays within the §6.3.3 bound:
@@ -152,7 +177,8 @@ proptest! {
 }
 
 /// A deliberately broken schedule must be *refused by clients*, not
-/// silently executed — the device-side guarantee.
+/// silently executed — the device-side guarantee, on the sequential
+/// collector and across lanes.
 #[test]
 fn broken_schedule_is_refused_by_clients() {
     use ldp_ids::collector::{ReportScope, RoundCollector};
@@ -160,14 +186,24 @@ fn broken_schedule_is_refused_by_clients() {
     use ldp_ids::CoreError;
     use ldp_stream::source::ConstantSource;
 
-    let source = ConstantSource::new(TrueHistogram::new(vec![300, 300]));
+    let source = || Box::new(ConstantSource::new(TrueHistogram::new(vec![300, 300])));
     let config = MechanismConfig::new(1.0, 4, 2, 600);
-    let mut collector = ClientCollector::new(Box::new(source), &config, 5);
-    collector.begin_step().unwrap();
-    // Spend the full window budget at once…
-    collector.collect(ReportScope::All, 1.0).unwrap();
-    // …then ask for more within the same window.
-    collector.begin_step().unwrap();
-    let err = collector.collect(ReportScope::All, 0.5).unwrap_err();
-    assert!(matches!(err, CoreError::ClientRefused { .. }), "{err}");
+    let mut sequential = ClientCollector::new(source(), &config, 5);
+    let mut laned = laned_collector(source(), &config, 5);
+    for collector in [
+        &mut sequential as &mut dyn RoundCollector,
+        &mut laned as &mut dyn RoundCollector,
+    ] {
+        collector.begin_step().unwrap();
+        // Spend the full window budget at once…
+        collector.collect(ReportScope::All, 1.0).unwrap();
+        // …then ask for more within the same window.
+        collector.begin_step().unwrap();
+        let err = collector.collect(ReportScope::All, 0.5).unwrap_err();
+        assert!(
+            matches!(err, CoreError::ClientRefused { user: 0, .. }),
+            "{err}"
+        );
+    }
+    assert_eq!(laned.refusals(), 1);
 }
