@@ -23,12 +23,11 @@
 use crate::config::MechanismConfig;
 use crate::error::CoreError;
 use crate::protocol::UserResponse;
-use ldp_fo::{build_oracle, FoKind, OracleHandle};
+use ldp_fo::{build_oracle, FoKind};
 use ldp_stream::{RingWindow, StreamSource, TrueHistogram};
 use ldp_util::sample_multivariate_hypergeometric;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Which users a mechanism wants to hear from in one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,10 +126,6 @@ pub struct AggregateCollector {
     /// Fresh users consumed in the open step.
     fresh_this_step: u64,
     stats: CollectorStats,
-    /// Memoized oracles keyed by budget bits (mechanisms reuse a handful
-    /// of distinct budgets, but LBD's exponential decay makes the set
-    /// unbounded in theory).
-    oracles: HashMap<u64, OracleHandle>,
 }
 
 impl AggregateCollector {
@@ -149,7 +144,6 @@ impl AggregateCollector {
             past_fresh: RingWindow::new(config.w.max(2) - 1),
             fresh_this_step: 0,
             stats: CollectorStats::default(),
-            oracles: HashMap::new(),
         }
     }
 
@@ -157,17 +151,6 @@ impl AggregateCollector {
     pub fn fresh_available(&self) -> u64 {
         let used = self.past_fresh.sum_u64() + self.fresh_this_step;
         self.population.saturating_sub(used)
-    }
-
-    fn oracle(&mut self, epsilon: f64) -> Result<OracleHandle, CoreError> {
-        let d = self.source.domain().size();
-        let key = epsilon.to_bits();
-        if let Some(hit) = self.oracles.get(&key) {
-            return Ok(hit.clone());
-        }
-        let oracle = build_oracle(self.fo, epsilon, d)?;
-        self.oracles.insert(key, oracle.clone());
-        Ok(oracle)
     }
 }
 
@@ -209,7 +192,7 @@ impl RoundCollector for AggregateCollector {
             .as_ref()
             .expect("collect called before begin_step")
             .clone();
-        let oracle = self.oracle(epsilon)?;
+        let oracle = build_oracle(self.fo, epsilon, self.source.domain().size())?;
         let (group_counts, reporters) = match scope {
             ReportScope::All => (truth.counts().to_vec(), self.population),
             ReportScope::Fresh(k) => {
@@ -371,16 +354,5 @@ mod tests {
             1000 * (8 + 4),
             "a GRR response is the 8-byte round echo and a 4-byte value"
         );
-    }
-
-    #[test]
-    fn oracle_cache_reuses_handles() {
-        let mut c = constant_collector(2, vec![500, 500]);
-        c.begin_step().unwrap();
-        c.collect(ReportScope::All, 0.5).unwrap();
-        c.collect(ReportScope::All, 0.5).unwrap();
-        assert_eq!(c.oracles.len(), 1);
-        c.collect(ReportScope::All, 0.25).unwrap();
-        assert_eq!(c.oracles.len(), 2);
     }
 }

@@ -14,9 +14,13 @@
 //! [`ClientCollector`] the alias wiring it in); `ldp_service`'s sharded
 //! worker pool is a parallel one — mechanisms run over either unchanged,
 //! and both produce identical estimates for the same seeded clients
-//! because support-count folding is commutative. A sink that offers
-//! [`ReportSink::lanes`] also lets a large round's devices answer on
-//! several threads at once.
+//! because support-count folding is commutative.
+//!
+//! Every round is answered by one loop over *lanes*, contiguous id
+//! ranges of the device table. A round has one lane, on the driving
+//! thread, unless its sink offers [`ReportSink::lanes`] and the round
+//! has more reporters than one batch; then it has that many, and all
+//! but the first run on threads of their own.
 //!
 //! The cost is O(reporters) per round, so this collector suits the
 //! paper's smaller configurations, the examples, and the fidelity tests
@@ -33,7 +37,6 @@ use ldp_stream::{RingWindow, Snapshot, StreamSource};
 use ldp_util::child_seed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// The receiving end of one collection round: opens rounds, tallies
 /// responses, and produces the unbiased estimate.
@@ -61,11 +64,14 @@ pub trait ReportSink {
     /// Refusals observed so far across all rounds.
     fn refusals(&self) -> u64;
 
-    /// Lanes for a round too large for one batch, if this sink can take
-    /// one round's responses from several threads at once. `None` (the
-    /// default) keeps every round on the driving thread, one
-    /// [`submit`](Self::submit) per response.
-    fn lanes(&mut self) -> Option<RoundLanes<'_>> {
+    /// The submit a round's lanes share, if this sink can take one
+    /// round's responses from several threads at once. A sink with lanes
+    /// gets every report through [`ReportLanes::submit_rows`], gathered
+    /// by the driver [`batch_size`](ReportLanes::batch_size) at a time,
+    /// and only a refusal through [`submit`](Self::submit). `None` (the
+    /// default) answers every round in one lane on the driving thread,
+    /// one `submit` per response.
+    fn lanes(&self) -> Option<&dyn ReportLanes> {
         None
     }
 }
@@ -82,16 +88,6 @@ pub trait ReportLanes: Sync {
     /// Tally `rows` into the open round. Every lane calls this, at the
     /// same time as the others.
     fn submit_rows(&self, rows: &[UserResponse]) -> Result<(), CoreError>;
-}
-
-/// What [`ReportSink::lanes`] lends a split round.
-pub struct RoundLanes<'a> {
-    /// The submit every lane shares.
-    pub handle: &'a dyn ReportLanes,
-    /// The sink's own response buffer, empty outside a flush: the lane
-    /// on the driving thread gathers into it, so splitting a round costs
-    /// the sink no buffer of its own.
-    pub buffer: &'a mut Vec<UserResponse>,
 }
 
 impl ReportSink for AggregationServer {
@@ -127,12 +123,11 @@ pub struct GenericClientCollector<S: ReportSink> {
     population: u64,
     devices: DeviceTable,
     /// Whether every device has started the current timestamp. A step
-    /// starts its devices at its first collect, or — if it has none — at
-    /// the next `begin_step`.
+    /// starts its devices in its first round's lanes, or — if it has no
+    /// round — at the next `begin_step`.
     observed: bool,
     sink: S,
-    /// Response buffers of the lanes after the first, each moved into
-    /// its lane's thread for the round.
+    /// One response buffer per lane of a sink with lanes.
     lane_buffers: Vec<Vec<UserResponse>>,
     rng: StdRng,
     /// Ids currently outside every active window.
@@ -145,7 +140,6 @@ pub struct GenericClientCollector<S: ReportSink> {
     t: u64,
     started: bool,
     stats: CollectorStats,
-    oracles: HashMap<u64, OracleHandle>,
 }
 
 /// The sequential protocol collector: clients + in-process
@@ -167,7 +161,7 @@ struct Refusal {
     response: UserResponse,
 }
 
-/// What one lane of a split round did.
+/// What one lane of a round did.
 #[derive(Default)]
 struct LaneOutcome {
     reports: u64,
@@ -199,36 +193,42 @@ impl LaneOutcome {
     }
 }
 
-/// What every lane of one split round shares.
-#[derive(Clone, Copy)]
-struct SplitRound<'a> {
+/// What every lane of one round shares.
+struct Round<'a> {
     request: &'a ReportRequest,
     oracle: &'a OracleHandle,
-    lanes: &'a dyn ReportLanes,
-    /// `lanes.batch_size()`.
-    batch: usize,
     /// The round's ids in round order; `None` asks every device.
     ids: Option<&'a [u32]>,
     /// Whether the lanes start the timestamp on their devices.
     observe: bool,
 }
 
-/// One lane of a split round: its rows of the device table, their true
-/// values, and the buffer it gathers responses into.
-struct Lane<'a, 'b> {
+/// One lane of a round: its rows of the device table, their true
+/// values, and what it has done so far.
+struct Lane<'a> {
     rows: DeviceRows<'a>,
     values: &'a [u16],
-    buffer: &'b mut Vec<UserResponse>,
     outcome: LaneOutcome,
 }
 
-impl SplitRound<'_> {
-    /// Answer the round on the lane's rows in round order, submitting
-    /// its buffer every batch. The lane stops answering at its first
-    /// refusal or submit error, but still starts the timestamp on every
-    /// row if it is to.
-    fn run(&self, mut lane: Lane<'_, '_>) -> LaneOutcome {
-        lane.buffer.reserve(self.batch);
+impl Round<'_> {
+    /// Answer the round on a lane's `rows` in round order, handing each
+    /// report to `submit`. The lane stops answering at its first refusal
+    /// or submit error, but still starts the timestamp on every row if
+    /// it is to: an All lane advances each row just before the row
+    /// answers, a Fresh lane advances all its rows before it answers its
+    /// ids.
+    fn run(
+        &self,
+        rows: DeviceRows<'_>,
+        values: &[u16],
+        mut submit: impl FnMut(UserResponse) -> Result<(), CoreError>,
+    ) -> LaneOutcome {
+        let mut lane = Lane {
+            rows,
+            values,
+            outcome: LaneOutcome::default(),
+        };
         match self.ids {
             None => {
                 for row in 0..lane.rows.len() {
@@ -237,34 +237,39 @@ impl SplitRound<'_> {
                     }
                     if !lane.outcome.stopped() {
                         let position = lane.rows.first() + row;
-                        self.answer(&mut lane, position, row);
+                        self.answer(&mut lane, &mut submit, position, row);
                     } else if !self.observe {
                         break;
                     }
                 }
             }
             Some(ids) => {
+                if self.observe {
+                    for row in 0..lane.rows.len() {
+                        lane.rows.advance(row);
+                    }
+                }
                 for (position, &id) in ids.iter().enumerate() {
                     if lane.outcome.stopped() {
                         break;
                     }
                     if let Some(row) = lane.rows.row_of(id as usize) {
-                        self.answer(&mut lane, position, row);
+                        self.answer(&mut lane, &mut submit, position, row);
                     }
                 }
             }
-        }
-        if !lane.buffer.is_empty() {
-            if lane.outcome.error.is_none() {
-                lane.outcome.error = self.lanes.submit_rows(lane.buffer).err();
-            }
-            lane.buffer.clear();
         }
         lane.outcome
     }
 
     /// Row `row`, at `position` in round order, answers the request.
-    fn answer(&self, lane: &mut Lane<'_, '_>, position: usize, row: usize) {
+    fn answer(
+        &self,
+        lane: &mut Lane<'_>,
+        submit: &mut impl FnMut(UserResponse) -> Result<(), CoreError>,
+        position: usize,
+        row: usize,
+    ) {
         let value = usize::from(lane.values[row]);
         let response = lane.rows.handle(row, value, self.request, self.oracle);
         if !response.is_report() {
@@ -277,11 +282,91 @@ impl SplitRound<'_> {
         }
         lane.outcome.reports += 1;
         lane.outcome.bytes += response.wire_size() as u64;
-        lane.buffer.push(response);
-        if lane.buffer.len() == self.batch {
-            lane.outcome.error = self.lanes.submit_rows(lane.buffer).err();
-            lane.buffer.clear();
+        lane.outcome.error = submit(response).err();
+    }
+
+    /// [`run`](Self::run) a lane that gathers its reports into `buffer`
+    /// and submits them through `lanes`, every batch and at its end.
+    fn run_batched(
+        &self,
+        rows: DeviceRows<'_>,
+        values: &[u16],
+        lanes: &dyn ReportLanes,
+        buffer: &mut Vec<UserResponse>,
+    ) -> LaneOutcome {
+        let batch = lanes.batch_size();
+        buffer.reserve(batch);
+        let mut outcome = self.run(rows, values, |response| {
+            buffer.push(response);
+            if buffer.len() < batch {
+                return Ok(());
+            }
+            let submitted = lanes.submit_rows(buffer);
+            buffer.clear();
+            submitted
+        });
+        if !buffer.is_empty() {
+            if outcome.error.is_none() {
+                outcome.error = lanes.submit_rows(buffer).err();
+            }
+            buffer.clear();
         }
+        outcome
+    }
+
+    /// Answer the round in `lanes.lanes()` lanes of contiguous rows if it
+    /// has more reporters than one batch, else in one: lane 0 on the
+    /// driving thread, the others under `std::thread::scope`, each with
+    /// its own buffer from `buffers`.
+    fn run_lanes(
+        &self,
+        rows: DeviceRows<'_>,
+        values: &[u16],
+        lanes: &dyn ReportLanes,
+        reporters: usize,
+        buffers: &mut Vec<Vec<UserResponse>>,
+    ) -> LaneOutcome {
+        let k = if reporters > lanes.batch_size() {
+            lanes.lanes().max(1)
+        } else {
+            1
+        };
+        buffers.resize_with(buffers.len().max(k), Vec::new);
+        let chunk = rows.len().div_ceil(k);
+        let (first, others) = buffers.split_first_mut().expect("a buffer per lane");
+        std::thread::scope(|scope| {
+            let (head, mut rest) = rows.split_at(chunk);
+            let (head_values, mut rest_values) = values.split_at(chunk);
+            let mut spawned = Vec::new();
+            for slot in others {
+                if rest.is_empty() {
+                    break;
+                }
+                let len = chunk.min(rest.len());
+                let (rows, tail) = rest.split_at(len);
+                let (values, tail_values) = rest_values.split_at(rows.len());
+                (rest, rest_values) = (tail, tail_values);
+                // The buffer is moved into the lane's thread and back at
+                // join, never written through `buffers`: lanes pushing to
+                // neighbouring `Vec` headers in place share their cache
+                // line, which halved LBA ingest on two cores.
+                let mut buffer = std::mem::take(slot);
+                let lane = scope.spawn(move || {
+                    let outcome = self.run_batched(rows, values, lanes, &mut buffer);
+                    (outcome, buffer)
+                });
+                spawned.push((slot, lane));
+            }
+            let mut outcome = self.run_batched(head, head_values, lanes, first);
+            for (slot, lane) in spawned {
+                let (later, buffer) = lane
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                *slot = buffer;
+                outcome.merge(later);
+            }
+            outcome
+        })
     }
 }
 
@@ -292,20 +377,25 @@ impl<S: ReportSink> GenericClientCollector<S> {
     /// Two sinks driven from the same `(source, config, seed)` receive
     /// the same responses, device for device: each device draws from its
     /// own seeded stream and answers each request in the order the
-    /// driver's own draws fix, whichever thread it answers on. A sink
-    /// that offers [`lanes`](ReportSink::lanes) gets a round with more
-    /// reporters than its batch size as that many contiguous id ranges of
-    /// the device table, each answered on its own thread in round order
-    /// (the first on the driving thread); any other round is answered on
-    /// the driving thread, one response at a time. The sink only ever
-    /// sees — and cannot influence — already-perturbed traffic.
+    /// driver's own draws fix, whichever thread it answers on. A round
+    /// is answered in lanes, contiguous id ranges of the device table,
+    /// each in round order. A sink that offers
+    /// [`lanes`](ReportSink::lanes) gets a round with more reporters than
+    /// its batch size in that many lanes — the first on the driving
+    /// thread, each other on a thread of its own — and any other round in
+    /// lane 0 alone; each lane submits its own batches. A sink without
+    /// lanes gets every round in lane 0 alone, one
+    /// [`submit`](ReportSink::submit) per response. The step's first
+    /// round also starts the timestamp on every device of its lanes. The
+    /// sink only ever sees — and cannot influence — already-perturbed
+    /// traffic.
     ///
     /// A refusal aborts its round: the earliest one in round order is
-    /// tallied and returned as [`CoreError::ClientRefused`]. In a split
-    /// round the other lanes' reports, those after it in round order
-    /// included, are tallied into that aborted round too, whose estimate
-    /// nobody sees; their devices' ledgers are debited for them, as they
-    /// would be for any answer sent.
+    /// tallied and returned as [`CoreError::ClientRefused`]. In a round
+    /// of several lanes the other lanes' reports, those after it in
+    /// round order included, are tallied into that aborted round too,
+    /// whose estimate nobody sees; their devices' ledgers are debited for
+    /// them, as they would be for any answer sent.
     pub fn with_sink(
         source: Box<dyn StreamSource>,
         config: &MechanismConfig,
@@ -332,7 +422,6 @@ impl<S: ReportSink> GenericClientCollector<S> {
             t: 0,
             started: false,
             stats: CollectorStats::default(),
-            oracles: HashMap::new(),
         }
     }
 
@@ -361,152 +450,64 @@ impl<S: ReportSink> GenericClientCollector<S> {
         }
     }
 
-    fn oracle(&mut self, epsilon: f64) -> Result<OracleHandle, CoreError> {
-        let d = self.source.domain().size();
-        let key = epsilon.to_bits();
-        if let Some(hit) = self.oracles.get(&key) {
-            return Ok(hit.clone());
-        }
-        let oracle = build_oracle(self.fo, epsilon, d)?;
-        self.oracles.insert(key, oracle.clone());
-        Ok(oracle)
-    }
-
     /// Run one round over the devices `ids` names in round order (every
     /// device, by id, if `None`).
     fn run_round(&mut self, ids: Option<&[u32]>, epsilon: f64) -> Result<RoundEstimate, CoreError> {
-        let oracle = self.oracle(epsilon)?;
+        let oracle = build_oracle(self.fo, epsilon, self.source.domain().size())?;
         let request =
             self.sink
                 .open_round(self.t.saturating_sub(1), self.fo, epsilon, oracle.clone());
         let reporters = ids.map_or(self.devices.len(), <[u32]>::len);
         self.stats.downlink_requests += reporters as u64;
-        let split = self
-            .sink
-            .lanes()
-            .filter(|l| l.handle.lanes() > 1 && reporters > l.handle.batch_size());
-        let Some(lanes) = split else {
-            self.observe();
-            return self.run_sequential(ids, &request, &oracle);
-        };
-        // A split All round starts the timestamp inside its lanes, in the
-        // pass that answers it; any other round needs it started first.
-        let observing = !std::mem::replace(&mut self.observed, true);
-        if observing && ids.is_some() {
-            self.devices.observe_all();
-        }
-        let round = SplitRound {
+        let round = Round {
             request: &request,
             oracle: &oracle,
-            lanes: lanes.handle,
-            batch: lanes.handle.batch_size(),
             ids,
-            observe: observing && ids.is_none(),
+            observe: !std::mem::replace(&mut self.observed, true),
         };
         let rows = if round.observe {
             self.devices.observe()
         } else {
             self.devices.rows()
         };
-        let chunk = rows.len().div_ceil(round.lanes.lanes());
         let values = self.snapshot.values();
-        let buffers = &mut self.lane_buffers;
-        let outcome = std::thread::scope(|scope| {
-            let (head, mut rest) = rows.split_at(chunk);
-            let (head_values, mut rest_values) = values.split_at(chunk);
-            let mut spawned = Vec::new();
-            while !rest.is_empty() {
-                let len = chunk.min(rest.len());
-                let (lane, tail) = rest.split_at(len);
-                let (lane_values, tail_values) = rest_values.split_at(lane.len());
-                if buffers.len() == spawned.len() {
-                    buffers.push(Vec::new());
-                }
-                let mut buffer = std::mem::take(&mut buffers[spawned.len()]);
-                spawned.push(scope.spawn(move || {
-                    let outcome = round.run(Lane {
-                        rows: lane,
-                        values: lane_values,
-                        buffer: &mut buffer,
-                        outcome: LaneOutcome::default(),
-                    });
-                    (outcome, buffer)
-                }));
-                (rest, rest_values) = (tail, tail_values);
-            }
-            let mut outcome = round.run(Lane {
-                rows: head,
-                values: head_values,
-                buffer: lanes.buffer,
-                outcome: LaneOutcome::default(),
-            });
-            for (slot, lane) in buffers.iter_mut().zip(spawned) {
-                let (later, buffer) = lane
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                *slot = buffer;
-                outcome.merge(later);
-            }
-            outcome
-        });
+        let outcome = match self.sink.lanes() {
+            Some(lanes) => round.run_lanes(rows, values, lanes, reporters, &mut self.lane_buffers),
+            None => round.run(rows, values, |response| self.sink.submit(&response)),
+        };
         self.stats.uplink_reports += outcome.reports;
         self.stats.uplink_bytes += outcome.bytes;
         if let Some(e) = outcome.error {
+            // A submit error is recoverable sink-side (tallies are
+            // untouched), but bailing out mid-round must not leave the
+            // round open — the next collect would trip the sink's
+            // lifecycle assertion.
             self.sink.close_round()?;
             return Err(e);
         }
         match outcome.refusal {
-            Some(refusal) => self.refuse(refusal.user, &refusal.response),
+            Some(refusal) => self.refuse(refusal),
             None => self.sink.close_round(),
         }
     }
 
-    /// Answer the round on the driving thread, one submit per response.
-    fn run_sequential(
-        &mut self,
-        ids: Option<&[u32]>,
-        request: &ReportRequest,
-        oracle: &OracleHandle,
-    ) -> Result<RoundEstimate, CoreError> {
-        let mut rows = self.devices.rows();
-        let values = self.snapshot.values();
-        for position in 0..ids.map_or(rows.len(), <[u32]>::len) {
-            let id = ids.map_or(position, |ids| ids[position] as usize);
-            let response = rows.handle(id, usize::from(values[id]), request, oracle);
-            if !response.is_report() {
-                return self.refuse(id, &response);
-            }
-            self.stats.uplink_reports += 1;
-            self.stats.uplink_bytes += response.wire_size() as u64;
-            if let Err(e) = self.sink.submit(&response) {
-                // A submit error is recoverable sink-side (tallies are
-                // untouched), but bailing out mid-round must not leave
-                // the round open — the next collect would trip the
-                // sink's lifecycle assertion.
-                self.sink.close_round()?;
-                return Err(e);
-            }
-        }
-        self.sink.close_round()
-    }
-
-    /// Abort the open round on `user`'s refusal: tally it sink-side for
+    /// Abort the open round on a refusal: tally it sink-side for
     /// observability, close the round — a refusal means the request
     /// schedule is broken — and return it as the round's error.
-    fn refuse(&mut self, user: usize, response: &UserResponse) -> Result<RoundEstimate, CoreError> {
-        let &UserResponse::Refused {
+    fn refuse(&mut self, refusal: Refusal) -> Result<RoundEstimate, CoreError> {
+        let UserResponse::Refused {
             requested,
             available,
             ..
-        } = response
+        } = refusal.response
         else {
             unreachable!("only a refusal aborts a round");
         };
-        let submitted = self.sink.submit(response);
+        let submitted = self.sink.submit(&refusal.response);
         self.sink.close_round()?;
         submitted?;
         Err(CoreError::ClientRefused {
-            user: user as u64,
+            user: refusal.user as u64,
             requested,
             available,
         })
@@ -660,6 +661,157 @@ mod tests {
         // The same step's second group must come from the remaining 40.
         c.collect(ReportScope::Fresh(40), 1.0).unwrap();
         assert!(c.available.is_empty());
+    }
+
+    /// `len` histograms of `population` users over `d` cells whose mass
+    /// swings towards cell 0 and back, so the adaptive mechanisms both
+    /// publish and approximate.
+    fn swinging_stream(population: u64, d: usize, len: usize) -> Vec<TrueHistogram> {
+        let mut rng = StdRng::seed_from_u64(29);
+        (0..len)
+            .map(|t| {
+                let pull = if (t / 4) % 2 == 0 { 0.1 } else { 0.7 };
+                let mut counts = vec![0u64; d];
+                for _ in 0..population {
+                    let cell = if rng.gen::<f64>() < pull {
+                        0
+                    } else {
+                        rng.gen_range(0..d)
+                    };
+                    counts[cell] += 1;
+                }
+                TrueHistogram::new(counts)
+            })
+            .collect()
+    }
+
+    /// The sequential model itself, pinned: seeded runs of the adaptive
+    /// mechanisms over real devices release these bits and move this
+    /// traffic. A changed draw order, a changed submit order or a device
+    /// that answers a different request changes a digest.
+    #[test]
+    fn sequential_collector_releases_are_pinned() {
+        use crate::runner::run_with_collector;
+        use crate::MechanismKind;
+        use ldp_stream::source::ReplaySource;
+
+        /// FNV-1a over the release stream's bits.
+        fn digest(releases: &[crate::Release]) -> u64 {
+            let mut hash = 0xcbf2_9ce4_8422_2325u64;
+            let mut eat = |bytes: &[u8]| {
+                for &b in bytes {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            };
+            for release in releases {
+                eat(&release.t.to_le_bytes());
+                eat(format!("{:?}", release.kind).as_bytes());
+                for f in &release.frequencies {
+                    eat(&f.to_bits().to_le_bytes());
+                }
+            }
+            hash
+        }
+
+        let (epsilon, w, population, steps) = (1.0, 4, 300u64, 30);
+        let mut got = Vec::new();
+        for (fo, d) in [(FoKind::Grr, 5), (FoKind::Oue, 16)] {
+            let stream = swinging_stream(population, d, steps);
+            let config = MechanismConfig::new(epsilon, w, d, population).with_fo(fo);
+            for kind in [
+                MechanismKind::Lbd,
+                MechanismKind::Lba,
+                MechanismKind::Lpd,
+                MechanismKind::Lpa,
+            ] {
+                let source = Box::new(ReplaySource::new("swing", stream.clone()));
+                let mut collector = ClientCollector::new(source, &config, 7);
+                let mut mechanism = kind.build(&config).unwrap();
+                let run = run_with_collector(mechanism.as_mut(), &mut collector, steps).unwrap();
+                let stats = collector.stats();
+                got.push((
+                    format!("{fo:?} {kind}"),
+                    digest(&run.releases),
+                    run.publications,
+                    [
+                        stats.uplink_reports,
+                        stats.uplink_bytes,
+                        stats.downlink_requests,
+                        stats.steps,
+                    ],
+                    collector.refusals(),
+                ));
+            }
+        }
+        // (fo mechanism, release digest, publications, [uplink reports,
+        // uplink bytes, downlink requests, steps], refusals)
+        let want = [
+            (
+                "Grr lbd",
+                5224740294314880508,
+                7,
+                [11100, 133200, 11100, 30],
+                0,
+            ),
+            (
+                "Grr lba",
+                16153922211784448522,
+                6,
+                [10800, 129600, 10800, 30],
+                0,
+            ),
+            (
+                "Grr lpd",
+                17481979172259018245,
+                10,
+                [1671, 20052, 1671, 30],
+                0,
+            ),
+            (
+                "Grr lpa",
+                9169212854664885044,
+                8,
+                [1813, 21756, 1813, 30],
+                0,
+            ),
+            (
+                "Oue lbd",
+                6061038283062510033,
+                7,
+                [11100, 222000, 11100, 30],
+                0,
+            ),
+            (
+                "Oue lba",
+                7348961917516132404,
+                5,
+                [10500, 210000, 10500, 30],
+                0,
+            ),
+            (
+                "Oue lpd",
+                619543068645675395,
+                12,
+                [1712, 34240, 1712, 30],
+                0,
+            ),
+            (
+                "Oue lpa",
+                5436590165612662152,
+                7,
+                [1739, 34780, 1739, 30],
+                0,
+            ),
+        ];
+        assert_eq!(got.len(), want.len());
+        for (got, want) in got.iter().zip(want) {
+            assert_eq!(
+                (got.0.as_str(), got.1, got.2, got.3, got.4),
+                want,
+                "{}",
+                want.0
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod messages;
 pub mod server;
 
 pub use client::{DeviceRows, DeviceTable};
-pub use driver::{ClientCollector, GenericClientCollector, ReportLanes, ReportSink, RoundLanes};
+pub use driver::{ClientCollector, GenericClientCollector, ReportLanes, ReportSink};
 pub use messages::{ReportRequest, UserResponse};
 pub use server::AggregationServer;

@@ -191,12 +191,12 @@ pub fn oue_regular(bits: &[u64], len: u32, d: usize) -> bool {
 
 /// One column of same-kind reports, stored contiguously.
 ///
-/// This is the layout both [`accumulate_batch`] and the service's
-/// columnar batches feed to the kernels: one allocation per column
+/// This is the layout the service's columnar batches feed to the
+/// kernels through [`accumulate_columns`]: one allocation per column
 /// instead of one `Vec` per OUE report, and unit-stride streams for the
 /// OLH/GRR inner loops.
 ///
-/// [`accumulate_batch`]: crate::FrequencyOracle::accumulate_batch
+/// [`accumulate_columns`]: crate::FrequencyOracle::accumulate_columns
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReportColumns {
     /// GRR value column.

@@ -27,10 +27,10 @@
 //! The closed-form estimation variance (paper Eq. 2) lives in
 //! [`variance`], parameterized by each oracle's `(p, q)` pair.
 //!
-//! Aggregation-side hot paths use [`FrequencyOracle::accumulate_batch`]
-//! over columnar report layouts — the word-parallel kernels in
-//! [`kernels`] are bit-identical to the scalar `accumulate` fold (u64
-//! tallies make the reordering exact).
+//! The aggregation hot path is [`FrequencyOracle::accumulate_columns`]
+//! over [`kernels::ReportColumns`], the layout the service's batches
+//! carry — the word-parallel kernels in [`kernels`] are bit-identical to
+//! the scalar `accumulate` fold (u64 tallies make the reordering exact).
 
 #![warn(missing_docs)]
 

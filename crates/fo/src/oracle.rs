@@ -152,25 +152,6 @@ pub trait FrequencyOracle: Send + Sync + std::fmt::Debug {
         }
     }
 
-    /// Fold a slice of reports into the raw support-count vector,
-    /// bit-identically to folding each through
-    /// [`accumulate`](Self::accumulate) — tallies are u64 sums, so the
-    /// batched kernels' reordering of the additions is exact.
-    ///
-    /// The default packs the reports into [`ReportColumns`] and defers
-    /// to [`accumulate_columns`](Self::accumulate_columns); reports that
-    /// don't fit the column layout take the lenient scalar path.
-    fn accumulate_batch(&self, reports: &[Report], counts: &mut [u64]) {
-        let d = self.domain_size();
-        let mut columns = ReportColumns::for_kind(self.kind(), d, reports.len());
-        for report in reports {
-            if !columns.try_push(report, d) {
-                self.accumulate_lenient(report, counts);
-            }
-        }
-        self.accumulate_columns(&columns, counts);
-    }
-
     /// Fold a column of same-kind reports (the service's batch layout)
     /// into the raw support-count vector, bit-identically to the scalar
     /// path. Oracles with a specialized kernel override this; the

@@ -231,12 +231,6 @@ impl NetClient {
         Ok(client)
     }
 
-    /// Set the pipelining window (unacked submits in flight).
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = window.max(1);
-        self
-    }
-
     /// The bound session's raw id (stable across reconnects).
     pub fn session(&self) -> u64 {
         self.session

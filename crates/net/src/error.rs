@@ -98,15 +98,6 @@ pub enum NetError {
 }
 
 impl NetError {
-    /// Whether retrying over a fresh connection could succeed — true
-    /// for transport and framing failures, false for typed rejections.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            NetError::Io(_) | NetError::Frame(_) | NetError::Timeout { .. }
-        )
-    }
-
     /// Uniform retryability: transport, framing, and timeout failures
     /// always warrant a reconnect-and-retry; remote rejections defer
     /// to [`WireError::retryable`]; local protocol-state violations

@@ -105,9 +105,12 @@ fn tiny_pipelining_window_still_converges() {
     let expected = sequential_estimate(&oracle, fo, epsilon, &responses);
 
     let server = start_server(&["acme"]);
-    let mut client = NetClient::connect(server.addr().to_string(), "acme")
-        .unwrap()
-        .with_window(1);
+    let mut client = NetClient::connect_with(
+        server.addr().to_string(),
+        "acme",
+        ClientOptions::default().window(1),
+    )
+    .unwrap();
     client.open_round_with(0, fo, epsilon, domain).unwrap();
     for delta in responses.chunks(10) {
         client.submit_batch(delta.to_vec()).unwrap();
@@ -244,9 +247,12 @@ fn disconnect_and_recover_replays_unacked_deltas() {
     let server = start_server(&["acme"]);
     // A wide window keeps deltas unacknowledged so the drop loses real
     // in-flight state.
-    let mut client = NetClient::connect(server.addr().to_string(), "acme")
-        .unwrap()
-        .with_window(64);
+    let mut client = NetClient::connect_with(
+        server.addr().to_string(),
+        "acme",
+        ClientOptions::default().window(64),
+    )
+    .unwrap();
     client.open_round_with(0, fo, epsilon, domain).unwrap();
     let mut chunks = responses.chunks(25);
     for delta in chunks.by_ref().take(8) {

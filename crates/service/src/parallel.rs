@@ -15,10 +15,9 @@
 //! lanes ([`ReportSink::lanes`]), so a round with more reporters than
 //! [`batch_size`](crate::ServiceConfig::batch_size) is answered on that
 //! many threads: each perturbs a contiguous id range of the device table
-//! in round order and submits its own deltas, and a round that is the
-//! first of its timestamp to ask every device also starts the timestamp
-//! on each device in the same pass. Smaller rounds stay on the driving
-//! thread.
+//! in round order and submits its own deltas, and the first round of a
+//! timestamp also starts the timestamp on each device of its range. A
+//! smaller round is a round of lane 0 alone, on the driving thread.
 //!
 //! ## Equivalence guarantee
 //!
@@ -33,25 +32,26 @@
 //!
 //! ## Batching
 //!
-//! The driver hands the sink one response at a time, or each lane its
-//! own responses; the service gets
-//! [`batch_size`](crate::ServiceConfig::batch_size) at a time.
-//! [`ServiceSink::submit`] only buffers, and the buffer goes to the
-//! service when it fills and before the round closes; a lane gathers and
-//! submits the same way, the driving thread's lane into the sink's own
-//! buffer. Each delta is one lock, one lifecycle check, one pool dispatch
-//! and (durably) one WAL record rather than one per response: the
-//! service folds each delta as one batch, so a buffer is the batch the
-//! shards see. Batch boundaries are invisible in the tallies, so the
-//! equivalence guarantee is unaffected. A refusal is buffered like any
-//! response: the service counts it when the driver's error path closes
-//! the round.
+//! Every lane, lane 0 included, gathers its reports into a buffer the
+//! driver owns and hands it to the service every
+//! [`batch_size`](crate::ServiceConfig::batch_size) responses and at the
+//! lane's end. Each delta is one lock, one lifecycle check, one pool
+//! dispatch and (durably) one WAL record rather than one per response:
+//! the service folds each delta as one batch, so a buffer is the batch
+//! the shards see. Batch boundaries are invisible in the tallies, so the
+//! equivalence guarantee is unaffected.
+//!
+//! The sink's own buffer serves only one-at-a-time
+//! [`ServiceSink::submit`]: the refusal that aborts a round, or a sink
+//! that wraps this one without forwarding its lanes. It goes to the
+//! service when it fills and before the round closes, so a refusal is
+//! counted when the driver's error path closes the round.
 
 use crate::session::{IngestService, SessionId};
 use ldp_fo::{FoKind, OracleHandle};
 use ldp_ids::collector::{CollectorStats, ReportScope, RoundCollector, RoundEstimate};
 use ldp_ids::protocol::{
-    GenericClientCollector, ReportLanes, ReportRequest, ReportSink, RoundLanes, UserResponse,
+    GenericClientCollector, ReportLanes, ReportRequest, ReportSink, UserResponse,
 };
 use ldp_ids::{CoreError, MechanismConfig};
 use ldp_stream::StreamSource;
@@ -82,7 +82,8 @@ impl ReportLanes for Session {
 #[derive(Debug)]
 pub struct ServiceSink {
     session: Session,
-    /// Responses of the open round not yet handed to the service.
+    /// Responses of the open round given to `submit` and not yet handed
+    /// to the service; allocated on first use.
     buffer: Vec<UserResponse>,
 }
 
@@ -92,10 +93,9 @@ impl ServiceSink {
         let id = service
             .create_session()
             .expect("session creation only fails when the WAL device does");
-        let buffer = Vec::with_capacity(service.config().batch_size);
         ServiceSink {
             session: Session { service, id },
-            buffer,
+            buffer: Vec::new(),
         }
     }
 
@@ -158,11 +158,8 @@ impl ReportSink for ServiceSink {
         self.session.service.refusals(self.session.id).unwrap_or(0)
     }
 
-    fn lanes(&mut self) -> Option<RoundLanes<'_>> {
-        Some(RoundLanes {
-            handle: &self.session,
-            buffer: &mut self.buffer,
-        })
+    fn lanes(&self) -> Option<&dyn ReportLanes> {
+        Some(&self.session)
     }
 }
 

@@ -14,7 +14,7 @@
 
 use ldp_fo::{build_oracle, FoKind};
 use ldp_ids::protocol::{AggregationServer, UserResponse};
-use ldp_net::{NetClient, NetServer, ServerConfig};
+use ldp_net::{ClientOptions, NetClient, NetServer, ServerConfig};
 use ldp_service::{ServiceConfig, TenantRegistry, TenantSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,9 +73,9 @@ fn main() {
     //    with deltas still unacknowledged. recover() resumes the
     //    session and replays what the server lacks; duplicates are
     //    no-ops server-side.
-    let mut flaky = NetClient::connect(addr, "telemetry-app")
-        .expect("connect")
-        .with_window(64);
+    let mut flaky =
+        NetClient::connect_with(addr, "telemetry-app", ClientOptions::default().window(64))
+            .expect("connect");
     flaky
         .open_round_with(0, fo, epsilon, domain)
         .expect("open round");

@@ -15,7 +15,7 @@
 use ldp_fo::{build_oracle, FoKind, OracleHandle};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::{AggregationServer, UserResponse};
-use ldp_net::{NetClient, NetServer, ServerConfig};
+use ldp_net::{ClientOptions, NetClient, NetServer, ServerConfig};
 use ldp_service::{ServiceConfig, TenantRegistry, TenantSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -148,9 +148,12 @@ fn mid_round_disconnect_replay_converges_bit_for_bit() {
         .unwrap();
     let server = NetServer::start("127.0.0.1:0", &registry, ServerConfig::default()).unwrap();
 
-    let mut client = NetClient::connect(server.addr().to_string(), "acme")
-        .unwrap()
-        .with_window(64);
+    let mut client = NetClient::connect_with(
+        server.addr().to_string(),
+        "acme",
+        ClientOptions::default().window(64),
+    )
+    .unwrap();
     client.open_round_with(0, fo, epsilon, domain).unwrap();
 
     let mut chunks = responses.chunks(30);

@@ -158,6 +158,7 @@ proptest! {
         seed in any::<u64>(),
         batch_size in 1usize..=64,
         fo in proptest::sample::select(&FoKind::ALL),
+        fresh_first in any::<bool>(),
     ) {
         let epsilon = 1.0;
         let population: u64 = counts.iter().sum();
@@ -169,9 +170,19 @@ proptest! {
             for _ in 0..steps {
                 // Per-round budgets sized so any w=4 window stays under ε
                 // (4·ε/8 from All rounds + ε/4 from one Fresh round).
+                // With `fresh_first` the Fresh round starts the timestamp,
+                // in lanes when it is larger than one batch.
+                let mut rounds = [
+                    (ReportScope::All, epsilon / 8.0),
+                    (ReportScope::Fresh(fresh), epsilon / 4.0),
+                ];
+                if fresh_first {
+                    rounds.reverse();
+                }
                 collector.begin_step().unwrap();
-                estimates.push(collector.collect(ReportScope::All, epsilon / 8.0).unwrap());
-                estimates.push(collector.collect(ReportScope::Fresh(fresh), epsilon / 4.0).unwrap());
+                for (scope, round_epsilon) in rounds {
+                    estimates.push(collector.collect(scope, round_epsilon).unwrap());
+                }
             }
             estimates
         };
