@@ -59,11 +59,6 @@ impl CdpLedger {
     pub fn epsilon(&self) -> f64 {
         self.epsilon
     }
-
-    /// Window size `w`.
-    pub fn window_size(&self) -> usize {
-        self.window.capacity()
-    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,18 @@
-//! Runtime w-event LDP accounting.
+//! Runtime w-event LDP accounting for budget division.
 //!
 //! Theorem 5.1: a per-timestamp composition `M = (M_1, M_2, …)` satisfies
-//! w-event ε-LDP if every window's budget sum is at most ε. Theorem 6.2:
-//! the population-division mechanisms satisfy it because each user
-//! reports at most once per window, always through an ε-LDP oracle.
-//!
-//! The ledgers here assert those two invariants *as the mechanisms run*.
-//! They are cheap (a ring buffer / an id set) and always on: a scheduling
+//! w-event ε-LDP if every window's budget sum is at most ε. The
+//! budget-division mechanisms carry a [`BudgetLedger`] that asserts this
+//! *as they run*. It is cheap (a ring buffer) and always on: a scheduling
 //! bug becomes a panic in tests rather than a silent privacy violation.
+//!
+//! Theorem 6.2's invariant for population division — each user reports at
+//! most once per window, always through an ε-LDP oracle — is not kept
+//! here. The collector guards it: every collector refuses a request larger
+//! than its pool of users fresh in the window with
+//! [`crate::CoreError::PoolExhausted`], and under
+//! [`crate::protocol::ClientCollector`] every device's own ledger
+//! ([`crate::protocol::DeviceTable`]) also refuses to over-spend.
 
 use ldp_stream::RingWindow;
 
@@ -60,61 +65,6 @@ impl BudgetLedger {
     }
 }
 
-/// Population-division accountant: tracks how many users reported in the
-/// active window and asserts the total never exceeds the population
-/// (i.e. some user would have to report twice).
-///
-/// This count-level ledger is exact for mechanisms that always request
-/// *fresh* users; the id-level variant lives in the client collector,
-/// which knows actual identities.
-#[derive(Debug, Clone)]
-pub struct ParticipationLedger {
-    population: u64,
-    window: RingWindow<u64>,
-    max_window_total: u64,
-}
-
-impl ParticipationLedger {
-    /// A ledger for `population` users over windows of `w` timestamps.
-    pub fn new(population: u64, w: usize) -> Self {
-        ParticipationLedger {
-            population,
-            window: RingWindow::new(w),
-            max_window_total: 0,
-        }
-    }
-
-    /// Record how many users reported at this timestamp.
-    ///
-    /// # Panics
-    /// If the window total would exceed the population.
-    pub fn report(&mut self, users: u64) {
-        self.window.push(users);
-        let total = self.window.sum_u64();
-        self.max_window_total = self.max_window_total.max(total);
-        assert!(
-            total <= self.population,
-            "w-event LDP violated: {total} reports in one window from {} users",
-            self.population
-        );
-    }
-
-    /// Users who reported in the active window.
-    pub fn window_total(&self) -> u64 {
-        self.window.sum_u64()
-    }
-
-    /// The largest window total ever observed.
-    pub fn max_window_total(&self) -> u64 {
-        self.max_window_total
-    }
-
-    /// Users still unused in the active window.
-    pub fn remaining(&self) -> u64 {
-        self.population - self.window.sum_u64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,35 +95,6 @@ mod tests {
         let mut l = BudgetLedger::new(2.0, 4);
         for _ in 0..16 {
             l.spend(0.5);
-        }
-    }
-
-    #[test]
-    fn participation_ledger_tracks_users() {
-        let mut l = ParticipationLedger::new(100, 2);
-        l.report(60);
-        assert_eq!(l.remaining(), 40);
-        l.report(40);
-        assert_eq!(l.window_total(), 100);
-        // Window slides: the 60 expire.
-        l.report(60);
-        assert_eq!(l.window_total(), 100);
-        assert_eq!(l.max_window_total(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "w-event LDP violated")]
-    fn participation_ledger_panics_on_double_booking() {
-        let mut l = ParticipationLedger::new(100, 3);
-        l.report(50);
-        l.report(51);
-    }
-
-    #[test]
-    fn participation_window_of_one_resets_every_step() {
-        let mut l = ParticipationLedger::new(10, 1);
-        for _ in 0..5 {
-            l.report(10);
         }
     }
 }

@@ -21,9 +21,8 @@
 //! tests here verify across a parameter grid. The bench crate uses the
 //! same functions to sanity-check measured errors.
 
-use crate::budget::pq_for;
 use crate::config::MechanismConfig;
-use ldp_fo::variance::cell_variance;
+use ldp_fo::variance::{avg_variance, PqPair};
 
 /// `V(ε, n)` for the configured oracle: average per-cell estimation
 /// variance of one FO round with budget `eps` over `n` reporters.
@@ -31,7 +30,8 @@ pub fn v(config: &MechanismConfig, eps: f64, n: u64) -> f64 {
     if n == 0 || eps <= 0.0 {
         return f64::INFINITY;
     }
-    cell_variance(pq_for(config, eps), n, 1.0 / config.domain_size as f64)
+    let pq = PqPair::of(config.fo, eps, config.domain_size);
+    avg_variance(pq, n, config.domain_size)
 }
 
 /// LBU: every timestamp publishes with ε/w over the full population.

@@ -83,10 +83,6 @@ impl Lba {
 }
 
 impl StreamMechanism for Lba {
-    fn name(&self) -> &'static str {
-        "lba"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Lba
     }

@@ -89,10 +89,6 @@ impl Lbd {
 }
 
 impl StreamMechanism for Lbd {
-    fn name(&self) -> &'static str {
-        "lbd"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Lbd
     }

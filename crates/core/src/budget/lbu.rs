@@ -41,10 +41,6 @@ impl Lbu {
 }
 
 impl StreamMechanism for Lbu {
-    fn name(&self) -> &'static str {
-        "lbu"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Lbu
     }

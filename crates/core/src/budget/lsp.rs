@@ -49,10 +49,6 @@ impl Lsp {
 }
 
 impl StreamMechanism for Lsp {
-    fn name(&self) -> &'static str {
-        "lsp"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Lsp
     }

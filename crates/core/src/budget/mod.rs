@@ -48,7 +48,7 @@ pub(crate) fn budget_dissimilarity_round(
 ) -> Result<f64, CoreError> {
     let eps_1 = config.dissimilarity_budget_per_step();
     let round = collector.collect(ReportScope::All, eps_1)?;
-    let pq = pq_for(config, eps_1);
+    let pq = PqPair::of(config.fo, eps_1, config.domain_size);
     let mse = expected_round_mse(
         config.variance,
         pq,
@@ -69,7 +69,7 @@ pub(crate) fn budget_publication_error(config: &MechanismConfig, eps_pub: f64) -
     if eps_pub <= 0.0 {
         return f64::INFINITY;
     }
-    let pq = pq_for(config, eps_pub);
+    let pq = PqPair::of(config.fo, eps_pub, config.domain_size);
     // `err` is data-independent (Eq. 6): always the f = 1/d average.
     expected_round_mse(
         VarianceModel::Approximate,
@@ -80,30 +80,10 @@ pub(crate) fn budget_publication_error(config: &MechanismConfig, eps_pub: f64) -
     )
 }
 
-/// The `(p, q)` pair of the configured oracle at budget `eps`.
-pub(crate) fn pq_for(config: &MechanismConfig, eps: f64) -> PqPair {
-    match config.fo {
-        ldp_fo::FoKind::Grr => PqPair::grr(eps, config.domain_size),
-        ldp_fo::FoKind::Oue => PqPair::oue(eps),
-        ldp_fo::FoKind::Olh => {
-            // Same bucket count as `Olh::new`: g = ⌊e^ε⌋ + 1, at least 2.
-            let g = ((eps.exp().floor() as usize) + 1).max(2);
-            PqPair::olh(eps, g)
-        }
-        ldp_fo::FoKind::Adaptive => {
-            // Same crossover the adaptive oracle uses at construction.
-            if (config.domain_size as f64) < 3.0 * eps.exp() + 2.0 {
-                PqPair::grr(eps, config.domain_size)
-            } else {
-                PqPair::oue(eps)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldp_fo::FoKind;
 
     #[test]
     fn publication_error_is_infinite_for_zero_budget() {
@@ -122,11 +102,20 @@ mod tests {
 
     #[test]
     fn pq_for_matches_oracle_kinds() {
-        let mut config = MechanismConfig::new(1.0, 10, 4, 1000);
-        let grr = pq_for(&config, 1.0);
-        assert!((grr.p / grr.q - 1.0f64.exp()).abs() < 1e-9);
-        config.fo = ldp_fo::FoKind::Oue;
-        let oue = pq_for(&config, 1.0);
-        assert!((oue.p - 0.5).abs() < 1e-12);
+        // The pair every variance model prices is the built oracle's own,
+        // bit for bit, on both sides of the adaptive crossover.
+        for kind in [FoKind::Grr, FoKind::Oue, FoKind::Olh, FoKind::Adaptive] {
+            for eps in [0.05, 0.5, 1.0, 1.1, 2.0, 4.5] {
+                for d in [2usize, 5, 10, 20, 117, 1024] {
+                    let want = ldp_fo::build_oracle(kind, eps, d).unwrap().pq();
+                    let got = PqPair::of(kind, eps, d);
+                    assert_eq!(
+                        (got.p.to_bits(), got.q.to_bits()),
+                        (want.p.to_bits(), want.q.to_bits()),
+                        "{kind:?} eps={eps} d={d}"
+                    );
+                }
+            }
+        }
     }
 }

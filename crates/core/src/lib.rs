@@ -72,13 +72,12 @@ pub mod error;
 pub mod population;
 pub mod postprocess;
 pub mod protocol;
-pub mod queries;
 pub mod release;
 pub mod runner;
 pub mod smoothing;
 pub mod traits;
 
-pub use accountant::{BudgetLedger, ParticipationLedger};
+pub use accountant::BudgetLedger;
 pub use collector::{AggregateCollector, RoundCollector, RoundEstimate};
 pub use config::{MechanismConfig, VarianceModel};
 pub use error::CoreError;

@@ -69,10 +69,6 @@ impl Lpa {
 }
 
 impl StreamMechanism for Lpa {
-    fn name(&self) -> &'static str {
-        "lpa"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Lpa
     }

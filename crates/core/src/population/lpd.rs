@@ -71,10 +71,6 @@ impl Lpd {
 }
 
 impl StreamMechanism for Lpd {
-    fn name(&self) -> &'static str {
-        "lpd"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Lpd
     }

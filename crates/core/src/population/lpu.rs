@@ -47,10 +47,6 @@ impl Lpu {
 }
 
 impl StreamMechanism for Lpu {
-    fn name(&self) -> &'static str {
-        "lpu"
-    }
-
     fn kind(&self) -> MechanismKind {
         MechanismKind::Lpu
     }

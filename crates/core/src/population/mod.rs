@@ -33,11 +33,11 @@ pub use lpa::Lpa;
 pub use lpd::Lpd;
 pub use lpu::Lpu;
 
-use crate::budget::pq_for;
 use crate::collector::{ReportScope, RoundCollector};
 use crate::config::{MechanismConfig, VarianceModel};
 use crate::dissimilarity::{estimate_dissimilarity, expected_round_mse};
 use crate::error::CoreError;
+use ldp_fo::variance::PqPair;
 
 /// Shared M_{t,1} of the adaptive population mechanisms (Alg. 3/4 lines
 /// 3–6): `⌊N/(2w)⌋` fresh users report with the full ε; the round
@@ -50,7 +50,7 @@ pub(crate) fn population_dissimilarity_round(
 ) -> Result<f64, CoreError> {
     let group = config.dissimilarity_group_size();
     let round = collector.collect(ReportScope::Fresh(group), config.epsilon)?;
-    let pq = pq_for(config, config.epsilon);
+    let pq = PqPair::of(config.fo, config.epsilon, config.domain_size);
     let mse = expected_round_mse(
         config.variance,
         pq,
@@ -71,7 +71,7 @@ pub(crate) fn population_publication_error(config: &MechanismConfig, n_pub: u64)
     if n_pub == 0 {
         return f64::INFINITY;
     }
-    let pq = pq_for(config, config.epsilon);
+    let pq = PqPair::of(config.fo, config.epsilon, config.domain_size);
     expected_round_mse(
         VarianceModel::Approximate,
         pq,

@@ -23,7 +23,7 @@
 //! is what one lane of a split round borrows.
 
 use crate::protocol::messages::{ReportRequest, UserResponse};
-use ldp_fo::{build_oracle, FoError, OracleHandle};
+use ldp_fo::OracleHandle;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -283,16 +283,10 @@ impl<'a> DeviceRows<'a> {
     }
 }
 
-/// Build the oracle a request describes — used by clients (audit) and the
-/// server (estimation) alike.
-pub fn oracle_for_request(request: &ReportRequest) -> Result<OracleHandle, FoError> {
-    build_oracle(request.fo, request.epsilon, request.domain_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_fo::FoKind;
+    use ldp_fo::{build_oracle, FoKind};
     use ldp_stream::RingWindow;
     use proptest::prelude::*;
 
@@ -409,7 +403,7 @@ mod tests {
         let mut c = table(1.0, 4, 1);
         c.observe_all();
         let req = request(0, 0.25);
-        let oracle = oracle_for_request(&req).unwrap();
+        let oracle = build_oracle(req.fo, req.epsilon, req.domain_size).unwrap();
         assert!(c.rows().handle(0, 2, &req, &oracle).is_report());
     }
 
@@ -418,11 +412,11 @@ mod tests {
         let mut c = table(1.0, 4, 1);
         c.observe_all();
         let req = request(0, 0.8);
-        let oracle = oracle_for_request(&req).unwrap();
+        let oracle = build_oracle(req.fo, req.epsilon, req.domain_size).unwrap();
         assert!(c.rows().handle(0, 2, &req, &oracle).is_report());
         // Second request in the same step exceeds ε = 1.
         let req2 = request(1, 0.8);
-        let oracle2 = oracle_for_request(&req2).unwrap();
+        let oracle2 = build_oracle(req2.fo, req2.epsilon, req2.domain_size).unwrap();
         match c.rows().handle(0, 2, &req2, &oracle2) {
             UserResponse::Refused { available, .. } => {
                 assert!(available < 0.8);
@@ -436,7 +430,7 @@ mod tests {
         let mut c = table(1.0, 3, 1);
         c.observe_all();
         let req = request(0, 1.0);
-        let oracle = oracle_for_request(&req).unwrap();
+        let oracle = build_oracle(req.fo, req.epsilon, req.domain_size).unwrap();
         assert!(c.rows().handle(0, 0, &req, &oracle).is_report());
         // Steps 2 and 3: no budget.
         c.observe_all();
@@ -453,7 +447,7 @@ mod tests {
     fn window_of_one_replenishes_each_step() {
         let mut c = table(0.5, 1, 1);
         let req = request(0, 0.5);
-        let oracle = oracle_for_request(&req).unwrap();
+        let oracle = build_oracle(req.fo, req.epsilon, req.domain_size).unwrap();
         for _ in 0..4 {
             c.observe_all();
             assert!(c.rows().handle(0, 3, &req, &oracle).is_report());
@@ -474,7 +468,7 @@ mod tests {
     #[test]
     fn split_rows_are_the_table_rows() {
         let req = request(0, 0.5);
-        let oracle = oracle_for_request(&req).unwrap();
+        let oracle = build_oracle(req.fo, req.epsilon, req.domain_size).unwrap();
         let (mut whole, mut split) = (table(1.0, 3, 5), table(1.0, 3, 5));
         for _ in 0..4 {
             let mut rows = whole.observe();

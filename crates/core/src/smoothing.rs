@@ -15,10 +15,9 @@
 //! Like [`crate::postprocess`], this is post-processing of an already
 //! private stream: free under the post-processing theorem.
 
-use crate::budget::pq_for;
 use crate::config::MechanismConfig;
 use crate::release::{Release, ReleaseKind};
-use ldp_fo::variance::cell_variance;
+use ldp_fo::variance::{avg_variance, PqPair};
 
 /// Per-cell scalar Kalman filter over release sequences.
 #[derive(Debug, Clone)]
@@ -89,11 +88,8 @@ pub fn measurement_variance(config: &MechanismConfig, epsilon: f64, reporters: u
     if reporters == 0 || epsilon <= 0.0 {
         return f64::INFINITY;
     }
-    cell_variance(
-        pq_for(config, epsilon),
-        reporters,
-        1.0 / config.domain_size as f64,
-    )
+    let pq = PqPair::of(config.fo, epsilon, config.domain_size);
+    avg_variance(pq, reporters, config.domain_size)
 }
 
 #[cfg(test)]

@@ -18,8 +18,10 @@ use serde::{Deserialize, Serialize};
 /// the mechanism's entire interaction with user data is its sequence of
 /// [`RoundCollector::collect`] calls.
 pub trait StreamMechanism: Send {
-    /// Stable lowercase name (`"lbu"`, `"lpa"`, …).
-    fn name(&self) -> &'static str;
+    /// Stable lowercase name (`"lbu"`, `"lpa"`, …): the kind's name.
+    fn name(&self) -> &'static str {
+        self.kind().name()
+    }
 
     /// Which family member this is.
     fn kind(&self) -> MechanismKind;

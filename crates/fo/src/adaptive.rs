@@ -8,21 +8,17 @@
 //! crossover point is stable across the stream.
 
 use crate::oracle::{build_oracle, validate_params, FoError, FoKind, OracleHandle};
+use crate::variance::prefers_grr;
 
 /// Resolver for the `FoKind::Adaptive` choice.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveOracle;
 
 impl AdaptiveOracle {
-    /// The crossover rule: prefer GRR when `d < 3e^ε + 2`.
-    pub fn prefers_grr(epsilon: f64, d: usize) -> bool {
-        (d as f64) < 3.0 * epsilon.exp() + 2.0
-    }
-
-    /// Build the concrete oracle the rule selects.
+    /// Build the concrete oracle [`prefers_grr`] selects.
     pub fn resolve(epsilon: f64, d: usize) -> Result<OracleHandle, FoError> {
         validate_params(epsilon, d)?;
-        if Self::prefers_grr(epsilon, d) {
+        if prefers_grr(epsilon, d) {
             build_oracle(FoKind::Grr, epsilon, d)
         } else {
             build_oracle(FoKind::Oue, epsilon, d)
@@ -37,22 +33,22 @@ mod tests {
 
     #[test]
     fn small_domain_prefers_grr() {
-        assert!(AdaptiveOracle::prefers_grr(1.0, 2));
-        assert!(AdaptiveOracle::prefers_grr(1.0, 5));
+        assert!(prefers_grr(1.0, 2));
+        assert!(prefers_grr(1.0, 5));
     }
 
     #[test]
     fn large_domain_prefers_oue() {
-        assert!(!AdaptiveOracle::prefers_grr(1.0, 117));
-        assert!(!AdaptiveOracle::prefers_grr(0.5, 77));
+        assert!(!prefers_grr(1.0, 117));
+        assert!(!prefers_grr(0.5, 77));
     }
 
     #[test]
     fn higher_epsilon_extends_grr_range() {
         // d = 20: GRR loses at ε = 1 (3e + 2 ≈ 10.2) but wins at ε = 2
         // (3e² + 2 ≈ 24.2).
-        assert!(!AdaptiveOracle::prefers_grr(1.0, 20));
-        assert!(AdaptiveOracle::prefers_grr(2.0, 20));
+        assert!(!prefers_grr(1.0, 20));
+        assert!(prefers_grr(2.0, 20));
     }
 
     #[test]

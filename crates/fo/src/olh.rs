@@ -19,7 +19,7 @@
 use crate::kernels::{self, ReportColumns};
 use crate::oracle::{validate_params, FoError, FoKind, FrequencyOracle};
 use crate::report::Report;
-use crate::variance::PqPair;
+use crate::variance::{olh_buckets, PqPair};
 use ldp_util::binomial::sample_binomial;
 use ldp_util::rng::child_seed;
 use rand::{Rng, RngCore};
@@ -37,14 +37,12 @@ impl Olh {
     /// Create an OLH oracle; requires finite `ε > 0` and `d ≥ 2`.
     pub fn new(epsilon: f64, d: usize) -> Result<Self, FoError> {
         validate_params(epsilon, d)?;
-        // Optimal bucket count; at least 2 so GRR over buckets is defined.
-        let g = ((epsilon.exp().floor() as usize) + 1).max(2);
-        let e = epsilon.exp();
+        let g = olh_buckets(epsilon);
         Ok(Olh {
             epsilon,
             d,
             g,
-            p: e / (e + g as f64 - 1.0),
+            p: PqPair::olh(epsilon, g).p,
         })
     }
 

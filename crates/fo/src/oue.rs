@@ -6,8 +6,7 @@
 //! `4e^ε/(n(e^ε−1)²)` is independent of `d`, which makes it the better
 //! oracle for large domains (`d ≥ 3e^ε + 2`).
 //!
-//! `perturb` fills whole report words from
-//! [`BernoulliWords`](ldp_util::bernoulli::BernoulliWords): 64 lanes
+//! `perturb` fills whole report words from [`BernoulliWords`]: 64 lanes
 //! compare lazily revealed uniforms against the binary expansion of `q`,
 //! one random word per digit, until every lane is decided (≈ 7.3 words
 //! per 64 bits instead of 64 draws). The expansion is the `f64` `q`

@@ -18,6 +18,19 @@
 //! averaging Eq. (2) exactly gives `(d−2)/(d·n(e^ε−1))`, which is what we
 //! implement (recorded in DESIGN.md as a paper typo).
 
+use crate::oracle::FoKind;
+
+/// OLH's bucket count at budget ε: `g = ⌊e^ε⌋ + 1`, at least 2 so GRR
+/// over the buckets is defined.
+pub fn olh_buckets(epsilon: f64) -> usize {
+    ((epsilon.exp().floor() as usize) + 1).max(2)
+}
+
+/// The adaptive crossover: GRR's variance beats OUE's when `d < 3e^ε + 2`.
+pub fn prefers_grr(epsilon: f64, d: usize) -> bool {
+    (d as f64) < 3.0 * epsilon.exp() + 2.0
+}
+
 /// The `(p, q)` response-probability pair of a pure LDP protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PqPair {
@@ -28,6 +41,18 @@ pub struct PqPair {
 }
 
 impl PqPair {
+    /// The pair of the oracle `kind` at budget ε over `d` values — what
+    /// `build_oracle(kind, ε, d)?.pq()` returns, without building it.
+    pub fn of(kind: FoKind, epsilon: f64, d: usize) -> PqPair {
+        match kind {
+            FoKind::Grr => PqPair::grr(epsilon, d),
+            FoKind::Oue => PqPair::oue(epsilon),
+            FoKind::Olh => PqPair::olh(epsilon, olh_buckets(epsilon)),
+            FoKind::Adaptive if prefers_grr(epsilon, d) => PqPair::grr(epsilon, d),
+            FoKind::Adaptive => PqPair::oue(epsilon),
+        }
+    }
+
     /// GRR over a domain of size `d`:
     /// `p = e^ε/(e^ε + d − 1)`, `q = 1/(e^ε + d − 1)`.
     pub fn grr(epsilon: f64, d: usize) -> PqPair {

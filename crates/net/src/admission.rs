@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 /// Fallback `retry_after_ms` when the deficit cannot be priced (rate
 /// limit of zero, or an in-flight/queue shed with no rate signal).
-const DEFAULT_RETRY_AFTER_MS: u64 = 25;
+pub(crate) const DEFAULT_RETRY_AFTER_MS: u64 = 25;
 
 /// `retry_after_ms` is clamped here so a zero or tiny refill rate
 /// cannot tell clients to sleep forever.

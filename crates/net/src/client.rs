@@ -16,14 +16,13 @@
 //! ([`RetryPolicy::rpc_timeout`]); a missed deadline is a typed
 //! [`NetError::Timeout`]. Every retryable failure — transport I/O,
 //! framing corruption, timeout, or a typed retryable rejection such as
-//! [`WireError::Overloaded`](crate::frame::WireError::Overloaded) — is
-//! handled the same way: back off (capped exponential with
-//! deterministic jitter, honoring the server's `retry_after_ms` hint),
-//! reconnect, resume, replay, and try again. Resynchronizing through
-//! `Hello` on every retry means the client never has to reason about
-//! *which* frames survived a half-dead connection; the idempotent
-//! sequencing makes the replayed duplicates no-ops, so retries never
-//! double-count a report.
+//! [`WireError::Overloaded`] — is handled the same way: back off (capped
+//! exponential with deterministic jitter, honoring the server's
+//! `retry_after_ms` hint), reconnect, resume, replay, and try again.
+//! Resynchronizing through `Hello` on every retry means the client never
+//! has to reason about *which* frames survived a half-dead connection;
+//! the idempotent sequencing makes the replayed duplicates no-ops, so
+//! retries never double-count a report.
 
 use crate::backoff::{ClientStats, RetryPolicy};
 use crate::codec::{encode_frame, FrameBuffer, MAX_FRAME_LEN};
@@ -42,9 +41,9 @@ use std::time::{Duration, Instant};
 
 /// Default pipelining window. [`NetClient::submit_batch`] returns with at
 /// most this many submits unacknowledged, so `window + 1` frames ride at
-/// once — which must not exceed the server's
-/// [`ServerConfig::queue_depth`](crate::server::ServerConfig::queue_depth)
-/// (default 8), or the client's own pipeline is shed as `Overloaded`.
+/// once — which must not exceed the server's queue depth, a fixed
+/// `DEFAULT_WINDOW + 1` = 8, or the client's own pipeline is shed as
+/// `Overloaded`.
 pub const DEFAULT_WINDOW: usize = 7;
 
 /// How often a blocked read wakes to check the RPC deadline.
@@ -159,16 +158,6 @@ impl NetClient {
         options: ClientOptions,
     ) -> Result<Self, NetError> {
         Self::attach(addr.into(), tenant.into(), None, options)
-    }
-
-    /// [`resume`](Self::resume) with explicit [`ClientOptions`].
-    pub fn resume_with(
-        addr: impl Into<String>,
-        tenant: impl Into<String>,
-        session: u64,
-        options: ClientOptions,
-    ) -> Result<Self, NetError> {
-        Self::attach(addr.into(), tenant.into(), Some(session), options)
     }
 
     fn attach(

@@ -86,10 +86,11 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), FrameError> {
 ///
 /// [`feed`](Self::feed) whatever the socket produced — any split, down
 /// to one byte at a time — then drain complete frames with
-/// [`next`](Self::next). Partial frames simply wait for more bytes;
-/// every other defect (oversize, checksum, version, malformed) is a
-/// typed error, after which the stream is unsynchronized and the
-/// connection should be dropped.
+/// [`next_frame`](Self::next_frame) (the server drains
+/// [`next_request`](Self::next_request)). Partial frames simply wait
+/// for more bytes; every other defect (oversize, checksum, version,
+/// malformed) is a typed error, after which the stream is
+/// unsynchronized and the connection should be dropped.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,

@@ -37,11 +37,12 @@
 //! idle deadline (dead peers are reaped after
 //! [`ServerConfig::read_timeout`](crate::server::ServerConfig)).
 
+use crate::admission::DEFAULT_RETRY_AFTER_MS;
 use crate::codec::{encode_frame, FrameBuffer};
 use crate::error::FrameError;
 use crate::frame::{AckBody, Frame, Request, WireError, STATS_VERSION, WIRE_VERSION};
 use crate::metrics::ServerMetrics;
-use crate::server::ServerConfig;
+use crate::server::{ServerConfig, QUEUE_DEPTH};
 use crate::tenant::{TenantHandle, TenantWork, Tenants};
 use ldp_service::codec::{take_response_count, Cursor};
 use std::io::{Read, Write};
@@ -69,7 +70,7 @@ pub(crate) fn serve(
     metrics.connections().inc();
     // Bounded reply lane: the dispatcher blocks here if this client
     // stops reading, rather than buffering its replies unboundedly.
-    let (reply_tx, reply_rx) = sync_channel::<Frame>(config.queue_depth);
+    let (reply_tx, reply_rx) = sync_channel::<Frame>(QUEUE_DEPTH);
     let writer = {
         let metrics = metrics.clone();
         std::thread::Builder::new()
@@ -152,7 +153,7 @@ fn read_loop(
                 }
             };
             metrics.record_request(&request);
-            match route(request, tenants, &mut tenant, reply_tx, config, metrics) {
+            match route(request, tenants, &mut tenant, reply_tx, metrics) {
                 Routed::Ok => {}
                 Routed::Closed => return,
             }
@@ -170,7 +171,6 @@ fn route(
     tenants: &Tenants,
     tenant: &mut Option<TenantHandle>,
     reply_tx: &SyncSender<Frame>,
-    config: &ServerConfig,
     metrics: &ServerMetrics,
 ) -> Routed {
     let corr = request.corr();
@@ -258,7 +258,7 @@ fn route(
                 drop(work); // releases the in-flight slot
                 handle.admission.note_queue_shed();
                 reject(WireError::Overloaded {
-                    retry_after_ms: config.shed_retry.as_millis() as u64,
+                    retry_after_ms: DEFAULT_RETRY_AFTER_MS,
                 })
             }
             // Dispatcher gone: the server is shutting down.

@@ -5,9 +5,8 @@
 //! * [`FrameError`] — the *byte stream* is wrong (torn, corrupt,
 //!   oversized, or from an unknown protocol version). Produced by the
 //!   pure framing codec; never a panic, whatever the input.
-//! * [`WireError`](crate::frame::WireError) — the *peer* rejected a
-//!   well-formed request (unknown tenant, sequence gap, …). Travels in
-//!   `Err` frames.
+//! * [`WireError`] — the *peer* rejected a well-formed request (unknown
+//!   tenant, sequence gap, …). Travels in `Err` frames.
 //! * [`NetError`] — the client-facing union: transport I/O, framing,
 //!   remote rejection, or a local protocol-state violation.
 

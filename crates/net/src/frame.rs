@@ -610,11 +610,6 @@ impl Frame {
         }
     }
 
-    /// This frame's kind as a short display name (a `tag` label value).
-    pub fn kind_name(&self) -> &'static str {
-        FRAME_KIND_NAMES[self.kind_index()]
-    }
-
     /// Encode into the versioned payload bytes (no frame envelope).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);

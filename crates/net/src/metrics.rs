@@ -3,9 +3,8 @@
 //! registry mutex.
 //!
 //! [`ServerMetrics`] is created once per [`NetServer`](crate::NetServer)
-//! over the tenant registry's shared
-//! [`MetricsRegistry`](ldp_obs::MetricsRegistry), so one scrape covers
-//! the service layer (reports, WAL, snapshots) *and* the wire layer
+//! over the tenant registry's shared [`MetricsRegistry`], so one scrape
+//! covers the service layer (reports, WAL, snapshots) *and* the wire layer
 //! (frames, connections, RPC latency, admission) in a single registry.
 //! [`ClientMetrics`] is per-[`NetClient`](crate::NetClient); by default
 //! each client records into a private registry, but

@@ -3,7 +3,7 @@
 //! [`NetServer::start`] binds a listener, snapshots the tenant registry
 //! into per-tenant dispatchers (see [`tenant`](crate::tenant)), and
 //! accepts connections until [`shutdown`](NetServer::shutdown). Each
-//! connection runs the reader/writer pair in [`conn`](crate::conn).
+//! connection runs the reader/writer pair in [`conn`].
 //!
 //! There is no async runtime in this workspace, so "async" here is the
 //! classic pipelined-threads shape: the accept loop, each connection's
@@ -14,6 +14,7 @@
 //! (stop accepting → connections exit → dispatcher queues close →
 //! dispatchers drain and exit).
 
+use crate::client::DEFAULT_WINDOW;
 use crate::conn;
 use crate::metrics::ServerMetrics;
 use crate::tenant::Tenants;
@@ -24,33 +25,27 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Capacity of each tenant dispatcher queue and each connection's reply
+/// queue. Small keeps backpressure tight. A submit that finds the queue
+/// full is shed, so it holds exactly a default client's `window + 1`
+/// frames in flight (see [`DEFAULT_WINDOW`]).
+pub(crate) const QUEUE_DEPTH: usize = DEFAULT_WINDOW + 1;
+
 /// Tunables of the network frontend.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Capacity of each tenant dispatcher queue and each connection's
-    /// reply queue. Small keeps backpressure tight. A submit that finds
-    /// the queue full is shed, so a client's `window + 1` frames in
-    /// flight (see [`DEFAULT_WINDOW`](crate::client::DEFAULT_WINDOW))
-    /// must not exceed it.
-    pub queue_depth: usize,
     /// Idle connections are closed after this long without a byte.
     pub read_timeout: Duration,
     /// How often blocked reads wake to check the stop flag and idle
     /// deadline.
     pub poll_interval: Duration,
-    /// The `retry_after_ms` hint sent when a submit is shed because the
-    /// tenant's dispatcher queue is full (rate-limit sheds price their
-    /// hint from the bucket's refill deficit instead).
-    pub shed_retry: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            queue_depth: 8,
             read_timeout: Duration::from_secs(30),
             poll_interval: Duration::from_millis(25),
-            shed_retry: Duration::from_millis(25),
         }
     }
 }
@@ -78,7 +73,7 @@ impl NetServer {
         // Non-blocking accept + short sleep: the loop notices the stop
         // flag promptly without a self-connect wake hack.
         listener.set_nonblocking(true)?;
-        let tenants = Arc::new(Tenants::start(registry, config.queue_depth));
+        let tenants = Arc::new(Tenants::start(registry));
         // The wire layer records into the same registry the tenant
         // services do, so one scrape covers both.
         let metrics = ServerMetrics::new(registry.metrics());

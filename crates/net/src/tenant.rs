@@ -20,6 +20,7 @@
 
 use crate::admission::{Admission, AdmissionSnapshot, InflightGuard};
 use crate::frame::{AckBody, Frame, Request, SubmitBatchBytes, WireError, FRAME_KIND_NAMES};
+use crate::server::QUEUE_DEPTH;
 use ldp_obs::Histogram;
 use ldp_service::codec::EncodedResponses;
 use ldp_service::registry::TenantRegistry;
@@ -65,7 +66,7 @@ impl Tenants {
     /// The tenant set is snapshotted here: tenants registered after the
     /// server starts are not served (restart the server to pick them
     /// up).
-    pub fn start(registry: &TenantRegistry, queue_depth: usize) -> Tenants {
+    pub fn start(registry: &TenantRegistry) -> Tenants {
         let mut handles_by_id = HashMap::new();
         let mut handles = Vec::new();
         for id in registry.tenant_ids() {
@@ -81,7 +82,7 @@ impl Tenants {
                     "Dispatcher service time per request, in nanoseconds.",
                 )
             });
-            let (tx, rx) = sync_channel::<TenantWork>(queue_depth);
+            let (tx, rx) = sync_channel::<TenantWork>(QUEUE_DEPTH);
             let name = format!("tenant-{id}");
             let handle = std::thread::Builder::new()
                 .name(name)
@@ -492,7 +493,7 @@ mod tests {
     #[test]
     fn tenants_snapshot_serves_registered_ids_only() {
         let registry = registry();
-        let tenants = Tenants::start(&registry, 4);
+        let tenants = Tenants::start(&registry);
         assert!(tenants.handle("acme").is_some());
         assert!(tenants.sender("acme").is_some());
         assert!(tenants.handle("ghost").is_none());

@@ -226,7 +226,6 @@ fn idle_connections_are_reaped() {
     let config = ServerConfig {
         read_timeout: Duration::from_millis(100),
         poll_interval: Duration::from_millis(10),
-        ..ServerConfig::default()
     };
     let server = NetServer::start("127.0.0.1:0", &registry, config).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();

@@ -271,6 +271,10 @@ impl Batch {
     }
 }
 
+/// Bound of each worker's inbox, in batches. When every inbox is full,
+/// a submit blocks — backpressure against unbounded arrival.
+pub(crate) const QUEUE_DEPTH: usize = 8;
+
 /// Sizing knobs of the ingestion service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -281,9 +285,6 @@ pub struct ServiceConfig {
     /// re-chunks nothing. Larger deltas amortize locking and channel
     /// overhead; smaller ones spread a short round across more shards.
     pub batch_size: usize,
-    /// Bound of each worker's inbox, in batches. When every inbox is
-    /// full, `submit` blocks — backpressure against unbounded arrival.
-    pub queue_depth: usize,
     /// Fsync discipline of the write-ahead log. Only meaningful for a
     /// service opened durably ([`IngestService::open`]); ignored by
     /// [`IngestService::new`].
@@ -336,7 +337,6 @@ impl Default for ServiceConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             batch_size: 4096,
-            queue_depth: 8,
             sync: WalSync::Batch,
             snapshot_every: 4096,
         }

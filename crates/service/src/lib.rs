@@ -24,7 +24,7 @@
 //!   every counter lives there, and both drivers below call it;
 //! * [`session`] — the [`IngestService`]: the *live* driver of that
 //!   machine (lock → check → WAL append → apply → the delta's batch to
-//!   the pool) for any number of concurrent independent streams/queries
+//!   the pool) for any number of concurrent independent streams
 //!   over one shared pool; a delta comes in as rows or, from the wire,
 //!   as the bytes of those rows, and either takes the one step, whose
 //!   check replay takes for logged bytes too;

@@ -5,9 +5,8 @@
 //! group selection, w-event ledgers) from *tallying* (a
 //! [`ReportSink`]). [`ServiceSink`] implements the sink against an
 //! [`IngestService`] session, and [`ParallelCollector`] is the driver
-//! over it — so a mechanism sees the usual
-//! [`RoundCollector`](ldp_ids::RoundCollector) while its rounds
-//! aggregate across the pool's shards.
+//! over it — so a mechanism sees the usual [`RoundCollector`] while its
+//! rounds aggregate across the pool's shards.
 //!
 //! ## Lanes
 //!

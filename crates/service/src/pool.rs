@@ -3,7 +3,7 @@
 //! Each worker owns a [`ShardArena`] of shard accumulators and drains
 //! its own inbox, so no locks sit on the fold path and every batch
 //! folds through the oracle's columnar kernels. Dispatch is round-robin over workers;
-//! the inboxes are bounded (`queue_depth` batches), so a producer that
+//! the inboxes are bounded (`inbox_depth` batches), so a producer that
 //! outruns the shards blocks on `send` — backpressure, not unbounded
 //! queue growth.
 //!
@@ -61,17 +61,17 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn `threads` workers with inboxes bounded at `queue_depth`
+    /// Spawn `threads` workers with inboxes bounded at `inbox_depth`
     /// batches each. Queue depths go to private, unregistered gauges;
     /// see [`WorkerPool::new_observed`].
-    pub fn new(threads: usize, queue_depth: usize) -> Self {
-        WorkerPool::new_observed(threads, queue_depth, Vec::new())
+    pub fn new(threads: usize, inbox_depth: usize) -> Self {
+        WorkerPool::new_observed(threads, inbox_depth, Vec::new())
     }
 
     /// [`WorkerPool::new`] publishing per-shard queue depth into
     /// `depth` (one gauge per worker; missing entries get private
     /// gauges, extras are ignored).
-    pub fn new_observed(threads: usize, queue_depth: usize, depth: Vec<Arc<Gauge>>) -> Self {
+    pub fn new_observed(threads: usize, inbox_depth: usize, depth: Vec<Arc<Gauge>>) -> Self {
         let threads = threads.max(1);
         let mut depth = depth;
         depth.truncate(threads);
@@ -81,7 +81,7 @@ impl WorkerPool {
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         for (worker, gauge) in depth.iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(queue_depth.max(1));
+            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(inbox_depth.max(1));
             let gauge = Arc::clone(gauge);
             senders.push(tx);
             handles.push(
@@ -109,7 +109,7 @@ impl WorkerPool {
     pub fn dispatch(&self, batch: Batch) {
         let i = self.cursor.fetch_add(1, Ordering::Relaxed) % self.senders.len();
         // Counted before the (possibly blocking) send so a full inbox
-        // shows up as depth > queue_depth while the producer waits.
+        // shows up as depth > inbox_depth while the producer waits.
         self.depth[i].inc();
         self.senders[i]
             .send(WorkerMsg::Ingest(batch))

@@ -6,7 +6,7 @@
 //! [`AggregationServer`](ldp_ids::protocol::AggregationServer)'s
 //! contract. Any number of sessions may have rounds open concurrently —
 //! their accumulators live side by side in the workers, keyed by
-//! [`RoundKey`](crate::RoundKey) — so independent mechanisms/queries ingest in parallel
+//! [`RoundKey`](crate::RoundKey) — so independent mechanisms ingest in parallel
 //! over the same threads.
 //!
 //! What a session may do is decided in one place, the state machine in
@@ -48,13 +48,12 @@
 //! [`IngestService::open`] runs the service *crash-safe*: every
 //! transition is appended to a checksummed write-ahead log (see
 //! [`wal`](crate::wal)) **before** it is applied and acknowledged, and
-//! periodic snapshots (see [`recovery`](crate::recovery)) bound replay
-//! cost. After a crash, `open` on the same directory drives the same
-//! machine through the logged transitions — replay *is* live ingest,
-//! minus the lock and the log — so sessions, open-round tallies, refusal
-//! counters and budget positions come back as they were, and re-closing
-//! a recovered round yields estimates **bit-identical** to an
-//! uninterrupted run.
+//! periodic snapshots (see [`recovery`]) bound replay cost. After a
+//! crash, `open` on the same directory drives the same machine through
+//! the logged transitions — replay *is* live ingest, minus the lock and
+//! the log — so sessions, open-round tallies, refusal counters and
+//! budget positions come back as they were, and re-closing a recovered
+//! round yields estimates **bit-identical** to an uninterrupted run.
 //!
 //! Two rules make that work:
 //!
@@ -83,7 +82,7 @@
 //! returns the original estimate bit for bit), and skipping a step is a
 //! typed [`CoreError::SequenceGap`].
 
-use crate::batch::{Batch, ServiceConfig};
+use crate::batch::{Batch, ServiceConfig, QUEUE_DEPTH};
 use crate::codec::EncodedResponses;
 use crate::faults;
 use crate::machine::{Closing, Delta, Opening, SessionTable};
@@ -171,7 +170,7 @@ impl IngestService {
         IngestService {
             pool: WorkerPool::new_observed(
                 config.threads,
-                config.queue_depth,
+                QUEUE_DEPTH,
                 metrics.shard_depth_gauges(config.threads.max(1)),
             ),
             config,

@@ -25,11 +25,6 @@ impl<T: Clone> RingWindow<T> {
         }
     }
 
-    /// Window capacity `w`.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Number of entries currently in the window (`min(pushed, w)`).
     pub fn len(&self) -> usize {
         (self.pushed as usize).min(self.slots.len())

@@ -29,8 +29,8 @@ pub use gaussian::Gaussian;
 pub use hypergeometric::{ln_gamma, sample_hypergeometric, sample_multivariate_hypergeometric};
 pub use kahan::KahanSum;
 pub use laplace::Laplace;
-pub use rng::{child_seed, SeedTree, StdRngExt};
-pub use stats::{mean, population_variance, quantile, sample_variance, Summary};
+pub use rng::child_seed;
+pub use stats::{mean, quantile, sample_variance};
 pub use zipf::Zipf;
 
 /// Workspace-wide error type for invalid numeric parameters.

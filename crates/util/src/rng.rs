@@ -3,12 +3,9 @@
 //! Experiments fan out over (dataset, mechanism, ε, w, trial) grids and
 //! across worker threads. To keep every grid point reproducible and
 //! independent of execution order, each component derives its own RNG from
-//! a master seed through a [`SeedTree`]: a path of labels is hashed into a
-//! 64-bit child seed with the SplitMix64 finalizer, which is a full-period
-//! mixer with good avalanche behaviour.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! a master seed through [`child_seed`]: a (parent, label) pair is mixed
+//! into a 64-bit child seed with the SplitMix64 finalizer, which is a
+//! full-period mixer with good avalanche behaviour.
 
 /// SplitMix64 finalization step: a bijective mixer on `u64`.
 #[inline]
@@ -45,82 +42,9 @@ pub fn child_seed_premul(parent: u64, premul_label: u64) -> u64 {
     splitmix64(splitmix64(parent ^ premul_label))
 }
 
-/// Hash a string label into a `u64` for use with [`child_seed`].
-#[inline]
-pub fn label_hash(label: &str) -> u64 {
-    // FNV-1a, sufficient for a handful of static labels.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A deterministic hierarchy of seeds.
-///
-/// ```
-/// use ldp_util::SeedTree;
-/// let root = SeedTree::new(42);
-/// let a = root.child("dataset").child_idx(3);
-/// let b = root.child("dataset").child_idx(3);
-/// assert_eq!(a.seed(), b.seed());
-/// assert_ne!(a.seed(), root.child("dataset").child_idx(4).seed());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeedTree {
-    seed: u64,
-}
-
-impl SeedTree {
-    /// Root of a seed hierarchy.
-    pub fn new(master: u64) -> Self {
-        SeedTree {
-            seed: splitmix64(master),
-        }
-    }
-
-    /// The seed at this node.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Child node labelled by a string.
-    pub fn child(&self, label: &str) -> SeedTree {
-        SeedTree {
-            seed: child_seed(self.seed, label_hash(label)),
-        }
-    }
-
-    /// Child node labelled by an index.
-    pub fn child_idx(&self, idx: u64) -> SeedTree {
-        SeedTree {
-            seed: child_seed(self.seed, idx),
-        }
-    }
-
-    /// Construct the standard RNG for this node.
-    pub fn rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.seed)
-    }
-}
-
-/// Extension helpers for constructing seeded [`StdRng`]s.
-pub trait StdRngExt {
-    /// An RNG derived from `seed` and a label, for one-off use.
-    fn labelled(seed: u64, label: &str) -> StdRng;
-}
-
-impl StdRngExt for StdRng {
-    fn labelled(seed: u64, label: &str) -> StdRng {
-        SeedTree::new(seed).child(label).rng()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn splitmix_is_deterministic() {
@@ -155,46 +79,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn label_hash_distinguishes_strings() {
-        assert_ne!(label_hash("fig4"), label_hash("fig5"));
-        assert_ne!(label_hash(""), label_hash("a"));
-    }
-
-    #[test]
-    fn seed_tree_paths_are_reproducible() {
-        let t1 = SeedTree::new(99).child("stream").child_idx(4);
-        let t2 = SeedTree::new(99).child("stream").child_idx(4);
-        assert_eq!(t1.seed(), t2.seed());
-        let mut r1 = t1.rng();
-        let mut r2 = t2.rng();
-        for _ in 0..16 {
-            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
-        }
-    }
-
-    #[test]
-    fn seed_tree_siblings_differ() {
-        let root = SeedTree::new(5);
-        assert_ne!(root.child("a").seed(), root.child("b").seed());
-        assert_ne!(root.child_idx(0).seed(), root.child_idx(1).seed());
-    }
-
-    #[test]
-    fn order_of_path_segments_matters() {
-        let root = SeedTree::new(5);
-        assert_ne!(
-            root.child("a").child("b").seed(),
-            root.child("b").child("a").seed()
-        );
-    }
-
-    #[test]
-    fn labelled_rng_matches_tree() {
-        let mut a = StdRng::labelled(11, "x");
-        let mut b = SeedTree::new(11).child("x").rng();
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 }

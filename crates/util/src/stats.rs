@@ -17,16 +17,6 @@ pub fn sample_variance(xs: &[f64]) -> f64 {
     ss.sum() / (xs.len() as f64 - 1.0)
 }
 
-/// Population (n) variance (`NaN` for an empty slice).
-pub fn population_variance(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    let ss: KahanSum = xs.iter().map(|&x| (x - m) * (x - m)).collect();
-    ss.sum() / xs.len() as f64
-}
-
 /// Linear-interpolated quantile `q ∈ [0, 1]` of an unsorted slice.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     if xs.is_empty() || !(0.0..=1.0).contains(&q) {
@@ -45,87 +35,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     }
 }
 
-/// One-pass summary of a sample: count, mean, variance, min, max.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Add one observation (Welford update).
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (`NaN` for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.count as f64 - 1.0)
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum (`+∞` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum (`−∞` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-impl std::iter::FromIterator<f64> for Summary {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Summary::new();
-        for x in iter {
-            s.add(x);
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,15 +48,12 @@ mod tests {
     fn mean_and_variance_basic() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((population_variance(&xs) - 4.0).abs() < 1e-12);
         assert!((sample_variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn variance_needs_two_samples() {
         assert!(sample_variance(&[1.0]).is_nan());
-        assert!(population_variance(&[]).is_nan());
-        assert!((population_variance(&[3.0]) - 0.0).abs() < 1e-12);
     }
 
     #[test]
@@ -169,24 +75,5 @@ mod tests {
         assert!(quantile(&[], 0.5).is_nan());
         assert!(quantile(&[1.0], -0.1).is_nan());
         assert!(quantile(&[1.0], 1.1).is_nan());
-    }
-
-    #[test]
-    fn summary_matches_batch_stats() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let s: Summary = xs.iter().copied().collect();
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((s.variance() - sample_variance(&xs)).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn summary_empty_state() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert!(s.mean().is_nan());
-        assert!(s.variance().is_nan());
     }
 }

@@ -194,13 +194,25 @@ fn cfpu_identities_hold_exactly() {
     }
 }
 
+/// Precision@k of the estimated top-k cells against the true top-k:
+/// `|est ∩ true| / k`, ties broken by cell index.
+fn topk_precision(estimated: &[f64], truth: &[f64], k: usize) -> f64 {
+    let top = |f: &[f64]| {
+        let mut order: Vec<usize> = (0..f.len()).collect();
+        order.sort_by(|&a, &b| f[b].partial_cmp(&f[a]).unwrap().then(a.cmp(&b)));
+        order.truncate(k);
+        order
+    };
+    let est = top(estimated);
+    let hits = top(truth).iter().filter(|t| est.contains(t)).count();
+    hits as f64 / k as f64
+}
+
 #[test]
 fn heavy_hitters_survive_ldp_better_under_population_division() {
     // Footnote 2 of §4 end-to-end: derive top-k heavy hitters from the
     // released stream of a skewed large-domain workload and compare
     // precision@k across the two frameworks.
-    use ldp_ids::queries::topk_precision;
-
     let streams = SharedStreams::new();
     let dataset = Dataset::Taobao {
         population: 120_000,
