@@ -1,7 +1,6 @@
 //! Design-choice ablations beyond the paper's figures.
 //!
-//! DESIGN.md calls out the knobs the paper fixes implicitly; each gets
-//! an ablation figure:
+//! The paper fixes these knobs implicitly; each gets an ablation figure:
 //!
 //! * **frequency oracle** (`abl-oracle`) — the paper uses GRR
 //!   throughout; on large domains (Taobao, d = 117) OUE/OLH win at

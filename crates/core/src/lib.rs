@@ -10,13 +10,14 @@
 //!
 //! * **Budget division** (§5) — the window budget ε is split across
 //!   timestamps; every user reports at every timestamp with a small
-//!   budget. Mechanisms: [`Lbu`](budget::Lbu), [`Lsp`](budget::Lsp),
-//!   [`Lbd`](budget::Lbd) (Alg. 1), [`Lba`](budget::Lba) (Alg. 2).
+//!   budget. Mechanisms: [`Lbu`](MechanismKind::Lbu),
+//!   [`Lbd`](MechanismKind::Lbd) (Alg. 1), [`Lba`](MechanismKind::Lba)
+//!   (Alg. 2).
 //! * **Population division** (§6) — the *user population* is split across
 //!   timestamps; each reporting user spends the full ε but reports at
-//!   most once per window. Mechanisms: [`Lpu`](population::Lpu),
-//!   [`Lpd`](population::Lpd) (Alg. 3), [`Lpa`](population::Lpa)
-//!   (Alg. 4).
+//!   most once per window. Mechanisms: [`Lsp`](MechanismKind::Lsp),
+//!   [`Lpu`](MechanismKind::Lpu), [`Lpd`](MechanismKind::Lpd) (Alg. 3),
+//!   [`Lpa`](MechanismKind::Lpa) (Alg. 4).
 //!
 //! The adaptive members of both frameworks (LBD/LBA/LPD/LPA) privately
 //! estimate the stream's **dissimilarity** (Theorem 5.2) and publish only
@@ -64,16 +65,19 @@
 
 pub mod accountant;
 pub mod analysis;
-pub mod budget;
+#[cfg(test)]
+mod budget;
 pub mod collector;
 pub mod config;
 pub mod dissimilarity;
 pub mod error;
-pub mod population;
+#[cfg(test)]
+mod population;
 pub mod postprocess;
 pub mod protocol;
 pub mod release;
 pub mod runner;
+mod schedule;
 pub mod smoothing;
 pub mod traits;
 

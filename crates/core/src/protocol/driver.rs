@@ -685,7 +685,7 @@ mod tests {
             .collect()
     }
 
-    /// The sequential model itself, pinned: seeded runs of the adaptive
+    /// The sequential model itself, pinned: seeded runs of all seven
     /// mechanisms over real devices release these bits and move this
     /// traffic. A changed draw order, a changed submit order or a device
     /// that answers a different request changes a digest.
@@ -718,12 +718,7 @@ mod tests {
         for (fo, d) in [(FoKind::Grr, 5), (FoKind::Oue, 16)] {
             let stream = swinging_stream(population, d, steps);
             let config = MechanismConfig::new(epsilon, w, d, population).with_fo(fo);
-            for kind in [
-                MechanismKind::Lbd,
-                MechanismKind::Lba,
-                MechanismKind::Lpd,
-                MechanismKind::Lpa,
-            ] {
+            for kind in MechanismKind::ALL {
                 let source = Box::new(ReplaySource::new("swing", stream.clone()));
                 let mut collector = ClientCollector::new(source, &config, 7);
                 let mut mechanism = kind.build(&config).unwrap();
@@ -747,6 +742,20 @@ mod tests {
         // uplink bytes, downlink requests, steps], refusals)
         let want = [
             (
+                "Grr lbu",
+                1231080925772415217,
+                30,
+                [9000, 108000, 9000, 30],
+                0,
+            ),
+            (
+                "Grr lsp",
+                13156906202320887808,
+                8,
+                [2400, 28800, 2400, 30],
+                0,
+            ),
+            (
                 "Grr lbd",
                 5224740294314880508,
                 7,
@@ -758,6 +767,13 @@ mod tests {
                 16153922211784448522,
                 6,
                 [10800, 129600, 10800, 30],
+                0,
+            ),
+            (
+                "Grr lpu",
+                9549757714076748068,
+                30,
+                [2250, 27000, 2250, 30],
                 0,
             ),
             (
@@ -775,6 +791,20 @@ mod tests {
                 0,
             ),
             (
+                "Oue lbu",
+                3958580168585558515,
+                30,
+                [9000, 180000, 9000, 30],
+                0,
+            ),
+            (
+                "Oue lsp",
+                12034194525649438592,
+                8,
+                [2400, 48000, 2400, 30],
+                0,
+            ),
+            (
                 "Oue lbd",
                 6061038283062510033,
                 7,
@@ -786,6 +816,13 @@ mod tests {
                 7348961917516132404,
                 5,
                 [10500, 210000, 10500, 30],
+                0,
+            ),
+            (
+                "Oue lpu",
+                7573781324298515896,
+                30,
+                [2250, 45000, 2250, 30],
                 0,
             ),
             (

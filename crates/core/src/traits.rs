@@ -1,11 +1,10 @@
 //! The mechanism abstraction and the seven-member mechanism family.
 
-use crate::budget::{Lba, Lbd, Lbu, Lsp};
 use crate::collector::RoundCollector;
 use crate::config::MechanismConfig;
 use crate::error::CoreError;
-use crate::population::{Lpa, Lpd, Lpu};
 use crate::release::Release;
+use crate::schedule::{Adaptive, Fixed};
 use serde::{Deserialize, Serialize};
 
 /// A w-event LDP stream-release mechanism.
@@ -74,8 +73,9 @@ impl MechanismKind {
         MechanismKind::Lpa,
     ];
 
-    /// The budget-division members (LSP is grouped with population
-    /// division in the paper's plots; see DESIGN.md).
+    /// The budget-division members. LSP is grouped with population
+    /// division, as in the paper's plots: every user reports once per
+    /// window, with the full ε.
     pub const BUDGET_DIVISION: [MechanismKind; 3] =
         [MechanismKind::Lbu, MechanismKind::Lbd, MechanismKind::Lba];
 
@@ -117,16 +117,13 @@ impl MechanismKind {
         )
     }
 
-    /// Build the mechanism for `config`.
+    /// Build the mechanism for `config`: the adaptive controller for
+    /// LBD/LBA/LPD/LPA, the fixed schedule for LBU/LSP/LPU.
     pub fn build(self, config: &MechanismConfig) -> Result<Box<dyn StreamMechanism>, CoreError> {
-        Ok(match self {
-            MechanismKind::Lbu => Box::new(Lbu::new(config.clone())?),
-            MechanismKind::Lsp => Box::new(Lsp::new(config.clone())?),
-            MechanismKind::Lbd => Box::new(Lbd::new(config.clone())?),
-            MechanismKind::Lba => Box::new(Lba::new(config.clone())?),
-            MechanismKind::Lpu => Box::new(Lpu::new(config.clone())?),
-            MechanismKind::Lpd => Box::new(Lpd::new(config.clone())?),
-            MechanismKind::Lpa => Box::new(Lpa::new(config.clone())?),
+        Ok(if self.is_adaptive() {
+            Box::new(Adaptive::new(self, config.clone())?)
+        } else {
+            Box::new(Fixed::new(self, config.clone())?)
         })
     }
 }

@@ -10,7 +10,7 @@
 //! with `p = e^ε/(e^ε + g − 1)`; non-holders with exactly `q = 1/g` under
 //! an idealized hash family.
 //!
-//! **Aggregate-simulation caveat** (recorded in DESIGN.md): per-cell
+//! **Aggregate-simulation caveat** (a departure listed in the README): per-cell
 //! support counts are sampled from the exact marginals
 //! `Bin(n_v, p) + Bin(n − n_v, 1/g)`, but the slight cross-cell
 //! correlation induced by shared seeds is not reproduced. GRR/OUE, the

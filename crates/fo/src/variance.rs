@@ -16,7 +16,7 @@
 //! with `Σ_k f_k = 1` (their `V(ε, n)`). Note §5.3.2 of the paper writes
 //! the second term of the averaged GRR variance without the `1/d` factor;
 //! averaging Eq. (2) exactly gives `(d−2)/(d·n(e^ε−1))`, which is what we
-//! implement (recorded in DESIGN.md as a paper typo).
+//! implement (the README lists this paper typo among the departures).
 
 use crate::oracle::FoKind;
 

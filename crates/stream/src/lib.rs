@@ -16,7 +16,8 @@
 //!   over binary domains (§7.1.1);
 //! * seeded generative substitutes for the paper's real-world traces
 //!   ([`realworld`]): Taxi (T-Drive), Foursquare and Taobao (§7.1.2) —
-//!   see DESIGN.md for the substitution rationale;
+//!   the traces are not redistributable (see the README's departures
+//!   from the paper);
 //! * above-threshold event labelling for the Fig. 7 monitoring experiment
 //!   ([`events`]);
 //! * materialization and cross-run caching of stream realizations

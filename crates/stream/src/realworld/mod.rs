@@ -5,7 +5,8 @@
 //! redistributable, so each simulator reproduces the published shape —
 //! `(N, T, d)` exactly, plus the temporal character the mechanisms are
 //! sensitive to (slowly-drifting densities, heavy-tailed popularity,
-//! bursty change points). DESIGN.md records each substitution.
+//! bursty change points). The README lists the substitutions among its
+//! departures from the paper.
 //!
 //! All three are built on the same aggregate Markov engine
 //! ([`markov::markov_step`]): per timestamp, each user leaves their

@@ -9,7 +9,7 @@
 //! paper depends on (Laplace noise, Zipf popularity, the bit-sliced
 //! Bernoulli behind OUE's per-bit flips) and
 //! delegates the numerically fiddly ones (binomial/BTPE, standard normal)
-//! to [`rand_distr`], as recorded in `DESIGN.md`.
+//! to [`rand_distr`], whose samplers are exact and well tested.
 
 #![warn(missing_docs)]
 

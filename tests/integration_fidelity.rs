@@ -1,8 +1,9 @@
 //! Collector fidelity: the aggregate-level sampler must be statistically
 //! indistinguishable from driving real per-user clients.
 //!
-//! DESIGN.md's key performance claim is that `AggregateCollector` draws
-//! from the *exact* distribution of summed per-user reports. These tests
+//! The experiment grids rest on `AggregateCollector` drawing from the
+//! *exact* distribution of summed per-user reports (a departure from
+//! simulating every device, listed in the README). These tests
 //! compare the two backends' estimate moments and the mechanisms'
 //! end-to-end error under both.
 
