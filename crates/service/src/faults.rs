@@ -5,7 +5,8 @@
 //! append, between a delta's log and its dispatch, around the
 //! round-close record, mid-snapshot. Under the `faults` cargo feature, a
 //! test can arm one point to "crash" (panic with a [`FaultCrash`]
-//! payload, caught by the test harness) on its *n*-th hit; without the
+//! payload, caught by the test harness) on its *n*-th hit — or, for
+//! `wal.fsync_fails`, to make that fsync report an I/O error; without the
 //! feature every hook compiles to a no-op, so production builds carry
 //! zero overhead.
 //!
@@ -31,7 +32,8 @@
 /// | `service.after_close`    | close record durable, estimate never acked |
 /// | `snapshot.before_rename` | snapshot tmp written, not yet visible |
 /// | `snapshot.after_rename`  | snapshot visible, WAL not yet rotated |
-pub const KILL_POINTS: [&str; 8] = [
+/// | `wal.fsync_fails`        | no crash: a group-commit fsync reports an I/O error |
+pub const KILL_POINTS: [&str; 9] = [
     "wal.before_append",
     "wal.after_append",
     "wal.torn_append",
@@ -40,6 +42,7 @@ pub const KILL_POINTS: [&str; 8] = [
     "service.after_close",
     "snapshot.before_rename",
     "snapshot.after_rename",
+    "wal.fsync_fails",
 ];
 
 #[cfg(feature = "faults")]

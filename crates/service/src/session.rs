@@ -60,11 +60,15 @@
 //! 1. **Log before ack.** A record is on disk (per the configured
 //!    [`WalSync`](crate::wal::WalSync) discipline) before the mutation
 //!    it describes is acknowledged to the caller. Under
-//!    [`WalSync::Always`](crate::wal::WalSync::Always) the fsync is
+//!    [`WalSync::Always`](crate::wal::WalSync::Always) and
+//!    [`WalSync::Batch`](crate::wal::WalSync::Batch) the fsync is
 //!    *group-committed*: the frame is appended under the state lock
 //!    (fixing its WAL order), but the caller waits for durability
-//!    **after** releasing the lock, so concurrent sessions coalesce
-//!    into one `sync_data` per burst (see
+//!    **after** releasing the lock — for its own frame, or for a report
+//!    delta under `Batch` for the frame
+//!    [`SYNC_BATCH_RECORDS`](crate::wal::SYNC_BATCH_RECORDS)` − 1`
+//!    records back — so no fsync runs under the lock and concurrent
+//!    sessions coalesce into one `sync_data` per burst (see
 //!    [`GroupCommit`](crate::wal::GroupCommit)).
 //! 2. **Dispatch under the state lock** (durable mode only). Worker
 //!    inbox FIFO order then guarantees a snapshot's
@@ -79,8 +83,9 @@
 //! [`open_round_at`](IngestService::open_round_at),
 //! [`close_round_at`](IngestService::close_round_at)): replaying an
 //! already-acknowledged step is an idempotent no-op (a re-closed round
-//! returns the original estimate bit for bit), and skipping a step is a
-//! typed [`CoreError::SequenceGap`].
+//! returns the original estimate bit for bit), acknowledged once the log
+//! is durable, and skipping a step is a typed
+//! [`CoreError::SequenceGap`].
 
 use crate::batch::{Batch, ServiceConfig, QUEUE_DEPTH};
 use crate::codec::EncodedResponses;
@@ -287,6 +292,18 @@ impl IngestService {
         commit.wait()
     }
 
+    /// The ack of a retried step the log already holds: no less durable
+    /// than its first ack, so it waits for every record written — and
+    /// fails, as that ack did, on a generation whose fsync failed.
+    fn ack_replayed(&self, guard: Locked<'_>) -> Result<(), CoreError> {
+        let commit = match &guard.durable {
+            Some(d) => d.wal.commit_on(d.wal.records()),
+            None => Commit::Durable,
+        };
+        drop(guard);
+        commit.wait()
+    }
+
     /// Open a new session (an independent stream/query).
     pub fn create_session(&self) -> Result<SessionId, CoreError> {
         let mut guard = self.lock();
@@ -347,7 +364,11 @@ impl IngestService {
             .table
             .open_round(session, expect, t, fo, epsilon, domain_size)?
         {
-            Opening::Replayed(request) => return Ok(request.clone()),
+            Opening::Replayed(request) => {
+                let request = request.clone();
+                self.ack_replayed(guard)?;
+                return Ok(request);
+            }
             Opening::Fresh(step) => step,
         };
         let commit = log(&mut st.durable, || WalRecord::OpenRound {
@@ -376,7 +397,9 @@ impl IngestService {
         let accepted = st.table.accept_delta(session, round, seq, delta.as_slice());
         let Some((step, columns)) = accepted? else {
             // Already logged and applied; the ack was lost. Idempotent.
-            return Ok(st.table.get(session)?.status().next_seq);
+            let next = st.table.get(session)?.status().next_seq;
+            self.ack_replayed(guard)?;
+            return Ok(next);
         };
         let (round, seq) = (step.round(), step.seq());
         let commit = log_with(&mut st.durable, |wal| {
@@ -517,7 +540,10 @@ impl IngestService {
         let mut guard = self.lock();
         let open = match guard.table.begin_close(session, expect)? {
             // Retry of an acknowledged (or logged-then-lost) close.
-            Closing::Replayed(estimate) => return Ok(estimate),
+            Closing::Replayed(estimate) => {
+                self.ack_replayed(guard)?;
+                return Ok(estimate);
+            }
             Closing::Begun(open) => open,
         };
         let key = open.key;

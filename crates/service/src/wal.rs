@@ -22,25 +22,36 @@
 //! ## Sync levels
 //!
 //! [`WalSync`] picks the fsync discipline: `Always` makes every frame
-//! durable before it is acknowledged, `Batch` syncs every
-//! [`SYNC_BATCH_RECORDS`] report frames plus every control frame
-//! (session lifecycle, round close), `None` leaves flushing to the OS.
+//! durable before it is acknowledged; `Batch` does so for every control
+//! frame (session lifecycle, round close) and never lets more than
+//! `SYNC_BATCH_RECORDS − 1` (31, see [`SYNC_BATCH_RECORDS`])
+//! acknowledged report frames be unsynced; `None` leaves flushing to
+//! the OS.
 //!
 //! ## Group commit
 //!
-//! Under `Always`, [`Wal::append`] no longer issues one `fdatasync` per
-//! frame inline. It writes the frame and hands back a pending
+//! No level issues an `fdatasync` inline. Under `Always` and `Batch`,
+//! [`Wal::append`] writes the frame and hands back a pending
 //! [`Commit`]; the caller acknowledges only after [`Commit::wait`]
-//! returns. Waiters coordinate through a shared [`GroupCommit`]: the
-//! first waiter becomes the *leader* and issues a single `sync_data`
-//! covering **every frame written so far** — including frames appended
-//! by other sessions while the leader was syncing — and all covered
-//! waiters return from the one fsync. Concurrent sessions therefore
-//! coalesce their fsyncs into one disk barrier per write burst instead
-//! of queueing one `fdatasync` each. Crash-safety is unchanged: a frame
-//! is on disk before the call that wrote it is acknowledged, and a
-//! torn/unsynced tail only ever loses frames that were never
-//! acknowledged (the scan stops at the first bad frame, so no
+//! returns, and waits after releasing its locks. Waiters coordinate
+//! through a shared [`GroupCommit`]: the first waiter becomes the
+//! *leader* and issues a single `sync_data` covering **every frame
+//! written so far** — including frames appended by other sessions while
+//! the leader was syncing — and all covered waiters return from the one
+//! fsync. Concurrent sessions therefore coalesce their fsyncs into one
+//! disk barrier per write burst instead of queueing one `fdatasync`
+//! each.
+//!
+//! What a commit waits for is the level's bound. Under `Always`, and for
+//! a control frame under `Batch`, it is the frame itself. A report frame
+//! under `Batch` waits only for the frame `SYNC_BATCH_RECORDS − 1`
+//! records before it. A `Batch` WAL also runs one flusher thread that
+//! leads a sync whenever half a batch is unsynced, so that wait is
+//! normally met before anyone reaches it; when the flusher falls behind,
+//! the appender leads the sync itself. A failed fsync poisons the
+//! generation: every later wait, and so every later acknowledgement,
+//! fails. A torn or unsynced tail only ever loses frames the level
+//! allowed to be unsynced (the scan stops at the first bad frame, so no
 //! acknowledged record can survive *behind* a lost one).
 
 use crate::codec::{
@@ -57,14 +68,21 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"LDPWAL01";
 
-/// Report frames between fsyncs under [`WalSync::Batch`].
+/// The sync batch of [`WalSync::Batch`]: an acknowledged report frame
+/// leaves at most `SYNC_BATCH_RECORDS − 1` records before it unsynced.
 pub const SYNC_BATCH_RECORDS: u64 = 32;
+
+/// Unsynced records at which a `Batch` WAL's flusher starts a sync:
+/// half a batch, so the frame a report waits for is normally durable
+/// before the report's own append.
+const FLUSH_AT: u64 = SYNC_BATCH_RECORDS / 2;
 
 /// Fsync discipline of the write-ahead log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,9 +90,13 @@ pub enum WalSync {
     /// Never fsync explicitly; durability is whatever the OS page cache
     /// gives. Fastest; a host crash can lose acknowledged reports.
     None,
-    /// Fsync every [`SYNC_BATCH_RECORDS`] report frames and every
-    /// control frame (session lifecycle, round close). Bounds loss to
-    /// one sync batch of reports; round results are always durable.
+    /// Every control frame (session lifecycle, round close) is durable
+    /// before its ack; a report frame is acknowledged once the frame
+    /// `SYNC_BATCH_RECORDS − 1` records before it is durable. A host
+    /// crash thus loses at most `SYNC_BATCH_RECORDS − 1` (31, see
+    /// [`SYNC_BATCH_RECORDS`]) acknowledged report frames; round results
+    /// are always durable. A flusher thread per WAL keeps the syncs off
+    /// the ack path.
     #[default]
     Batch,
     /// Fsync every frame before acknowledging it. Strongest; one
@@ -149,7 +171,7 @@ pub enum WalRecord {
 pub(crate) const TAG_REPORTS: u8 = 3;
 
 impl WalRecord {
-    /// Whether this is a control record (always fsynced under
+    /// Whether this is a control record (durable before its ack under
     /// [`WalSync::Batch`]).
     pub fn is_control(&self) -> bool {
         !matches!(self, WalRecord::Reports { .. })
@@ -249,19 +271,22 @@ fn put_reports_head(out: &mut Vec<u8>, session: u64, round: u64, seq: u64) {
 pub struct WalStats {
     /// Records appended to the current WAL generation.
     pub records: u64,
-    /// `fdatasync` calls issued for the current generation (inline
-    /// batch/control syncs plus group-commit syncs). Under group commit
-    /// with concurrent sessions this is *less* than `records` even at
-    /// [`WalSync::Always`] — the coalescing win.
+    /// `fdatasync` calls the generation's [`GroupCommit`] issued, by
+    /// waiters and the `Batch` flusher alike. With concurrent sessions
+    /// this is *less* than `records` even at [`WalSync::Always`] — the
+    /// coalescing win.
     pub syncs: u64,
+    /// The highest record known durable; `records − durable` are
+    /// written but not yet synced.
+    pub durable: u64,
 }
 
 /// The durability obligation returned by [`Wal::append`].
 ///
-/// `Durable` means the configured sync discipline was already satisfied
-/// inline. `Pending` means the frame is written but not yet fsynced;
-/// the caller must [`wait`](Commit::wait) — *after releasing any locks
-/// it shares with other appenders* — before acknowledging the operation
+/// `Durable` means the sync level asks for nothing ([`WalSync::None`]).
+/// `Pending` means the level's bound is not yet known to hold; the
+/// caller must [`wait`](Commit::wait) — *after releasing any locks it
+/// shares with other appenders* — before acknowledging the operation
 /// the record describes. Waiting off-lock is what lets the shared
 /// [`GroupCommit`] coalesce concurrent sessions' fsyncs.
 #[derive(Debug)]
@@ -273,7 +298,10 @@ pub enum Commit {
     Pending {
         /// The WAL's fsync coordinator.
         group: Arc<GroupCommit>,
-        /// This record's position in the append order.
+        /// The record that must be durable first: this one, or under
+        /// [`WalSync::Batch`] for a report frame the one
+        /// `SYNC_BATCH_RECORDS − 1` before it (0 while there is none,
+        /// which still fails on a poisoned generation).
         ticket: u64,
     },
 }
@@ -289,7 +317,8 @@ impl Commit {
 }
 
 /// The group-commit coordinator: one per WAL generation, shared (via
-/// `Arc`) between the WAL owner and every in-flight [`Commit`] waiter.
+/// `Arc`) between the WAL owner, its `Batch` flusher and every in-flight
+/// [`Commit`] waiter.
 ///
 /// The leader/follower protocol in [`wait`](GroupCommit::wait) issues
 /// one `sync_data` per *burst*: the first waiter syncs up to the highest
@@ -303,6 +332,9 @@ pub struct GroupCommit {
     path: PathBuf,
     state: Mutex<CommitState>,
     cond: Condvar,
+    /// Where a `Batch` flusher parks until [`FLUSH_AT`] records are
+    /// unsynced.
+    flusher: Condvar,
     syncs: AtomicU64,
     obs: WalObs,
 }
@@ -311,10 +343,12 @@ pub struct GroupCommit {
 struct CommitState {
     /// Highest ticket written to the file.
     written: u64,
-    /// Highest ticket known durable.
+    /// Highest ticket known durable; `u64::MAX` once retired.
     synced: u64,
     /// A leader is currently inside `sync_data`.
     syncing: bool,
+    /// The flusher is parked and wants waking at [`FLUSH_AT`].
+    parked: bool,
     /// A failed fsync poisons the generation: durability can no longer
     /// be promised, so every subsequent wait fails too.
     failed: Option<String>,
@@ -327,14 +361,26 @@ impl GroupCommit {
             path,
             state: Mutex::new(CommitState::default()),
             cond: Condvar::new(),
+            flusher: Condvar::new(),
             syncs: AtomicU64::new(0),
             obs,
         })
     }
 
+    /// The commit state, locked. Every update leaves it valid, so a
+    /// panic elsewhere while it was held (poisoning) changes nothing; the
+    /// flusher and `Drop` rely on that.
+    fn state(&self) -> MutexGuard<'_, CommitState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn note_written(&self, ticket: u64) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state();
         st.written = st.written.max(ticket);
+        if st.parked && st.written.saturating_sub(st.synced) >= FLUSH_AT {
+            st.parked = false;
+            self.flusher.notify_one();
+        }
     }
 
     /// Group-commit fsyncs issued so far.
@@ -345,7 +391,7 @@ impl GroupCommit {
     /// Block until ticket `ticket` is durable, becoming the sync leader
     /// if nobody else is.
     pub fn wait(&self, ticket: u64) -> Result<(), CoreError> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state();
         loop {
             if let Some(detail) = &st.failed {
                 return Err(CoreError::Wal {
@@ -356,7 +402,7 @@ impl GroupCommit {
                 return Ok(());
             }
             if st.syncing {
-                st = self.cond.wait(st).unwrap();
+                st = self.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
             st.syncing = true;
@@ -364,11 +410,15 @@ impl GroupCommit {
             let batch = target.saturating_sub(st.synced);
             drop(st);
             let start = Instant::now();
-            let result = self.file.sync_data();
+            let result = if faults::check("wal.fsync_fails") {
+                Err(std::io::Error::other("injected fsync failure"))
+            } else {
+                self.file.sync_data()
+            };
             self.obs.fsync_ns.record_duration(start.elapsed());
             self.obs.batch.record(batch);
             self.syncs.fetch_add(1, Ordering::Relaxed);
-            st = self.state.lock().unwrap();
+            st = self.state();
             st.syncing = false;
             match result {
                 Ok(()) => st.synced = st.synced.max(target),
@@ -378,13 +428,37 @@ impl GroupCommit {
         }
     }
 
-    /// Release every waiter without another fsync — called when the WAL
-    /// generation is retired by a snapshot rotation, which has already
-    /// made all state durable through the snapshot itself.
+    /// The `Batch` flusher's loop: lead a sync of everything written
+    /// whenever [`FLUSH_AT`] records are unsynced, until the generation
+    /// is retired or poisoned.
+    fn flush(&self) {
+        let mut st = self.state();
+        while st.synced != u64::MAX && st.failed.is_none() {
+            if st.written.saturating_sub(st.synced) >= FLUSH_AT {
+                let target = st.written;
+                drop(st);
+                // A failure stays in `failed`, for every later waiter.
+                let _ = self.wait(target);
+                st = self.state();
+            } else {
+                st.parked = true;
+                st = self
+                    .flusher
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+
+    /// Release every waiter without another fsync, and stop the flusher —
+    /// called when the WAL generation is retired by a snapshot rotation,
+    /// which has already made all state durable through the snapshot
+    /// itself.
     fn retire(&self) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state();
         st.synced = u64::MAX;
         self.cond.notify_all();
+        self.flusher.notify_one();
     }
 }
 
@@ -395,10 +469,9 @@ pub struct Wal {
     path: PathBuf,
     sync: WalSync,
     group: Arc<GroupCommit>,
+    /// The `Batch` flusher, joined when the generation is retired.
+    flusher: Option<JoinHandle<()>>,
     records: u64,
-    inline_syncs: u64,
-    unsynced_reports: u64,
-    records_since_sync: u64,
     /// The frame being appended; kept so appends reuse its allocation.
     frame: Vec<u8>,
     obs: WalObs,
@@ -413,7 +486,7 @@ impl Wal {
     }
 
     /// [`Wal::create`] recording append/fsync latency and group-commit
-    /// batch size into `obs`.
+    /// batch size into `obs`. A `Batch` WAL starts its flusher thread.
     pub fn create_observed(path: &Path, sync: WalSync, obs: WalObs) -> Result<Wal, CoreError> {
         let mut file = OpenOptions::new()
             .write(true)
@@ -428,15 +501,23 @@ impl Wal {
         let clone = file
             .try_clone()
             .map_err(|e| wal_err("clone for group commit", path, &e))?;
+        let group = GroupCommit::new(clone, path.to_path_buf(), obs.clone());
+        let flusher = (sync == WalSync::Batch)
+            .then(|| {
+                let group = Arc::clone(&group);
+                std::thread::Builder::new()
+                    .name("wal-flusher".into())
+                    .spawn(move || group.flush())
+            })
+            .transpose()
+            .map_err(|e| wal_err("start flusher", path, &e))?;
         Ok(Wal {
-            group: GroupCommit::new(clone, path.to_path_buf(), obs.clone()),
+            group,
+            flusher,
             file,
             path: path.to_path_buf(),
             sync,
             records: 0,
-            inline_syncs: 0,
-            unsynced_reports: 0,
-            records_since_sync: 0,
             frame: Vec::new(),
             obs,
         })
@@ -451,7 +532,8 @@ impl Wal {
     pub fn stats(&self) -> WalStats {
         WalStats {
             records: self.records,
-            syncs: self.inline_syncs + self.group.syncs(),
+            syncs: self.group.syncs(),
+            durable: self.group.state().synced,
         }
     }
 
@@ -468,9 +550,9 @@ impl Wal {
     /// Append one record, honoring the sync level.
     ///
     /// Must happen before the state transition the record describes is
-    /// applied. Under [`WalSync::Always`] the returned commit is
-    /// `Pending`: the caller must [`Commit::wait`] on it before
-    /// acknowledging (ideally after releasing shared locks, so
+    /// applied. Under [`WalSync::Always`] and [`WalSync::Batch`] the
+    /// returned commit is `Pending`: the caller must [`Commit::wait`] on
+    /// it before acknowledging (ideally after releasing shared locks, so
     /// concurrent appenders share one fsync).
     pub fn append(&mut self, record: &WalRecord) -> Result<Commit, CoreError> {
         faults::hit("wal.before_append");
@@ -533,50 +615,34 @@ impl Wal {
             .write_all(&self.frame)
             .map_err(|e| wal_err("append", &self.path, &e))?;
         self.records += 1;
-        self.records_since_sync += 1;
-        let commit = match self.sync {
-            WalSync::Always => {
-                self.group.note_written(self.records);
-                Commit::Pending {
-                    group: Arc::clone(&self.group),
-                    ticket: self.records,
-                }
-            }
-            WalSync::None => Commit::Durable,
-            WalSync::Batch => {
-                let sync_now = if control {
-                    true
-                } else {
-                    self.unsynced_reports += 1;
-                    self.unsynced_reports >= SYNC_BATCH_RECORDS
-                };
-                if sync_now {
-                    self.sync()?;
-                }
-                Commit::Durable
-            }
+        self.group.note_written(self.records);
+        // A `Batch` report frame waits only for the frame a batch less
+        // one before it; every other frame, for itself.
+        let behind = match (self.sync, control) {
+            (WalSync::Batch, false) => SYNC_BATCH_RECORDS - 1,
+            _ => 0,
         };
+        let commit = self.commit_on(self.records.saturating_sub(behind));
         self.obs.append_ns.record_duration(start.elapsed());
         faults::hit("wal.after_append");
         Ok(commit)
     }
 
+    /// The commit on record `ticket` at this WAL's level; a retried step
+    /// waits on the last record written.
+    pub(crate) fn commit_on(&self, ticket: u64) -> Commit {
+        match self.sync {
+            WalSync::None => Commit::Durable,
+            WalSync::Batch | WalSync::Always => Commit::Pending {
+                group: Arc::clone(&self.group),
+                ticket,
+            },
+        }
+    }
+
     /// Force an fsync of everything appended so far.
     pub fn sync(&mut self) -> Result<(), CoreError> {
-        self.unsynced_reports = 0;
-        self.inline_syncs += 1;
-        let batch = std::mem::take(&mut self.records_since_sync);
-        let start = Instant::now();
-        self.file
-            .sync_data()
-            .map_err(|e| wal_err("sync", &self.path, &e))?;
-        self.obs.fsync_ns.record_duration(start.elapsed());
-        self.obs.batch.record(batch);
-        // Everything written is now durable; release any group waiters.
-        let mut st = self.group.state.lock().unwrap();
-        st.synced = st.synced.max(st.written);
-        self.group.cond.notify_all();
-        Ok(())
+        self.group.wait(self.records)
     }
 }
 
@@ -586,6 +652,9 @@ impl Drop for Wal {
         // still-parked waiter was made durable by the snapshot that
         // replaced the log, so release them rather than strand them.
         self.group.retire();
+        if let Some(flusher) = self.flusher.take() {
+            let _ = flusher.join();
+        }
     }
 }
 
@@ -979,6 +1048,65 @@ mod tests {
             .unwrap();
         drop(wal); // rotation/teardown retires the generation
         commit.wait().unwrap();
+    }
+
+    /// Under `Batch` every acknowledged report frame leaves at most a
+    /// batch less one record unsynced, whoever led the sync.
+    #[test]
+    fn batch_acks_leave_at_most_a_batch_less_one_unsynced() {
+        let path = tmp("batch_bound.log");
+        let mut wal = Wal::create(&path, WalSync::Batch).unwrap();
+        let report = sample_records().swap_remove(2);
+        for _ in 0..10 * SYNC_BATCH_RECORDS {
+            wal.append(&report).unwrap().wait().unwrap();
+            let stats = wal.stats();
+            assert!(
+                stats.records - stats.durable < SYNC_BATCH_RECORDS,
+                "{stats:?}"
+            );
+        }
+        // Record 289 durable takes one sync per 32 records at the least.
+        assert!(wal.stats().syncs >= 10, "{:?}", wal.stats());
+    }
+
+    #[test]
+    fn a_batch_control_frame_is_synced_before_its_wait_returns() {
+        let path = tmp("batch_control.log");
+        let mut wal = Wal::create(&path, WalSync::Batch).unwrap();
+        let report = sample_records().swap_remove(2);
+        for _ in 0..5 {
+            wal.append(&report).unwrap().wait().unwrap();
+        }
+        let commit = wal.append(&WalRecord::EndSession { session: 0 });
+        commit.unwrap().wait().unwrap();
+        assert_eq!(wal.stats().durable, 6);
+    }
+
+    /// Drop retires the generation and joins the flusher, whether it is
+    /// parked or inside a sync: its handle on the group is gone after.
+    #[test]
+    fn dropping_a_batch_wal_joins_its_flusher() {
+        let report = sample_records().swap_remove(2);
+        for appends in [0, 3, FLUSH_AT, 2 * FLUSH_AT + 1] {
+            let path = tmp(&format!("batch_drop_{appends}.log"));
+            let mut wal = Wal::create(&path, WalSync::Batch).unwrap();
+            let group = wal.group();
+            for _ in 0..appends {
+                wal.append(&report).unwrap().wait().unwrap();
+            }
+            if appends >= FLUSH_AT {
+                // The flusher is woken: drop it mid-sync (or just after).
+                let started = || {
+                    let st = group.state();
+                    st.syncing || st.synced > 0
+                };
+                while !started() {
+                    std::thread::yield_now();
+                }
+            }
+            drop(wal);
+            assert_eq!(Arc::strong_count(&group), 1, "{appends} appends");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 use ldp_fo::{FoKind, Report};
 use ldp_ids::collector::RoundEstimate;
 use ldp_ids::protocol::UserResponse;
+use ldp_ids::CoreError;
 use ldp_service::codec::EncodedResponses;
 use ldp_service::faults::{self, FaultCrash};
 use ldp_service::{IngestService, ServiceConfig, ServiceMetrics, SessionId, WalSync};
@@ -235,19 +236,24 @@ fn assert_bit_identical(a: &RoundEstimate, b: &RoundEstimate, what: &str) {
     assert_eq!(abits, bbits, "{what}: frequencies differ");
 }
 
-fn config(shards: usize) -> ServiceConfig {
+/// The sync levels the matrix runs under: every-frame fsync, so kill
+/// points sit at durable boundaries, and the default `Batch`, whose
+/// flusher the crash leaves running until the half-dead service drops.
+/// A simulated crash keeps the page cache, so both recover everything.
+const SYNCS: [WalSync; 2] = [WalSync::Always, WalSync::Batch];
+
+fn config(shards: usize, sync: WalSync) -> ServiceConfig {
     ServiceConfig::with_threads(shards)
         .with_batch_size(16)
-        // Small cadence so the script crosses snapshot rotations, and
-        // every-frame fsync so kill points sit at durable boundaries.
+        // Small cadence so the script crosses snapshot rotations.
         .with_snapshot_every(4)
-        .with_sync(WalSync::Always)
+        .with_sync(sync)
 }
 
 /// The full matrix: every kill point × several hit positions × every
-/// pinned shard count. Each cell must (a) actually fire, (b) recover,
-/// and (c) finish with estimates bit-identical to the uninterrupted
-/// reference.
+/// pinned shard count × both fsyncing levels. Each cell must (a)
+/// actually fire, (b) recover, and (c) finish with estimates
+/// bit-identical to the uninterrupted reference.
 #[test]
 fn every_kill_point_recovers_bit_identically() {
     let _gate = faults::serialize_tests();
@@ -265,10 +271,11 @@ fn every_kill_point_recovers_bit_identically() {
         ("snapshot.after_rename", &[1, 2]),
     ];
 
-    for shards in SHARD_COUNTS {
-        let cfg = config(shards);
+    for (shards, sync) in SHARD_COUNTS.into_iter().flat_map(|n| SYNCS.map(|s| (n, s))) {
+        let cfg = config(shards, sync);
+        let at = format!("{shards} shards, {}", sync.name());
 
-        let ref_dir = tmp_dir(&format!("ref_{shards}"));
+        let ref_dir = tmp_dir(&format!("ref_{shards}_{}", sync.name()));
         let (reference, crashed) = run_script(&ref_dir, cfg, Entry::Rows, None);
         assert!(!crashed);
         assert_eq!(reference.len(), 2, "script closes two rounds");
@@ -279,7 +286,7 @@ fn every_kill_point_recovers_bit_identically() {
                 for &nth in *nths {
                     let dir = tmp_dir(&format!("{}_{nth}_{shards}", point.replace('.', "_")));
                     let (estimates, crashed) = run_script(&dir, cfg, entry, Some((point, nth)));
-                    let what = format!("{point} hit {nth}, {shards} shards, {entry:?}");
+                    let what = format!("{point} hit {nth}, {at}, {entry:?}");
                     assert!(crashed, "{what}: never fired");
                     assert_eq!(estimates.len(), reference.len());
                     for (round, (got, want)) in estimates.iter().zip(&reference).enumerate() {
@@ -344,7 +351,7 @@ fn mid_batch_crash_neither_loses_nor_doubles_the_delta() {
     for entry in ENTRIES {
         faults::reset();
         let dir = tmp_dir("mid_batch_exact");
-        let cfg = config(2);
+        let cfg = config(2, WalSync::Always);
 
         let svc = IngestService::open(cfg, &dir).unwrap();
         let session = svc.create_session().unwrap();
@@ -371,4 +378,60 @@ fn mid_batch_crash_neither_loses_nor_doubles_the_delta() {
         faults::reset();
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A failed fsync is never acknowledged: once the `Batch` flusher's sync
+/// fails, the next submit and the next close return `CoreError::Wal`, and
+/// so do their retries.
+#[test]
+fn a_failed_flusher_sync_fails_the_next_acks() {
+    let _gate = faults::serialize_tests();
+    faults::reset();
+    let dir = tmp_dir("fsync_fails");
+    let cfg = ServiceConfig::with_threads(1)
+        .with_batch_size(16)
+        .with_snapshot_every(0) // no rotation: the failed generation stays
+        .with_sync(WalSync::Batch);
+    let svc = IngestService::open(cfg, &dir).unwrap();
+    let session = svc.create_session().unwrap();
+    svc.open_round_at(session, 0, 0, FoKind::Grr, EPSILON, DOMAIN)
+        .unwrap();
+    let syncs = svc.wal_stats().unwrap().syncs;
+    faults::arm("wal.fsync_fails", 1);
+    let wal_failure = |result: Result<_, CoreError>, what: &str| match result {
+        Err(CoreError::Wal { detail }) => assert!(detail.contains("injected"), "{what}: {detail}"),
+        other => panic!("{what}: {other:?}"),
+    };
+    // Fifteen report frames leave the flusher parked, and no report
+    // waits on a record while fewer than a batch exist: no sync yet.
+    for seq in 0..15 {
+        svc.submit_batch_at(session, seq, chunk(0, seq as usize, 1))
+            .unwrap();
+    }
+    assert_eq!(svc.wal_stats().unwrap().syncs, syncs);
+    // The sixteenth wakes the flusher; its ack may race the failure.
+    match svc.submit_batch_at(session, 15, chunk(0, 15, 1)) {
+        Ok(()) => {}
+        failed => wal_failure(failed, "delta 15"),
+    }
+    let start = std::time::Instant::now();
+    while svc.wal_stats().unwrap().syncs == syncs {
+        assert!(start.elapsed().as_secs() < 10, "the flusher never synced");
+        std::thread::yield_now();
+    }
+    wal_failure(
+        svc.submit_batch_at(session, 16, chunk(0, 16, 1)),
+        "next submit",
+    );
+    wal_failure(svc.close_round_at(session, 0).map(drop), "next close");
+    // Their retries were applied and logged; acking them now would ack
+    // what the failed fsync did not make durable.
+    wal_failure(
+        svc.submit_batch_at(session, 16, chunk(0, 16, 1)),
+        "retried submit",
+    );
+    wal_failure(svc.close_round_at(session, 0).map(drop), "retried close");
+    faults::reset();
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
 }
