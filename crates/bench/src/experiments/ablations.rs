@@ -334,7 +334,7 @@ pub fn cdp_reference(ctx: &ExperimentCtx) -> Figure {
                     let stream = ctx.streams.get(&dataset, seed, len);
                     let mut mech = kind.build(eps, W, stream.domain().size());
                     let mut rng = StdRng::seed_from_u64(seed ^ 0xcd9);
-                    let released = run_cdp(mech.as_mut(), &mut stream.replay(), len, &mut rng);
+                    let released = run_cdp(&mut mech, &mut stream.replay(), len, &mut rng);
                     let truth = stream.frequency_matrix();
                     ldp_metrics::mre(&released, &truth, DEFAULT_MRE_FLOOR)
                 })

@@ -4,6 +4,7 @@ use ldp_fo::FoKind;
 use ldp_ids::runner::{run_on_source, CollectorMode};
 use ldp_ids::{MechanismConfig, MechanismKind, VarianceModel};
 use ldp_metrics::{auc, StreamError};
+use ldp_stream::events::above_threshold_labels;
 use ldp_stream::{paper_threshold, Dataset, MaterializedStream, MonitorStat};
 use ldp_util::child_seed;
 use serde::{Deserialize, Serialize};
@@ -114,7 +115,7 @@ impl RunSpec {
         let stat = MonitorStat::default_for_domain(stream.domain().size(), stream.histogram(0));
         let true_series = stat.series(&truth);
         let delta = paper_threshold(&true_series);
-        let labels: Vec<bool> = true_series.iter().map(|&s| s > delta).collect();
+        let labels = above_threshold_labels(&true_series, delta);
         let released_series = stat.series(&released);
         let monitoring_auc = auc(&released_series, &labels);
 

@@ -1,152 +1,9 @@
-//! Budget Absorption (BA) — Kellaris et al., VLDB'14 (paper §3.2).
-//!
-//! The publication half of the budget is allocated *uniformly*
-//! (`ε/(2w)` per timestamp); a publication absorbs the unused budget of
-//! the skipped timestamps before it, and then an equal number of
-//! timestamps after it are nullified (their budget forfeited) so that no
-//! window ever exceeds ε.
+//! Unit tests of Budget Absorption; [`crate::mechanism`] implements it.
 
-use crate::laplace_mech::LaplaceHistogram;
-use crate::ledger::CdpLedger;
-use crate::mechanism::CdpMechanism;
-use ldp_stream::TrueHistogram;
-use ldp_util::Laplace;
-use rand::RngCore;
-
-/// The BA mechanism state.
-#[derive(Debug)]
-pub struct CdpBa {
-    epsilon: f64,
-    w: usize,
-    d: usize,
-    ledger: CdpLedger,
-    /// Current timestamp (1-based after first step).
-    t: u64,
-    /// Timestamp of the last publication, 0 = none yet.
-    last_pub_t: u64,
-    /// Budget used by the last publication.
-    last_pub_eps: f64,
-    last_release: Option<Vec<f64>>,
-    publications: u64,
-}
-
-impl CdpBa {
-    /// Create BA for `(ε, w)` over a domain of size `d`.
-    pub fn new(epsilon: f64, w: usize, d: usize) -> Self {
-        assert!(w >= 1, "window must be at least 1");
-        assert!(d >= 2, "domain must have at least 2 cells");
-        CdpBa {
-            epsilon,
-            w,
-            d,
-            ledger: CdpLedger::new(epsilon, w),
-            t: 0,
-            last_pub_t: 0,
-            last_pub_eps: 0.0,
-            last_release: None,
-            publications: 0,
-        }
-    }
-
-    fn unit(&self) -> f64 {
-        self.epsilon / (2.0 * self.w as f64)
-    }
-
-    /// How many timestamps after the last publication are nullified
-    /// (Alg. 2 line 4): one fewer than the units it absorbed.
-    fn nullified_steps(&self) -> u64 {
-        (self.last_pub_eps / self.unit() - 1.0).round().max(0.0) as u64
-    }
-
-    /// How many budget units a publication at timestamp `t` may absorb.
-    fn absorbable_units(&self, t: u64) -> u64 {
-        let raw = if self.last_pub_t == 0 {
-            t
-        } else {
-            t.saturating_sub(self.last_pub_t + self.nullified_steps())
-        };
-        raw.min(self.w as u64)
-    }
-
-    fn noisy_dissimilarity(&self, truth: &TrueHistogram, eps1: f64, rng: &mut dyn RngCore) -> f64 {
-        let n = truth.population() as f64;
-        let last = self
-            .last_release
-            .as_deref()
-            .map(|r| r.iter().map(|f| f * n).collect::<Vec<f64>>())
-            .unwrap_or_else(|| vec![0.0; self.d]);
-        let raw: f64 = truth
-            .counts()
-            .iter()
-            .zip(&last)
-            .map(|(&c, &l)| (c as f64 - l).abs())
-            .sum::<f64>()
-            / self.d as f64;
-        let noise = Laplace::for_budget(2.0 / self.d as f64, eps1).expect("valid budget");
-        raw + noise.sample(rng)
-    }
-}
-
-impl CdpMechanism for CdpBa {
-    fn name(&self) -> &'static str {
-        "cdp-ba"
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn window(&self) -> usize {
-        self.w
-    }
-
-    fn step(&mut self, truth: &TrueHistogram, rng: &mut dyn RngCore) -> Vec<f64> {
-        self.t += 1;
-        let eps1 = self.unit();
-        let dis = self.noisy_dissimilarity(truth, eps1, rng);
-
-        // Nullification: after a publication that absorbed k units, the
-        // next k timestamps must forfeit their budget (Alg. 2 line 4).
-        if self.last_pub_t != 0 && self.t - self.last_pub_t <= self.nullified_steps() {
-            self.ledger.spend(eps1);
-            return self
-                .last_release
-                .clone()
-                .unwrap_or_else(|| vec![0.0; self.d]);
-        }
-
-        // Absorption: budget of the skipped timestamps since the last
-        // publication (or the start), capped at w units.
-        let eps2 = self.unit() * self.absorbable_units(self.t) as f64;
-        let err = if eps2 > 0.0 {
-            1.0 / eps2
-        } else {
-            f64::INFINITY
-        };
-
-        let must_publish = self.last_release.is_none();
-        if must_publish || dis > err {
-            self.ledger.spend(eps1 + eps2);
-            self.publications += 1;
-            self.last_pub_t = self.t;
-            self.last_pub_eps = eps2;
-            let fresh = LaplaceHistogram::new(eps2.max(1e-9)).release(truth, rng);
-            self.last_release = Some(fresh.clone());
-            fresh
-        } else {
-            self.ledger.spend(eps1);
-            self.last_release.clone().expect("checked above")
-        }
-    }
-
-    fn publications(&self) -> u64 {
-        self.publications
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::mechanism::{absorbable, Rule};
+    use crate::CdpKind;
+    use ldp_stream::TrueHistogram;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -156,42 +13,41 @@ mod tests {
 
     #[test]
     fn first_timestamp_publishes_with_one_unit() {
-        let mut m = CdpBa::new(1.0, 5, 2);
+        let mut m = CdpKind::Ba.build(1.0, 5, 2);
         let mut rng = StdRng::seed_from_u64(1);
         m.step(&truth_with(1000, 300), &mut rng);
         assert_eq!(m.publications(), 1);
-        assert!((m.last_pub_eps - m.unit()).abs() < 1e-12);
+        assert!(matches!(m.rule, Rule::Absorption { last: 1, units: 1 }));
     }
 
     #[test]
     fn absorption_arithmetic() {
-        let mut m = CdpBa::new(1.0, 10, 2);
-        // No publication yet: everything since the start is absorbable,
-        // capped at w.
-        assert_eq!(m.absorbable_units(3), 3);
-        assert_eq!(m.absorbable_units(25), 10);
-        // After a publication at t = 5 that absorbed 3 units
-        // (eps2 = 3 units → 2 nullified steps follow):
-        m.last_pub_t = 5;
-        m.last_pub_eps = 3.0 * m.unit();
-        assert_eq!(m.nullified_steps(), 2);
-        assert_eq!(m.absorbable_units(7), 0, "still inside nullification");
-        assert_eq!(m.absorbable_units(8), 1);
-        assert_eq!(m.absorbable_units(12), 5);
+        // No publication yet (the origin): everything since the start is
+        // absorbable, capped at w.
+        assert_eq!(absorbable(0, 1, 3, 10), Some(3));
+        assert_eq!(absorbable(0, 1, 25, 10), Some(10));
+        // After a publication at t = 5 that absorbed 3 units, the 2 steps
+        // 6 and 7 are nullified:
+        assert_eq!(absorbable(5, 3, 6, 10), None);
+        assert_eq!(absorbable(5, 3, 7, 10), None, "still inside nullification");
+        assert_eq!(absorbable(5, 3, 8, 10), Some(1));
+        assert_eq!(absorbable(5, 3, 12, 10), Some(5));
     }
 
     #[test]
     fn nullification_blocks_publication_deterministically() {
-        let mut m = CdpBa::new(1.0, 10, 2);
+        let mut m = CdpKind::Ba.build(1.0, 10, 2);
         let mut rng = StdRng::seed_from_u64(3);
         let n = 1_000_000u64;
         // Force state: a publication at t = 4 that absorbed 4 units.
         for _ in 0..4 {
             m.step(&truth_with(n, n / 10), &mut rng);
         }
-        m.last_pub_t = m.t;
-        m.last_pub_eps = 4.0 * m.unit();
-        m.last_release = Some(vec![0.9, 0.1]);
+        m.rule = Rule::Absorption {
+            last: m.t,
+            units: 4,
+        };
+        m.last = Some(vec![0.9, 0.1]);
         let pubs = m.publications();
         // The next 3 steps are nullified: even a huge change cannot
         // publish.
@@ -206,7 +62,7 @@ mod tests {
 
     #[test]
     fn budget_never_violated_over_long_volatile_run() {
-        let mut m = CdpBa::new(0.7, 6, 2);
+        let mut m = CdpKind::Ba.build(0.7, 6, 2);
         let mut rng = StdRng::seed_from_u64(4);
         let n = 500_000u64;
         for t in 0..600u64 {
@@ -220,7 +76,7 @@ mod tests {
         // The adaptive policy is stochastic (the dissimilarity estimate is
         // itself noisy), so only the relative ordering is stable.
         let run = |volatile: bool, seed: u64| {
-            let mut m = CdpBa::new(1.0, 10, 2);
+            let mut m = CdpKind::Ba.build(1.0, 10, 2);
             let mut rng = StdRng::seed_from_u64(seed);
             let n = 1_000_000u64;
             for t in 0..200u64 {

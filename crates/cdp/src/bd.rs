@@ -1,132 +1,8 @@
-//! Budget Distribution (BD) — Kellaris et al., VLDB'14 (paper §3.2).
-//!
-//! Per timestamp, half the window budget funds a private dissimilarity
-//! estimate; the other half is *distributed* in an exponentially decaying
-//! way to the timestamps where publication is chosen: each publication
-//! takes half of whatever publication budget remains in the active
-//! window, and budgets recycle as their timestamps expire.
+//! Unit tests of Budget Distribution; [`crate::mechanism`] implements it.
 
-use crate::laplace_mech::LaplaceHistogram;
-use crate::ledger::CdpLedger;
-use crate::mechanism::CdpMechanism;
-use ldp_stream::{RingWindow, TrueHistogram};
-use ldp_util::Laplace;
-use rand::RngCore;
-
-/// Minimum usable publication budget: below this, publishing is worse
-/// than any plausible approximation (guards against vanishing ε after
-/// many consecutive publications).
-const MIN_PUB_EPS: f64 = 1e-9;
-
-/// The BD mechanism state.
-#[derive(Debug)]
-pub struct CdpBd {
-    epsilon: f64,
-    w: usize,
-    d: usize,
-    /// ε spent by M₂ at each of the last `w` timestamps.
-    pub_window: RingWindow<f64>,
-    ledger: CdpLedger,
-    last_release: Option<Vec<f64>>,
-    publications: u64,
-}
-
-impl CdpBd {
-    /// Create BD for `(ε, w)` over a domain of size `d`.
-    pub fn new(epsilon: f64, w: usize, d: usize) -> Self {
-        assert!(w >= 1, "window must be at least 1");
-        assert!(d >= 2, "domain must have at least 2 cells");
-        CdpBd {
-            epsilon,
-            w,
-            d,
-            pub_window: RingWindow::new(w),
-            ledger: CdpLedger::new(epsilon, w),
-            last_release: None,
-            publications: 0,
-        }
-    }
-
-    /// Noisy dissimilarity between the current counts and the last
-    /// released counts: mean absolute difference per cell, perturbed with
-    /// `Lap(2/(d·ε₁))` (one user changes two cells by one, so the mean
-    /// absolute difference has sensitivity `2/d`).
-    fn noisy_dissimilarity(&self, truth: &TrueHistogram, eps1: f64, rng: &mut dyn RngCore) -> f64 {
-        let n = truth.population() as f64;
-        let last = self
-            .last_release
-            .as_deref()
-            .map(|r| r.iter().map(|f| f * n).collect::<Vec<f64>>())
-            .unwrap_or_else(|| vec![0.0; self.d]);
-        let raw: f64 = truth
-            .counts()
-            .iter()
-            .zip(&last)
-            .map(|(&c, &l)| (c as f64 - l).abs())
-            .sum::<f64>()
-            / self.d as f64;
-        let noise = Laplace::for_budget(2.0 / self.d as f64, eps1).expect("valid budget");
-        raw + noise.sample(rng)
-    }
-}
-
-impl CdpMechanism for CdpBd {
-    fn name(&self) -> &'static str {
-        "cdp-bd"
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    fn window(&self) -> usize {
-        self.w
-    }
-
-    fn step(&mut self, truth: &TrueHistogram, rng: &mut dyn RngCore) -> Vec<f64> {
-        // M₁: private dissimilarity with ε/(2w).
-        let eps1 = self.epsilon / (2.0 * self.w as f64);
-        let dis = self.noisy_dissimilarity(truth, eps1, rng);
-
-        // M₂: distribute — candidate budget is half the remaining window
-        // publication budget.
-        let spent_pub: f64 = self.pub_window.iter().sum();
-        let eps_rm = (self.epsilon / 2.0 - spent_pub).max(0.0);
-        let eps2 = eps_rm / 2.0;
-        // Potential publication error: expected |Laplace| per count cell.
-        let err = if eps2 > MIN_PUB_EPS {
-            1.0 / eps2
-        } else {
-            f64::INFINITY
-        };
-
-        let must_publish = self.last_release.is_none();
-
-        if must_publish || dis > err {
-            // Publish (the very first timestamp always publishes: there is
-            // nothing to approximate with).
-            self.pub_window.push(eps2);
-            self.ledger.spend(eps1 + eps2);
-            self.publications += 1;
-            let fresh = LaplaceHistogram::new(eps2.max(MIN_PUB_EPS)).release(truth, rng);
-            self.last_release = Some(fresh.clone());
-            fresh
-        } else {
-            // Approximate.
-            self.pub_window.push(0.0);
-            self.ledger.spend(eps1);
-            self.last_release.clone().expect("checked above")
-        }
-    }
-
-    fn publications(&self) -> u64 {
-        self.publications
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::CdpKind;
+    use ldp_stream::TrueHistogram;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -136,7 +12,7 @@ mod tests {
 
     #[test]
     fn first_timestamp_publishes() {
-        let mut m = CdpBd::new(1.0, 5, 2);
+        let mut m = CdpKind::Bd.build(1.0, 5, 2);
         let mut rng = StdRng::seed_from_u64(1);
         m.step(&static_truth(1000), &mut rng);
         assert_eq!(m.publications(), 1);
@@ -147,7 +23,7 @@ mod tests {
         // The policy is stochastic (noisy dissimilarity vs. noisy last
         // release); on a static stream it must at least *not* publish
         // every timestamp.
-        let mut m = CdpBd::new(1.0, 10, 2);
+        let mut m = CdpKind::Bd.build(1.0, 10, 2);
         let mut rng = StdRng::seed_from_u64(2);
         let truth = static_truth(100_000);
         for _ in 0..100 {
@@ -163,7 +39,7 @@ mod tests {
     #[test]
     fn volatile_stream_publishes_more_than_static() {
         let run = |volatile: bool| {
-            let mut m = CdpBd::new(1.0, 10, 2);
+            let mut m = CdpKind::Bd.build(1.0, 10, 2);
             let mut rng = StdRng::seed_from_u64(3);
             let n = 100_000u64;
             for t in 0..100u64 {
@@ -187,7 +63,7 @@ mod tests {
     #[test]
     fn budget_never_violated_over_long_run() {
         // Ledger panics internally on violation.
-        let mut m = CdpBd::new(0.5, 7, 3);
+        let mut m = CdpKind::Bd.build(0.5, 7, 3);
         let mut rng = StdRng::seed_from_u64(4);
         let n = 10_000u64;
         for t in 0..500u64 {
@@ -200,7 +76,7 @@ mod tests {
 
     #[test]
     fn releases_are_frequency_scaled() {
-        let mut m = CdpBd::new(2.0, 5, 2);
+        let mut m = CdpKind::Bd.build(2.0, 5, 2);
         let mut rng = StdRng::seed_from_u64(5);
         let r = m.step(&static_truth(1_000_000), &mut rng);
         assert!((r[0] - 0.7).abs() < 0.05, "release {r:?}");

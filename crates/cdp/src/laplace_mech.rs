@@ -1,63 +1,8 @@
-//! The ε-DP Laplace histogram release primitive.
+//! Unit tests of the Laplace histogram release.
 
-use ldp_stream::TrueHistogram;
-use ldp_util::Laplace;
-use rand::RngCore;
-
-/// Releases a count histogram under ε-DP by adding `Lap(1/ε)` noise per
-/// cell (count-scale sensitivity 1: one user changing their value at one
-/// timestamp moves one cell by ±1 — we follow Kellaris et al. in using
-/// Δ = 1).
-#[derive(Debug, Clone)]
-pub struct LaplaceHistogram {
-    epsilon: f64,
-}
-
-impl LaplaceHistogram {
-    /// Create the primitive for budget `ε > 0`.
-    pub fn new(epsilon: f64) -> Self {
-        assert!(
-            epsilon.is_finite() && epsilon > 0.0,
-            "epsilon must be finite and > 0, got {epsilon}"
-        );
-        LaplaceHistogram { epsilon }
-    }
-
-    /// The budget.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Release noisy *frequencies*: perturb counts with `Lap(1/ε)` and
-    /// normalize by the population.
-    pub fn release(&self, truth: &TrueHistogram, rng: &mut dyn RngCore) -> Vec<f64> {
-        let lap = Laplace::for_budget(1.0, self.epsilon).expect("validated in new");
-        let n = truth.population().max(1) as f64;
-        truth
-            .counts()
-            .iter()
-            .map(|&c| (c as f64 + lap.sample(rng)) / n)
-            .collect()
-    }
-
-    /// Per-cell variance of the released *frequency*: `2/(nε)²`.
-    pub fn frequency_variance(&self, n: u64) -> f64 {
-        let scale = 1.0 / (n.max(1) as f64 * self.epsilon);
-        2.0 * scale * scale
-    }
-
-    /// Expected absolute error of a released *count* cell: the mean
-    /// absolute deviation of `Lap(1/ε)`, i.e. `1/ε`. This is the
-    /// publication-error proxy Kellaris et al. compare against the
-    /// dissimilarity.
-    pub fn count_mae(&self) -> f64 {
-        1.0 / self.epsilon
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::mechanism::laplace_release;
+    use ldp_stream::TrueHistogram;
     use ldp_util::stats::{mean, sample_variance};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -65,18 +10,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "epsilon")]
     fn rejects_zero_epsilon() {
-        LaplaceHistogram::new(0.0);
+        laplace_release(
+            &TrueHistogram::new(vec![1, 1]),
+            0.0,
+            &mut StdRng::seed_from_u64(0),
+        );
     }
 
     #[test]
     fn release_is_unbiased() {
-        let mech = LaplaceHistogram::new(1.0);
         let truth = TrueHistogram::new(vec![700, 300]);
         let mut rng = StdRng::seed_from_u64(1);
         let trials = 20_000;
         let mut acc = [0.0f64; 2];
         for _ in 0..trials {
-            let r = mech.release(&truth, &mut rng);
+            let r = laplace_release(&truth, 1.0, &mut rng);
             acc[0] += r[0];
             acc[1] += r[1];
         }
@@ -86,27 +34,15 @@ mod tests {
 
     #[test]
     fn release_variance_matches_formula() {
-        let mech = LaplaceHistogram::new(0.5);
         let truth = TrueHistogram::new(vec![500, 500]);
         let mut rng = StdRng::seed_from_u64(2);
         let samples: Vec<f64> = (0..40_000)
-            .map(|_| mech.release(&truth, &mut rng)[0])
+            .map(|_| laplace_release(&truth, 0.5, &mut rng)[0])
             .collect();
         let v = sample_variance(&samples);
-        let theory = mech.frequency_variance(1000);
+        // Lap(1/ε) on a count over n users: 2/(nε)² on the frequency.
+        let theory = 2.0 / (1000.0f64 * 0.5).powi(2);
         assert!((v - theory).abs() / theory < 0.05, "{v} vs {theory}");
         assert!((mean(&samples) - 0.5).abs() < 0.001);
-    }
-
-    #[test]
-    fn count_mae_is_inverse_epsilon() {
-        assert!((LaplaceHistogram::new(2.0).count_mae() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn more_budget_less_noise() {
-        let lo = LaplaceHistogram::new(0.1).frequency_variance(100);
-        let hi = LaplaceHistogram::new(1.0).frequency_variance(100);
-        assert!(lo > hi);
     }
 }

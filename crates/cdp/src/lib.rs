@@ -1,44 +1,29 @@
-//! Centralized w-event differential privacy substrate (paper §3.1–3.2).
+//! Centralized w-event differential privacy baselines (paper §3.1–3.2).
 //!
 //! LDP-IDS ports the budget-division methodology of Kellaris et al.
 //! ("Differentially private event sequences over infinite streams",
-//! VLDB'14) from the centralized to the local model. This crate
-//! implements that centralized substrate — both because the paper's
-//! design is defined by analogy to it, and because having it in-tree
-//! enables the CDP-vs-LDP ablation benches.
+//! VLDB'14) from the centralized to the local model. This crate keeps
+//! that centralized substrate — Budget Distribution and Budget Absorption
+//! on one controller, [`CdpMechanism`] — for the CDP-vs-LDP ablation: what
+//! a trusted aggregator achieves with the same window budget.
 //!
-//! Components:
-//!
-//! * [`LaplaceHistogram`] — the ε-DP histogram release primitive
-//!   (`c_t + ⟨Lap(1/ε)⟩^d` on the count scale);
-//! * [`CdpUniform`] — even `ε/w` release at every timestamp;
-//! * [`CdpSample`] — full-ε release once per window, approximation
-//!   elsewhere;
-//! * [`CdpBd`] — **Budget Distribution**: exponentially decaying
-//!   publication budget, recycled as timestamps expire;
-//! * [`CdpBa`] — **Budget Absorption**: uniform allocation with
-//!   absorption of skipped budget and post-publication nullification;
-//! * [`CdpLedger`] — a runtime w-event accountant asserting
-//!   `Σ_{i∈window} ε_i ≤ ε` on every step.
-//!
-//! All mechanisms consume true histograms (the trusted-aggregator setting)
-//! and release frequency vectors, matching the LDP mechanisms' output so
-//! the same metrics apply.
+//! Both mechanisms consume true histograms (the trusted-aggregator
+//! setting) and release frequency vectors, matching the LDP mechanisms'
+//! output so the same metrics apply.
 
 #![warn(missing_docs)]
 
-pub mod ba;
-pub mod bd;
-pub mod laplace_mech;
-pub mod ledger;
-pub mod mechanism;
-pub mod sample;
-pub mod uniform;
+mod mechanism;
 
-pub use ba::CdpBa;
-pub use bd::CdpBd;
-pub use laplace_mech::LaplaceHistogram;
-pub use ledger::CdpLedger;
 pub use mechanism::{run_cdp, CdpKind, CdpMechanism};
-pub use sample::CdpSample;
-pub use uniform::CdpUniform;
+
+// Unit tests of BD, BA, the Laplace release and the window budget, under
+// the module names they were written in; [`mechanism`] implements them.
+#[cfg(test)]
+mod ba;
+#[cfg(test)]
+mod bd;
+#[cfg(test)]
+mod laplace_mech;
+#[cfg(test)]
+mod ledger;

@@ -1,8 +1,9 @@
 //! Property tests for the centralized w-event DP substrate.
 
-use ldp_cdp::{run_cdp, CdpKind, CdpLedger};
+use ldp_cdp::{run_cdp, CdpKind};
 use ldp_stream::source::ReplaySource;
 use ldp_stream::TrueHistogram;
+use ldp_stream::WindowBudget;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,15 +32,15 @@ proptest! {
             proptest::collection::vec(0u64..2_000, 3..=3), 10..40),
         w in 1usize..12,
         eps in 0.1f64..4.0,
-        kind_idx in 0usize..4,
+        kind_idx in 0usize..2,
         seed in 0u64..1000,
     ) {
         let steps = rows.len();
         let mut source = stream_from(rows);
-        let kind = CdpKind::ALL[kind_idx];
+        let kind = [CdpKind::Bd, CdpKind::Ba][kind_idx];
         let mut mech = kind.build(eps, w, 3);
         let mut rng = StdRng::seed_from_u64(seed);
-        let released = run_cdp(mech.as_mut(), &mut source, steps, &mut rng);
+        let released = run_cdp(&mut mech, &mut source, steps, &mut rng);
         prop_assert_eq!(released.len(), steps);
         for row in &released {
             prop_assert_eq!(row.len(), 3);
@@ -50,14 +51,14 @@ proptest! {
         prop_assert!(mech.publications() <= steps as u64);
     }
 
-    /// The CDP ledger mirrors a sliding-window sum exactly.
+    /// The window budget mirrors a sliding-window sum exactly.
     #[test]
     fn ledger_matches_window_model(
         spends in proptest::collection::vec(0.0f64..0.2, 1..60),
         w in 1usize..10,
     ) {
         // Scale spends so no window can exceed ε = 1.
-        let mut ledger = CdpLedger::new(1.0, w);
+        let mut ledger = WindowBudget::new(1.0, w);
         let mut history: Vec<f64> = Vec::new();
         for &s in &spends {
             let spend = s / w as f64;
@@ -65,21 +66,7 @@ proptest! {
             history.push(spend);
             let tail: f64 = history[history.len().saturating_sub(w)..].iter().sum();
             prop_assert!((ledger.window_total() - tail).abs() < 1e-12);
-            prop_assert!((ledger.remaining() - (1.0 - tail)).abs() < 1e-9);
         }
     }
 
-    /// Uniform releases are unbiased: with many users the noise is small
-    /// relative to the signal at generous ε.
-    #[test]
-    fn cdp_uniform_tracks_truth(seed in 0u64..500) {
-        let rows = vec![vec![8_000u64, 1_000, 1_000]; 8];
-        let mut source = stream_from(rows);
-        let mut mech = CdpKind::Uniform.build(4.0, 2, 3);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let released = run_cdp(mech.as_mut(), &mut source, 8, &mut rng);
-        let avg_cell0: f64 =
-            released.iter().map(|r| r[0]).sum::<f64>() / released.len() as f64;
-        prop_assert!((avg_cell0 - 0.8).abs() < 0.05, "avg {avg_cell0}");
-    }
 }

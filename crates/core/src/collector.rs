@@ -34,7 +34,7 @@ use rand::SeedableRng;
 pub enum ReportScope {
     /// Every user reports (budget-division rounds). Permitted at every
     /// timestamp; privacy comes from the per-round budget, which the
-    /// mechanism's [`crate::BudgetLedger`] bounds.
+    /// mechanism's [`ldp_stream::WindowBudget`] bounds.
     All,
     /// `k` users who have not reported within the current window report
     /// (population-division rounds). The collector enforces freshness: a

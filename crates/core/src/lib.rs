@@ -39,9 +39,9 @@
 //!   10⁶-user experiments tractable.
 //!
 //! Privacy is enforced twice: by construction (the mechanisms implement
-//! the paper's allocation schedules) and at runtime by the
-//! [`accountant`] ledgers, which panic the moment a window over-spends
-//! budget or a user is asked to report twice in a window.
+//! the paper's allocation schedules) and at runtime — budget division's
+//! [`ldp_stream::WindowBudget`] panics the moment a window over-spends,
+//! and the collectors refuse to ask a user to report twice in a window.
 //!
 //! ## Quick example
 //!
@@ -63,7 +63,6 @@
 
 #![warn(missing_docs)]
 
-pub mod accountant;
 pub mod analysis;
 #[cfg(test)]
 mod budget;
@@ -81,10 +80,47 @@ mod schedule;
 pub mod smoothing;
 pub mod traits;
 
-pub use accountant::BudgetLedger;
 pub use collector::{AggregateCollector, RoundCollector, RoundEstimate};
 pub use config::{MechanismConfig, VarianceModel};
 pub use error::CoreError;
 pub use release::{Release, ReleaseKind};
 pub use runner::{run_on_materialized, CollectorMode, RunResult};
 pub use traits::{MechanismKind, StreamMechanism};
+
+// Budget division's ledger checks, on `ldp_stream::WindowBudget`, under
+// the module name they were written in.
+#[cfg(test)]
+mod accountant {
+    mod tests {
+        use ldp_stream::WindowBudget;
+
+        #[test]
+        fn budget_ledger_tracks_window_sum() {
+            let mut l = WindowBudget::new(1.0, 3);
+            l.spend(0.3);
+            l.spend(0.3);
+            l.spend(0.4);
+            assert!((l.window_total() - 1.0).abs() < 1e-9);
+            // Sliding out the first 0.3 frees room.
+            l.spend(0.3);
+            assert!((l.window_total() - 1.0).abs() < 1e-9);
+            assert!((l.max_window_total() - 1.0).abs() < 1e-9);
+        }
+
+        #[test]
+        #[should_panic(expected = "w-event budget violated")]
+        fn budget_ledger_panics_on_overspend() {
+            let mut l = WindowBudget::new(1.0, 2);
+            l.spend(0.6);
+            l.spend(0.6);
+        }
+
+        #[test]
+        fn budget_ledger_allows_exact_epsilon() {
+            let mut l = WindowBudget::new(2.0, 4);
+            for _ in 0..16 {
+                l.spend(0.5);
+            }
+        }
+    }
+}

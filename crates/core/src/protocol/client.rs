@@ -89,7 +89,7 @@ fn tolerance(epsilon: f64) -> f64 {
 /// Every simulated device of one collector, each guarding budget ε per
 /// window of `w` timestamps with device-local randomness.
 ///
-/// Unlike [`crate::BudgetLedger`], over-spend is not a panic but a
+/// Unlike the mechanisms' [`ldp_stream::WindowBudget`], over-spend is not a panic but a
 /// *refusal* — the device simply declines to answer.
 #[derive(Debug)]
 pub struct DeviceTable {

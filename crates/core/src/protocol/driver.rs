@@ -851,6 +851,89 @@ mod tests {
         }
     }
 
+    /// The figures' collector, pinned: every figure, table and ablation
+    /// runs on `AggregateCollector`, so a changed aggregate sampler,
+    /// draw, stream or controller changes a digest here first.
+    #[test]
+    fn aggregate_collector_releases_are_pinned() {
+        use crate::collector::AggregateCollector;
+        use crate::runner::run_with_collector;
+        use crate::MechanismKind;
+        use ldp_stream::source::ReplaySource;
+
+        let (epsilon, w, population, steps) = (1.0, 4, 300u64, 30);
+        let mut got = Vec::new();
+        for (fo, d) in [(FoKind::Grr, 5), (FoKind::Oue, 16), (FoKind::Olh, 16)] {
+            let stream = swinging_stream(population, d, steps);
+            let config = MechanismConfig::new(epsilon, w, d, population).with_fo(fo);
+            for kind in MechanismKind::ALL {
+                let source = Box::new(ReplaySource::new("swing", stream.clone()));
+                let mut collector = AggregateCollector::new(source, &config, 7);
+                let mut mechanism = kind.build(&config).unwrap();
+                let run = run_with_collector(mechanism.as_mut(), &mut collector, steps).unwrap();
+                // FNV-1a over the release stream's bits.
+                let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                for release in &run.releases {
+                    let kind = format!("{:?}", release.kind);
+                    let bits = release
+                        .frequencies
+                        .iter()
+                        .flat_map(|f| f.to_bits().to_le_bytes());
+                    for b in release
+                        .t
+                        .to_le_bytes()
+                        .into_iter()
+                        .chain(kind.bytes())
+                        .chain(bits)
+                    {
+                        hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+                let stats = collector.stats();
+                got.push((
+                    format!("{fo:?} {kind}"),
+                    hash,
+                    run.publications,
+                    [
+                        stats.uplink_reports,
+                        stats.uplink_bytes,
+                        stats.downlink_requests,
+                        stats.steps,
+                    ],
+                ));
+            }
+        }
+        // (fo mechanism, release digest, publications, [uplink reports,
+        // uplink bytes, downlink requests, steps])
+        let want = [
+            ("Grr lbu", 6535457108583458981, 30, [9000, 108000, 0, 30]),
+            ("Grr lsp", 15362275385770764160, 8, [2400, 28800, 0, 30]),
+            ("Grr lbd", 8140341486047749423, 7, [11100, 133200, 0, 30]),
+            ("Grr lba", 7371528617490507995, 7, [11100, 133200, 0, 30]),
+            ("Grr lpu", 15386277897655517543, 30, [2250, 27000, 0, 30]),
+            ("Grr lpd", 12054338395912100056, 15, [1846, 22152, 0, 30]),
+            ("Grr lpa", 9636785029547366883, 13, [1924, 23088, 0, 30]),
+            ("Oue lbu", 17283648763323035877, 30, [9000, 180000, 0, 30]),
+            ("Oue lsp", 3240010449564648068, 8, [2400, 48000, 0, 30]),
+            ("Oue lbd", 7392013913609558381, 12, [12600, 252000, 0, 30]),
+            ("Oue lba", 1868429552344653253, 12, [12600, 252000, 0, 30]),
+            ("Oue lpu", 10490439859641550655, 30, [2250, 45000, 0, 30]),
+            ("Oue lpd", 6412788494575970033, 6, [1465, 29300, 0, 30]),
+            ("Oue lpa", 16655883831692528838, 6, [1702, 34040, 0, 30]),
+            ("Olh lbu", 15936860024307878071, 30, [9000, 180000, 0, 30]),
+            ("Olh lsp", 14104931121770899884, 8, [2400, 48000, 0, 30]),
+            ("Olh lbd", 7623990136445030943, 9, [11700, 234000, 0, 30]),
+            ("Olh lba", 5257805870147029032, 7, [11100, 222000, 0, 30]),
+            ("Olh lpu", 17454289181404195942, 30, [2250, 45000, 0, 30]),
+            ("Olh lpd", 13662142277669637833, 12, [1756, 35120, 0, 30]),
+            ("Olh lpa", 7077628200568519998, 8, [1850, 37000, 0, 30]),
+        ];
+        assert_eq!(got.len(), want.len());
+        for (got, want) in got.iter().zip(want) {
+            assert_eq!((got.0.as_str(), got.1, got.2, got.3), want, "{}", want.0);
+        }
+    }
+
     #[test]
     fn window_of_one_recycles_immediately() {
         let mut c = collector(1, vec![500, 500], 1.0);

@@ -6,17 +6,23 @@
 //! composition is w-event ε-LDP. Every user reports at every timestamp
 //! with a *fraction* of ε, which is why this family suffers in the local
 //! model: FO variance grows as `O((e^ε − 1)^{-2})` when the per-round
-//! budget shrinks (§6.1). A [`BudgetLedger`] re-checks the window sum as
+//! budget shrinks (§6.1). A [`WindowBudget`] re-checks the window sum as
 //! the mechanism runs.
 //!
 //! **Population division** (§6). FO variance is only `O(n^{-1})` in the
 //! reporting population, so splitting the *users* across a window —
 //! each reports at most once per window, with the full ε — dominates
 //! splitting the budget (Theorem 6.1) and cuts communication about
-//! w-fold. Freshness is the collector's to enforce
-//! ([`crate::CoreError::PoolExhausted`]); these controllers only choose
-//! group sizes. LSP is accounted here too: all users report once per
-//! window.
+//! w-fold. LSP is accounted here too: all users report once per window.
+//!
+//! Theorem 6.2's invariant for population division — each user reports
+//! at most once per window, always through an ε-LDP oracle — is not kept
+//! here: these controllers only choose group sizes, and keep no ledger.
+//! The collector guards it: every collector refuses a request larger than
+//! its pool of users fresh in the window with
+//! [`crate::CoreError::PoolExhausted`], and under
+//! [`crate::protocol::ClientCollector`] every device's own ledger
+//! ([`crate::protocol::DeviceTable`]) also refuses to over-spend.
 //!
 //! The [`Fixed`] controller runs one request on a fixed schedule:
 //!
@@ -44,7 +50,6 @@
 //! LPD and LPA are LBD and LBA with `ε_{t,2} → |U_{t,2}|` (§6.2): the
 //! [`Division`] holds every difference between the pairs.
 
-use crate::accountant::BudgetLedger;
 use crate::collector::{ReportScope, RoundCollector};
 use crate::config::{MechanismConfig, VarianceModel};
 use crate::dissimilarity::{estimate_dissimilarity, expected_round_mse};
@@ -52,7 +57,7 @@ use crate::error::CoreError;
 use crate::release::Release;
 use crate::traits::{MechanismKind, StreamMechanism};
 use ldp_fo::variance::PqPair;
-use ldp_stream::RingWindow;
+use ldp_stream::{RingWindow, WindowBudget};
 
 /// What budget division and population division do differently. A
 /// publication *resource* is a budget under `Budget` and a user count
@@ -75,8 +80,8 @@ impl Division {
     }
 
     /// Only budget division keeps a window ledger.
-    fn ledger(self, config: &MechanismConfig) -> Option<BudgetLedger> {
-        (self == Division::Budget).then(|| BudgetLedger::new(config.epsilon, config.w))
+    fn ledger(self, config: &MechanismConfig) -> Option<WindowBudget> {
+        (self == Division::Budget).then(|| WindowBudget::new(config.epsilon, config.w))
     }
 
     /// The M₁ round: all users at `share·ε/w`, or `⌊⌊N·share⌋/w⌋` fresh
@@ -157,7 +162,7 @@ pub(crate) struct Fixed {
     round: (ReportScope, f64),
     /// Publish at every `every`-th timestamp, approximate in between.
     every: u64,
-    ledger: Option<BudgetLedger>,
+    ledger: Option<WindowBudget>,
     t: u64,
     publications: u64,
     last: Vec<f64>,
@@ -249,7 +254,7 @@ pub(crate) struct Adaptive {
     config: MechanismConfig,
     division: Division,
     rule: Rule,
-    ledger: Option<BudgetLedger>,
+    ledger: Option<WindowBudget>,
     t: u64,
     publications: u64,
     last: Vec<f64>,
@@ -390,14 +395,14 @@ pub(crate) struct Decision {
 
 #[cfg(test)]
 impl Fixed {
-    pub(crate) fn ledger(&self) -> &BudgetLedger {
+    pub(crate) fn ledger(&self) -> &WindowBudget {
         self.ledger.as_ref().expect("budget division")
     }
 }
 
 #[cfg(test)]
 impl Adaptive {
-    pub(crate) fn ledger(&self) -> &BudgetLedger {
+    pub(crate) fn ledger(&self) -> &WindowBudget {
         self.ledger.as_ref().expect("budget division")
     }
 

@@ -37,12 +37,6 @@ impl KalmanSmoother {
         KalmanSmoother { process_variance }
     }
 
-    /// A reasonable default for frequency streams: the squared typical
-    /// per-step drift of the paper's synthetic processes (~0.25%).
-    pub fn default_for_frequencies() -> Self {
-        KalmanSmoother::new(0.0025 * 0.0025)
-    }
-
     /// Smooth a release sequence, using `config` to derive each
     /// publication's measurement noise from its provenance.
     pub fn smooth(&self, releases: &[Release], config: &MechanismConfig) -> Vec<Vec<f64>> {
@@ -106,7 +100,7 @@ mod tests {
 
     #[test]
     fn first_publication_initializes_state() {
-        let s = KalmanSmoother::default_for_frequencies();
+        let s = KalmanSmoother::new(0.0025 * 0.0025);
         let releases = vec![published(0, vec![0.3, 0.7])];
         let out = s.smooth(&releases, &config());
         assert_eq!(out, vec![vec![0.3, 0.7]]);
@@ -114,7 +108,7 @@ mod tests {
 
     #[test]
     fn approximations_hold_the_prediction() {
-        let s = KalmanSmoother::default_for_frequencies();
+        let s = KalmanSmoother::new(0.0025 * 0.0025);
         let releases = vec![
             published(0, vec![0.3, 0.7]),
             Release::approximated(1, vec![0.3, 0.7]),
@@ -164,7 +158,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_output() {
-        let s = KalmanSmoother::default_for_frequencies();
+        let s = KalmanSmoother::new(0.0025 * 0.0025);
         assert!(s.smooth(&[], &config()).is_empty());
     }
 

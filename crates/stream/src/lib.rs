@@ -20,6 +20,9 @@
 //!   from the paper);
 //! * above-threshold event labelling for the Fig. 7 monitoring experiment
 //!   ([`events`]);
+//! * the sliding [`RingWindow`] and, on it, [`WindowBudget`]: the w-event
+//!   budget ledger that both the local mechanisms and the centralized
+//!   baselines assert as they run;
 //! * materialization and cross-run caching of stream realizations
 //!   ([`cache`]) so that every mechanism/parameter grid point sees the
 //!   same stream, as in the paper's setup.
@@ -44,4 +47,4 @@ pub use events::{paper_threshold, MonitorStat};
 pub use histogram::TrueHistogram;
 pub use snapshot::Snapshot;
 pub use source::StreamSource;
-pub use window::RingWindow;
+pub use window::{RingWindow, WindowBudget};

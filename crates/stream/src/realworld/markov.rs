@@ -58,30 +58,6 @@ pub fn markov_step<R: Rng + ?Sized>(
     }
 }
 
-/// One aggregate Markov step with *per-cell* leave probabilities.
-pub fn markov_step_per_cell<R: Rng + ?Sized>(
-    counts: &mut [u64],
-    leave_probs: &[f64],
-    dest_weights: &[f64],
-    rng: &mut R,
-) {
-    debug_assert_eq!(counts.len(), leave_probs.len());
-    let mut pooled: u64 = 0;
-    for (c, &lp) in counts.iter_mut().zip(leave_probs) {
-        let leave = sample_binomial(rng, *c, lp).expect("leave prob in [0,1]");
-        *c -= leave;
-        pooled += leave;
-    }
-    if pooled == 0 {
-        return;
-    }
-    let landed = sample_multinomial_weighted(rng, pooled, dest_weights)
-        .expect("dest_weights validated by caller");
-    for (c, l) in counts.iter_mut().zip(landed) {
-        *c += l;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,17 +124,5 @@ mod tests {
         let mut counts = vec![10u64, 20];
         markov_step(&mut counts, 0.0, &[0.5, 0.5], &mut rng);
         assert_eq!(counts, vec![10, 20]);
-    }
-
-    #[test]
-    fn per_cell_step_conserves_and_respects_zero() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut counts = vec![1000u64, 1000];
-        // Only cell 0 leaks; every leaver lands on cell 1.
-        for _ in 0..50 {
-            markov_step_per_cell(&mut counts, &[0.5, 0.0], &[0.0, 1.0], &mut rng);
-            assert_eq!(counts.iter().sum::<u64>(), 2000);
-        }
-        assert!(counts[0] < 10, "cell 0 should drain, has {}", counts[0]);
     }
 }

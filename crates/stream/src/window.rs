@@ -5,6 +5,7 @@
 //! tracks user groups to recycle, and the mechanisms subtract window
 //! totals (Alg. 1 line 7, Alg. 3 line 7). `RingWindow` is that shared
 //! primitive: push one entry per timestamp, read the window contents.
+//! [`WindowBudget`] is the budget ledger built on it.
 
 /// A ring buffer holding the most recent `w` pushed values.
 #[derive(Debug, Clone)]
@@ -33,11 +34,6 @@ impl<T: Clone> RingWindow<T> {
     /// Whether nothing has been pushed yet.
     pub fn is_empty(&self) -> bool {
         self.pushed == 0
-    }
-
-    /// Total entries ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Push the entry for the current timestamp, returning the entry that
@@ -80,6 +76,62 @@ impl RingWindow<u64> {
     /// Sum of the entries currently in the window.
     pub fn sum_u64(&self) -> u64 {
         self.iter().sum()
+    }
+}
+
+/// The w-event budget ledger of both privacy models: records the ε spent
+/// at each timestamp and asserts `Σ_{i∈window} ε_i ≤ ε` (Theorem 5.1, and
+/// its centralized analogue in Kellaris et al.) as the mechanism runs.
+///
+/// It is an assertion, not a control: a correct schedule never trips it,
+/// and a broken one panics in tests instead of silently over-spending.
+/// The window sum is an ordered f64 sum, so the check allows a slack of
+/// `10⁻⁹ · ε`.
+#[derive(Debug, Clone)]
+pub struct WindowBudget {
+    epsilon: f64,
+    window: RingWindow<f64>,
+    max_window_total: f64,
+}
+
+impl WindowBudget {
+    /// A ledger for window budget `ε` over windows of `w` timestamps.
+    pub fn new(epsilon: f64, w: usize) -> Self {
+        assert!(
+            epsilon.is_finite() && epsilon > 0.0,
+            "epsilon must be finite and > 0, got {epsilon}"
+        );
+        WindowBudget {
+            epsilon,
+            window: RingWindow::new(w),
+            max_window_total: 0.0,
+        }
+    }
+
+    /// Record this timestamp's total spend and check the invariant.
+    ///
+    /// # Panics
+    /// If the spend is negative or the window total exceeds ε.
+    pub fn spend(&mut self, eps_t: f64) {
+        assert!(eps_t >= 0.0, "negative budget spend {eps_t}");
+        self.window.push(eps_t);
+        let total = self.window.sum();
+        self.max_window_total = self.max_window_total.max(total);
+        assert!(
+            total <= self.epsilon + 1e-9 * self.epsilon,
+            "w-event budget violated: window total {total} > epsilon {}",
+            self.epsilon
+        );
+    }
+
+    /// Budget spent in the active window.
+    pub fn window_total(&self) -> f64 {
+        self.window.sum()
+    }
+
+    /// The largest window total ever observed (≤ ε by the assertion).
+    pub fn max_window_total(&self) -> f64 {
+        self.max_window_total
     }
 }
 
@@ -143,15 +195,5 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_capacity_rejected() {
         RingWindow::<u32>::new(0);
-    }
-
-    #[test]
-    fn total_pushed_counts_everything() {
-        let mut w = RingWindow::new(2);
-        for i in 0..10 {
-            w.push(i);
-        }
-        assert_eq!(w.total_pushed(), 10);
-        assert_eq!(w.len(), 2);
     }
 }

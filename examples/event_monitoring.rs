@@ -13,6 +13,7 @@
 use ldp_ids::runner::{run_on_materialized, CollectorMode};
 use ldp_ids::{MechanismConfig, MechanismKind};
 use ldp_metrics::{roc_points, Table};
+use ldp_stream::events::above_threshold_labels;
 use ldp_stream::{paper_threshold, Dataset, MaterializedStream, MonitorStat};
 
 fn main() {
@@ -31,7 +32,7 @@ fn main() {
     let stat = MonitorStat::Cell(1);
     let true_series = stat.series(&truth);
     let delta = paper_threshold(&true_series);
-    let labels: Vec<bool> = true_series.iter().map(|&s| s > delta).collect();
+    let labels = above_threshold_labels(&true_series, delta);
     let positives = labels.iter().filter(|&&l| l).count();
     println!(
         "threshold delta = {delta:.4}; {positives} of {} steps are true events",

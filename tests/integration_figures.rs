@@ -235,7 +235,7 @@ fn cdp_beats_ldp_at_same_budget() {
 
     let mut cdp = CdpKind::Bd.build(1.0, 20, 2);
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let released = run_cdp(cdp.as_mut(), &mut stream.replay(), 100, &mut rng);
+    let released = run_cdp(&mut cdp, &mut stream.replay(), 100, &mut rng);
     let cdp_mre = ldp_metrics::mre(&released, &truth, ldp_metrics::DEFAULT_MRE_FLOOR);
 
     let mut spec = RunSpec::new(dataset, MechanismKind::Lbd, 1.0, 20, 11);

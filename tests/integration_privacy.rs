@@ -5,7 +5,7 @@
 //! independent places, and these tests drive randomized streams and
 //! configurations through all of them:
 //!
-//! * the mechanisms' own `BudgetLedger` (panics on window over-spend);
+//! * budget division's own `WindowBudget` (panics on window over-spend);
 //! * the collectors' fresh-user accounting (errors on double booking);
 //! * the *clients'* ledgers in the protocol driver (refuse over-budget
 //!   requests) — the device-side guarantee that holds even against a
